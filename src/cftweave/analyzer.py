@@ -1,17 +1,27 @@
 """Qualitative fault-tree analysis: cutsets and Boolean reduction.
 
-Cutsets come from top-down product expansion over leaf display names (the
-classic AND-distributes-over-OR walk, memoised per shared node).  Two report
-stages exist:
+Cutsets come from top-down product expansion (the classic
+AND-distributes-over-OR walk), folded bottom-up over the DAG with an
+explicit stack and memoised per shared node, so tree depth is not limited by
+the interpreter's recursion limit.  Two report stages exist:
 
-* ``pre``: the expanded products as-is, deduplicated but without absorption,
-  with every display-named leaf treated as its own atom.  This is the list a
-  reviewer compares against the woven structure, where one physical cause
-  may legitimately appear once per dependent.
-* ``reduced``: display names are mapped to event identities (collapsing
-  common causes), idempotence inside each set and absorption across sets are
-  applied, yielding the unique minimal disjunctive normal form of the
-  monotone tree function.
+* ``pre``: the expanded products over leaf display names, deduplicated but
+  without absorption, with every display-named leaf treated as its own atom.
+  This is the list a reviewer compares against the woven structure, where
+  one physical cause may legitimately appear once per dependent.
+* ``reduced``: the unique minimal disjunctive normal form of the monotone
+  tree function over event identities.  The tree's distinct identities are
+  numbered once in sorted order and a product is an ``int`` bitmask over
+  them, so common causes collapse (and idempotence holds) before any
+  product is built.  Each AND gate minimises its cross product, absorbing
+  every product that contains another; OR gates only deduplicate; the root
+  is minimised once more.  Minimisation checks each product only against
+  smaller kept ones, found through an index keyed by lowest set bit, so the
+  cost follows the minimal cutsets rather than every display-level product.
+
+Each AND gate may form at most :data:`MAX_PRODUCTS` products from two
+operands, in either stage; a larger cross product raises
+:class:`AnalysisError` with the count before any product is built.
 
 NOT gates make cutset semantics undefined here and are rejected; use
 :func:`evaluate` for pointwise checks of non-coherent trees.  The brute-force
@@ -28,6 +38,9 @@ from .model import GateKind
 from .synthesizer import FaultTree, FTGate, FTLeaf
 
 STAGES = ("pre", "reduced")
+
+# Most products one AND gate may form from two operands, in either stage.
+MAX_PRODUCTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -58,38 +71,97 @@ class CutSetReport:
         return {cs.identities for cs in self.cutsets}
 
 
-def _expand_products(root) -> tuple[frozenset[str], ...]:
-    memo: dict[int, tuple[frozenset[str], ...]] = {}
+def _fold(root, leaf, gate):
+    """Fold the DAG bottom-up, each shared node once, with an explicit stack.
 
-    def dedup(sets) -> tuple[frozenset[str], ...]:
-        return tuple(dict.fromkeys(sets))
-
-    def go(node) -> tuple[frozenset[str], ...]:
+    ``leaf(node)`` gives a leaf's value and ``gate(node, values)`` a gate's
+    from its children's values in child order.
+    """
+    memo: dict[int, object] = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
         if id(node) in memo:
-            return memo[id(node)]
+            continue
         if isinstance(node, FTLeaf):
-            result = (frozenset((node.display,)),)
-        elif node.kind is GateKind.OR:
-            result = dedup(s for child in node.children for s in go(child))
-        else:  # AND
-            acc: tuple[frozenset[str], ...] = (frozenset(),)
-            for child in node.children:
-                acc = dedup(a | b for a in acc for b in go(child))
-            result = acc
-        memo[id(node)] = result
-        return result
-
-    return go(root)
+            memo[id(node)] = leaf(node)
+        elif ready:
+            memo[id(node)] = gate(node, [memo[id(child)] for child in node.children])
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+    return memo[id(root)]
 
 
-def _absorb(sets) -> tuple[frozenset[str], ...]:
-    """Keep only minimal sets; processing by ascending size makes one pass
-    sufficient."""
-    kept: list[frozenset[str]] = []
-    for candidate in sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s)))):
-        if not any(k <= candidate for k in kept):
-            kept.append(candidate)
+def _check_budget(acc: tuple, child: tuple) -> None:
+    count = len(acc) * len(child)
+    if count > MAX_PRODUCTS:
+        raise AnalysisError(
+            f"cutset expansion would form {count} products at one AND gate, "
+            f"over the budget of {MAX_PRODUCTS}")
+
+
+def _display_products(root) -> tuple[frozenset[str], ...]:
+    """Every product over leaf display names, deduplicated, not absorbed."""
+    def gate(node, kids):
+        if node.kind is GateKind.OR:
+            return tuple(dict.fromkeys(p for kid in kids for p in kid))
+        acc: tuple[frozenset[str], ...] = (frozenset(),)
+        for kid in kids:
+            _check_budget(acc, kid)
+            acc = tuple(dict.fromkeys(a | b for a in acc for b in kid))
+        return acc
+
+    return _fold(root, lambda leaf: (frozenset((leaf.display,)),), gate)
+
+
+def _minimise(masks) -> tuple[int, ...]:
+    """The masks that contain no other mask.
+
+    Candidates go by ascending size and are checked only against kept masks
+    of strictly smaller size (two distinct masks of one size never absorb
+    each other).  Kept masks are indexed by their lowest set bit, so a
+    candidate looks only in the buckets of those of its bits that have one.
+    """
+    masks = set(masks)
+    if 0 in masks:  # the empty product absorbs every other
+        return (0,)
+    by_low: dict[int, list[int]] = {}
+    kept: list[int] = []
+    pending: list[int] = []  # kept at the current size, not yet indexed
+    indexed = 0  # the bits that have a bucket
+    size = 0
+    for mask in sorted(masks, key=int.bit_count):
+        if mask.bit_count() != size:
+            size = mask.bit_count()
+            for k in pending:
+                by_low.setdefault(k & -k, []).append(k)
+                indexed |= k & -k
+            pending = []
+        rest = mask & indexed
+        while rest:
+            low = rest & -rest
+            if any(k & mask == k for k in by_low[low]):
+                break
+            rest ^= low
+        else:
+            kept.append(mask)
+            pending.append(mask)
     return tuple(kept)
+
+
+def _identity_products(root, bit_of: dict[str, int]) -> tuple[int, ...]:
+    """The minimal products over leaf identities, as bitmasks."""
+    def gate(node, kids):
+        if node.kind is GateKind.OR:
+            return tuple(dict.fromkeys(m for kid in kids for m in kid))
+        acc: tuple[int, ...] = (0,)
+        for kid in kids:
+            _check_budget(acc, kid)
+            acc = _minimise([a | b for a in acc for b in kid])
+        return acc
+
+    return _minimise(_fold(root, lambda leaf: (bit_of[leaf.identity],), gate))
 
 
 def _report_key(cs: CutSet) -> tuple[int, tuple[str, ...]]:
@@ -102,37 +174,44 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         raise AnalysisError(f"unknown stage '{stage}', expected one of {STAGES}")
     if tree.root is None:
         raise AnalysisError("empty tree")
-    for node in tree.nodes():
-        if isinstance(node, FTGate) and node.kind is GateKind.NOT:
-            raise AnalysisError("non-coherent tree: cutset semantics undefined")
+    nodes = tree.nodes()
+    if any(isinstance(node, FTGate) and node.kind is GateKind.NOT for node in nodes):
+        raise AnalysisError("non-coherent tree: cutset semantics undefined")
 
     identity_of: dict[str, str] = {}
-    for leaf in tree.leaves():
-        known = identity_of.get(leaf.display)
-        if known is not None and known != leaf.identity:
+    displays_per_identity: dict[str, set[str]] = {}
+    for node in nodes:
+        if not isinstance(node, FTLeaf):
+            continue
+        known = identity_of.get(node.display)
+        if known is not None and known != node.identity:
             raise AnalysisError(
-                f"display name '{leaf.display}' maps to several identities")
-        identity_of[leaf.display] = leaf.identity
+                f"display name '{node.display}' maps to several identities")
+        identity_of[node.display] = node.identity
+        displays_per_identity.setdefault(node.identity, set()).add(node.display)
 
-    products = _expand_products(tree.root)
     if stage == "pre":
         sets = [CutSet(displays=tuple(sorted(p)),
                        identities=frozenset(identity_of[d] for d in p))
-                for p in products]
+                for p in _display_products(tree.root)]
         return CutSetReport("pre", tuple(sorted(sets, key=_report_key)))
 
-    reduced = _absorb(frozenset(identity_of[d] for d in p) for p in products)
-
-    displays_per_identity: dict[str, set[str]] = {}
-    for leaf in tree.leaves():
-        displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
+    names = sorted(displays_per_identity)
+    bit_of = {name: 1 << i for i, name in enumerate(names)}
     # An identity seen under one display keeps it; one seen under several
     # (a collapsed common cause) falls back to the identity itself.
     display_of = {ident: (next(iter(ds)) if len(ds) == 1 else ident)
                   for ident, ds in displays_per_identity.items()}
 
-    sets = [CutSet(displays=tuple(sorted(display_of[i] for i in p)), identities=p)
-            for p in reduced]
+    sets = []
+    for mask in _identity_products(tree.root, bit_of):
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(names[low.bit_length() - 1])
+            mask ^= low
+        sets.append(CutSet(displays=tuple(sorted(display_of[i] for i in members)),
+                           identities=frozenset(members)))
     return CutSetReport("reduced", tuple(sorted(sets, key=_report_key)))
 
 
@@ -148,20 +227,11 @@ def evaluate(tree: FaultTree, assignment) -> bool:
     if missing:
         raise AnalysisError("assignment missing identities: " + ", ".join(missing))
 
-    memo: dict[int, bool] = {}
+    def gate(node, values) -> bool:
+        if node.kind is GateKind.AND:
+            return all(values)
+        if node.kind is GateKind.OR:
+            return any(values)
+        return not values[0]
 
-    def go(node) -> bool:
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, FTLeaf):
-            value = bool(assignment[node.identity])
-        elif node.kind is GateKind.AND:
-            value = all(go(child) for child in node.children)
-        elif node.kind is GateKind.OR:
-            value = any(go(child) for child in node.children)
-        else:
-            value = not go(node.children[0])
-        memo[id(node)] = value
-        return value
-
-    return go(tree.root)
+    return _fold(tree.root, lambda leaf: bool(assignment[leaf.identity]), gate)

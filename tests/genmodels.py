@@ -6,6 +6,9 @@ failure mode has a matching upstream output failure mode, dependency edges
 point from later to earlier components, and providers always expose failure
 behaviour.  The identity budget (basic events plus external inputs) is
 capped so exhaustive oracle sweeps stay cheap.
+
+:func:`wide` builds one scalable family deterministically, for tests whose
+expected cutsets follow in closed form from the family's structure.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from cftweave import (
 )
 
 FM_NAMES = ("loss-of", "stuck", "late-output")
+BATTERY = ("Battery-omission", "Battery-too-low")
 
 
 def random_model(seed: int, max_components: int = 6, max_identities: int = 12,
@@ -160,3 +164,36 @@ def random_model(seed: int, max_components: int = 6, max_identities: int = 12,
     tops = [TopEventRef(spec["name"], name)
             for spec in specs for (name, _, _) in spec["outfms"]]
     return model, tops
+
+
+def wide(n: int, kind: GateKind) -> tuple[ArchitectureModel, TopEventRef]:
+    """n sensors ``S{k}`` (events ``f``, ``g`` under an OR) feed one *kind*
+    gate in ``T``; every sensor ``alfred``-depends on battery ``B``."""
+    battery = Component(
+        name="B", layer="hw", in_ports=(), out_ports=(),
+        cft=ComponentFaultTree(
+            events=tuple(BasicEvent(e) for e in BATTERY), gates=(), input_fms=(),
+            output_fms=tuple(OutputFailureMode(e, None, NodeRef(e)) for e in BATTERY)))
+    sensors = tuple(Component(
+        name=f"S{k}", layer="sw", in_ports=(), out_ports=("o",),
+        cft=ComponentFaultTree(
+            events=(BasicEvent("f"), BasicEvent("g")),
+            gates=(Gate("any", GateKind.OR, (NodeRef("f"), NodeRef("g"))),),
+            input_fms=(),
+            output_fms=(OutputFailureMode("fail", "o", NodeRef("any")),)))
+        for k in range(n))
+    top = Component(
+        name="T", layer="sw", in_ports=tuple(f"i{k}" for k in range(n)), out_ports=("o",),
+        cft=ComponentFaultTree(
+            events=(),
+            gates=(Gate("top", kind, tuple(NodeRef("fail", f"i{k}") for k in range(n))),),
+            input_fms=tuple(InputFailureMode("fail", f"i{k}") for k in range(n)),
+            output_fms=(OutputFailureMode("loss", "o", NodeRef("top")),)))
+    model = ArchitectureModel(
+        layers=("hw", "sw"),
+        components=(battery, *sensors, top),
+        connections=tuple(PortConnection(f"S{k}", "o", "T", f"i{k}") for k in range(n)),
+        dependencies=tuple(AlfredDependency(f"S{k}", "B") for k in range(n)),
+        common_causes=(),
+    )
+    return model, TopEventRef("T", "loss")

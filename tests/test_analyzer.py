@@ -1,8 +1,11 @@
 """Cutset extraction, reduction and pointwise evaluation."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftweave import (
     AnalysisError,
@@ -16,6 +19,7 @@ from cftweave import (
     synthesize,
     weave,
 )
+from cftweave.analyzer import MAX_PRODUCTS, STAGES
 
 import genmodels
 
@@ -118,6 +122,107 @@ class TestCutsets:
                            if not any(o < s for o in collapsed)}
                 red = cutsets(tree, "reduced")
                 assert red.identity_sets() == minimal, f"seed={seed}"
+
+
+def reference_reduced(tree):
+    """Reduced report lines recomputed from the pre products: map displays
+    to identities, then absorb by a quadratic pass in ascending size."""
+    kept: list[frozenset[str]] = []
+    collapsed = {cs.identities for cs in cutsets(tree, "pre").cutsets}
+    for candidate in sorted(collapsed, key=lambda s: (len(s), sorted(s))):
+        if not any(k <= candidate for k in kept):
+            kept.append(candidate)
+    displays: dict[str, set[str]] = {}
+    for node in tree.leaves():
+        displays.setdefault(node.identity, set()).add(node.display)
+    display_of = {i: (min(ds) if len(ds) == 1 else i) for i, ds in displays.items()}
+    rendered = sorted((tuple(sorted(display_of[i] for i in s)) for s in kept),
+                      key=lambda d: (len(d), d))
+    return set(kept), tuple(" ∧ ".join(d) for d in rendered)
+
+
+@st.composite
+def coherent_trees(draw):
+    """DAGs of AND/OR gates whose children are drawn from earlier nodes, so
+    subtrees are shared; several display names may map to one identity."""
+    n_identities = draw(st.integers(1, 5))
+    pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", f"d{k}")
+            for k in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))
+        pool.append(FTGate(kind, tuple(pool[i] for i in picks)))
+    return tree_of(pool[-1])
+
+
+class TestReducedAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coherent_trees())
+    def test_matches_quadratic_absorb_of_pre(self, tree):
+        expected_sets, expected_lines = reference_reduced(tree)
+        report = cutsets(tree, "reduced")
+        assert report.identity_sets() == expected_sets
+        assert report.lines() == expected_lines
+
+    def test_empty_product_absorbs_everything(self):
+        root = FTGate(GateKind.OR, (leaf("x"), FTGate(GateKind.AND, ())))
+        report = cutsets(tree_of(root), "reduced")
+        assert report.identity_sets() == {frozenset()}
+
+
+class TestClosedFormFamilies:
+    """The reduced cutsets of ``wide(n, kind)`` follow from its structure.
+
+    ``wide(12, AND)`` expands 4**12 display-level products, about 16.8M;
+    minimising after each child of the AND gate keeps at most 2 + 2**12.
+    """
+
+    BATTERY = {frozenset({f"B.{b}"}) for b in genmodels.BATTERY}
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_wide_and(self, n):
+        model, top = genmodels.wide(n, GateKind.AND)
+        report = cutsets(synthesize(weave(model), top), "reduced")
+        sensors = {frozenset(f"S{k}.{x}" for k, x in enumerate(choice))
+                   for choice in itertools.product("fg", repeat=n)}
+        assert len(report.cutsets) == 2 + 2 ** n
+        assert report.identity_sets() == self.BATTERY | sensors
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_wide_or(self, n):
+        model, top = genmodels.wide(n, GateKind.OR)
+        report = cutsets(synthesize(weave(model), top), "reduced")
+        sensors = {frozenset({f"S{k}.{x}"}) for k in range(n) for x in "fg"}
+        assert report.identity_sets() == self.BATTERY | sensors
+
+
+class TestLimits:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_product_budget(self, stage):
+        halves = tuple(FTGate(GateKind.OR, tuple(leaf(f"{side}{k}") for k in range(600)))
+                       for side in "ab")
+        tree = tree_of(FTGate(GateKind.AND, halves))
+        assert 600 * 600 > MAX_PRODUCTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnalysisError, match="360000"):
+                cutsets(tree, stage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 360,000 built products would take well over 10 MB in either stage
+        assert peak < 2_000_000
+
+    def test_deep_chain_without_recursion(self):
+        x, y = leaf("x"), leaf("y")
+        node = x
+        for depth in range(5000):
+            node = FTGate(GateKind.OR if depth % 2 else GateKind.AND, (node, y))
+        tree = tree_of(node)
+        assert cutsets(tree, "pre").lines() == ("y", "x ∧ y")
+        assert cutsets(tree, "reduced").lines() == ("y",)
+        assert evaluate(tree, {"x": False, "y": True}) is True
+        assert evaluate(tree, {"x": True, "y": False}) is False
 
 
 class TestEvaluate:

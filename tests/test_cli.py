@@ -145,6 +145,23 @@ def test_invalid_model_blocks_pipeline(tmp_path, capsys):
     assert "self-dependency" in err
 
 
+def test_cutsets_over_product_budget(tmp_path, capsys):
+    events = [f"e{k}" for k in range(1200)]
+    body = [f"event {e}" for e in events] + [
+        f"gate a = OR({', '.join(events[:600])})",
+        f"gate b = OR({', '.join(events[600:])})",
+        "gate top = AND(a, b)",
+        "outfm loss = top"]
+    big = tmp_path / "big.alfred"
+    big.write_text("layer l\n\ncomponent x in l {\n"
+                   + "".join(f"  {line}\n" for line in body) + "}\n", encoding="utf-8")
+    for stage in ("pre", "reduced"):
+        assert main(["cutsets", str(big), "--top", "x.loss", "--stage", stage]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "360000" in err
+
+
 def test_byte_determinism(capsys):
     main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking", "--stage", "pre"])
     first, _ = capsys.readouterr()
