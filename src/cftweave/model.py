@@ -13,13 +13,19 @@ so two models built from the same declarations in any order compare equal,
 and every downstream artifact is byte-stable.  Construction never rejects
 anything beyond basic typing; structural rules are checked by
 :func:`validate`, which reports findings instead of raising.
+
+Construction also builds the lookup indexes, so every by-name lookup is a
+dict access, or a scan of a fault tree of a few nodes.  A model built
+through the object API may hold duplicate declarations; a lookup then
+returns the first match in canonical order.  The indexes take no part in
+equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ModelError
@@ -96,6 +102,32 @@ def _fm_key(fm) -> tuple[str, str]:
     return (fm.name, fm.port or "")
 
 
+def _index():
+    """A derived lookup table: built in ``__post_init__``, outside eq,
+    hash and repr."""
+    return field(init=False, repr=False, compare=False)
+
+
+# A fault tree with at most this many nodes is searched by scanning its
+# tuples, which takes no longer than two or three dict lookups.  Most trees
+# are this small, and dicts for each would add about 1 KB to every tree.
+_SCAN_MAX_NODES = 8
+
+
+def _first(nodes, name: str):
+    for node in nodes:
+        if node.name == name:
+            return node
+    return None
+
+
+def _first_at(fms, name: str, port: str | None):
+    for fm in fms:
+        if fm.name == name and fm.port == port:
+            return fm
+    return None
+
+
 @dataclass(frozen=True)
 class ComponentFaultTree:
     """Boolean failure model of one component.
@@ -109,6 +141,14 @@ class ComponentFaultTree:
     gates: tuple[Gate, ...] = ()
     input_fms: tuple[InputFailureMode, ...] = ()
     output_fms: tuple[OutputFailureMode, ...] = ()
+    # None when the tree is small enough to scan
+    _events: dict[str, BasicEvent] | None = _index()
+    _gates: dict[str, Gate] | None = _index()
+    _input_fms: dict[tuple[str, str | None], InputFailureMode] | None = _index()
+    _output_fms: dict[tuple[str, str | None], OutputFailureMode] | None = _index()
+    # bare-name references: events shadow gates, gates shadow port-less
+    # input failure modes
+    _bare: dict[str, object] | None = _index()
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.name)))
@@ -116,17 +156,45 @@ class ComponentFaultTree:
         object.__setattr__(self, "input_fms", tuple(sorted(self.input_fms, key=_fm_key)))
         object.__setattr__(self, "output_fms", tuple(sorted(self.output_fms, key=_fm_key)))
 
+        setattr_ = object.__setattr__
+        size = len(self.events) + len(self.gates) + len(self.input_fms) + len(self.output_fms)
+        if size <= _SCAN_MAX_NODES:
+            for name in ("_events", "_gates", "_input_fms", "_output_fms", "_bare"):
+                setattr_(self, name, None)
+            return
+        # Built from the back, so the first match in canonical order wins.
+        events = {e.name: e for e in reversed(self.events)}
+        gates = {g.name: g for g in reversed(self.gates)}
+        input_fms = {(i.name, i.port): i for i in reversed(self.input_fms)}
+        setattr_(self, "_events", events)
+        setattr_(self, "_gates", gates)
+        setattr_(self, "_input_fms", input_fms)
+        setattr_(self, "_output_fms",
+                 {(o.name, o.port): o for o in reversed(self.output_fms)})
+        bare = {name: i for (name, port), i in input_fms.items() if port is None}
+        bare.update(gates)
+        bare.update(events)
+        setattr_(self, "_bare", bare)
+
     def event(self, name: str) -> BasicEvent | None:
-        return next((e for e in self.events if e.name == name), None)
+        if self._events is None:
+            return _first(self.events, name)
+        return self._events.get(name)
 
     def gate(self, name: str) -> Gate | None:
-        return next((g for g in self.gates if g.name == name), None)
+        if self._gates is None:
+            return _first(self.gates, name)
+        return self._gates.get(name)
 
     def input_fm(self, name: str, port: str | None) -> InputFailureMode | None:
-        return next((i for i in self.input_fms if i.name == name and i.port == port), None)
+        if self._input_fms is None:
+            return _first_at(self.input_fms, name, port)
+        return self._input_fms.get((name, port))
 
     def output_fm(self, name: str, port: str | None) -> OutputFailureMode | None:
-        return next((o for o in self.output_fms if o.name == name and o.port == port), None)
+        if self._output_fms is None:
+            return _first_at(self.output_fms, name, port)
+        return self._output_fms.get((name, port))
 
     def output_fms_named(self, name: str) -> tuple[OutputFailureMode, ...]:
         return tuple(o for o in self.output_fms if o.name == name)
@@ -135,11 +203,13 @@ class ComponentFaultTree:
         """Resolve a reference to its node, or None."""
         if ref.port is not None:
             return self.input_fm(ref.name, ref.port)
-        node = self.event(ref.name)
+        if self._bare is not None:
+            return self._bare.get(ref.name)
+        node = _first(self.events, ref.name)
         if node is None:
-            node = self.gate(ref.name)
+            node = _first(self.gates, ref.name)
         if node is None:
-            node = self.input_fm(ref.name, None)
+            node = _first_at(self.input_fms, ref.name, None)
         return node
 
 
@@ -242,6 +312,12 @@ class ArchitectureModel:
     connections: tuple[PortConnection, ...] = ()
     dependencies: tuple[AlfredDependency, ...] = ()
     common_causes: tuple[CommonCause, ...] = ()
+    _components: dict[str, Component] = _index()
+    _connections_into: dict[tuple[str, str], PortConnection] = _index()
+    _providers: dict[str, tuple[str, ...]] = _index()
+    # common-cause aliases by (component, event); every other identity is
+    # the owner-qualified name
+    _aliases: dict[tuple[str, str], str] = _index()
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(sorted(self.layers)))
@@ -263,45 +339,58 @@ class ArchitectureModel:
         pairs.sort(key=lambda cc: (cc.a.component, cc.a.event, cc.b.component, cc.b.event))
         object.__setattr__(self, "common_causes", tuple(pairs))
 
+        # Built from the back, so the first match in canonical order wins.
+        setattr_ = object.__setattr__
+        setattr_(self, "_components", {c.name: c for c in reversed(self.components)})
+        setattr_(self, "_connections_into", {
+            (c.to_component, c.to_port): c for c in reversed(self.connections)})
+        providers: dict[str, list[str]] = {}
+        for dep in self.dependencies:
+            providers.setdefault(dep.dependent, []).append(dep.provider)
+        setattr_(self, "_providers", {k: tuple(v) for k, v in providers.items()})
+        setattr_(self, "_aliases", {
+            (cc.b.component, cc.b.event): cc.a.render() for cc in self.common_causes})
+
     def has_component(self, name: str) -> bool:
-        return any(c.name == name for c in self.components)
+        return name in self._components
 
     def component(self, name: str) -> Component:
-        for comp in self.components:
-            if comp.name == name:
-                return comp
-        raise ModelError(f"unknown component '{name}'")
+        try:
+            return self._components[name]
+        except KeyError:
+            raise ModelError(f"unknown component '{name}'") from None
 
     def layer_components(self, layer: str) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.layer == layer)
 
     def connection_into(self, component: str, port: str) -> PortConnection | None:
         """The connection feeding an in-port, if any."""
-        for conn in self.connections:
-            if conn.to_component == component and conn.to_port == port:
-                return conn
-        return None
+        return self._connections_into.get((component, port))
 
     def providers_of(self, component: str) -> tuple[str, ...]:
         """Direct failure-dependency providers, in canonical order."""
-        return tuple(d.provider for d in self.dependencies if d.dependent == component)
+        return self._providers.get(component, ())
 
     def identity_map(self) -> dict[tuple[str, str], str]:
         """Map (component, event) to its event identity.
 
         The default identity is the owner-qualified name; common-cause
         aliases collapse a group to its lexicographically smallest member.
+        The result is built afresh, so the caller may change it.
         """
         ident = {(c.name, e.name): f"{c.name}.{e.name}"
                  for c in self.components if c.cft
                  for e in c.cft.events}
-        for cc in self.common_causes:
-            key = (cc.b.component, cc.b.event)
+        for key, alias in self._aliases.items():
             if key in ident:
-                ident[key] = cc.a.render()
+                ident[key] = alias
         return ident
 
     def event_identity(self, component: str, event: str) -> str:
+        comp = self._components.get(component)
+        if comp is not None and comp.cft is not None and comp.cft.event(event) is not None:
+            return self._aliases.get((component, event), f"{component}.{event}")
+        # unknown, or declared only by a duplicate of the component
         try:
             return self.identity_map()[(component, event)]
         except KeyError:

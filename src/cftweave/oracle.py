@@ -90,16 +90,18 @@ class _NetworkWalker:
         self.model = model
         self.injections = injections
         self.identities = model.identity_map()
-        self.visiting: list[str] = []
+        # frames being walked, in stack order
+        self.visiting: dict[str, None] = {}
 
     def _enter(self, frame: str) -> None:
         if frame in self.visiting:
-            cycle = self.visiting[self.visiting.index(frame):] + [frame]
+            frames = list(self.visiting)
+            cycle = frames[frames.index(frame):] + [frame]
             raise OracleError("propagation cycle: " + " -> ".join(cycle))
-        self.visiting.append(frame)
+        self.visiting[frame] = None
 
     def _leave(self) -> None:
-        self.visiting.pop()
+        self.visiting.popitem()
 
     def external_atom(self, comp: Component, name: str, port: str | None) -> str:
         if port is not None:

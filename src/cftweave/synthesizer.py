@@ -12,9 +12,11 @@ later lets the analyzer both list the occurrence per dependent and collapse
 common causes.
 
 Repeated references to one output failure mode resolve to one shared
-subgraph, so the result is a DAG; the canonical text rendering duplicates
-shared subtrees.  Child order follows the model's canonical order, so output
-is byte-stable.
+subgraph, so the result is a DAG.  The canonical text rendering still writes
+a shared subtree out at every occurrence, so its length can grow
+exponentially with depth, but it renders each shared subtree once, so its
+time is linear in the unique nodes plus the bytes written.  Child order
+follows the model's canonical order, so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -111,13 +113,56 @@ class FaultTree:
         return tuple(sorted({leaf.identity for leaf in self.leaves()}))
 
     def to_prefix_text(self) -> str:
-        """Canonical nested-prefix rendering, e.g. ``OR(AND(x,y),z)``."""
-        def render(node) -> str:
-            if isinstance(node, FTLeaf):
-                return node.display
-            inner = ",".join(render(child) for child in node.children)
-            return f"{node.kind.value}({inner})"
-        return render(self.root)
+        """Canonical nested-prefix rendering, e.g. ``OR(AND(x,y),z)``.
+
+        Shared subtrees are written out at every occurrence, but each gate
+        is rendered once: one explicit-stack walk lists the gates children
+        first and counts their parent references, then each gate's text is
+        built from its children's and kept until the last reference to it.
+        """
+        root = self.root
+        if not isinstance(root, FTGate):
+            return root.display
+        uses: dict[int, int] = {}
+        order: list[FTGate] = []
+        stack = [root]
+        iters = [iter(root.children)]
+        while iters:
+            for child in iters[-1]:
+                if isinstance(child, FTGate):
+                    key = id(child)
+                    if key in uses:
+                        uses[key] += 1
+                    else:
+                        uses[key] = 1
+                        stack.append(child)
+                        iters.append(iter(child.children))
+                        break
+            else:
+                iters.pop()
+                order.append(stack.pop())
+        texts: dict[int, str] = {}
+        for node in order:
+            # one join builds the text, so no second copy of it is made
+            parts = [node.kind.value + "("]
+            for child in node.children:
+                if isinstance(child, FTGate):
+                    key = id(child)
+                    left = uses[key] - 1
+                    if left:
+                        uses[key] = left
+                        parts.append(texts[key])
+                    else:
+                        parts.append(texts.pop(key))
+                else:
+                    parts.append(child.display)
+                parts.append(",")
+            if node.children:
+                parts[-1] = ")"
+            else:
+                parts.append(")")
+            texts[id(node)] = "".join(parts)
+        return texts[id(root)]
 
 
 def _fallback_display(dependent: str, source) -> str:
@@ -137,16 +182,18 @@ class _Expander:
         self.injections = injections
         self.identities = model.identity_map()
         self.memo: dict[tuple, object] = {}
-        self.visiting: list[str] = []
+        # frames being expanded, in stack order
+        self.visiting: dict[str, None] = {}
         # wrapped leaves and their fallback display, used if two identities
         # would otherwise share one display name
         self.wrapped: list[tuple[object, str]] = []
 
     def _enter(self, frame: str) -> None:
         if frame in self.visiting:
-            cycle = self.visiting[self.visiting.index(frame):] + [frame]
+            frames = list(self.visiting)
+            cycle = frames[frames.index(frame):] + [frame]
             raise SynthesisError("propagation cycle: " + " -> ".join(cycle))
-        self.visiting.append(frame)
+        self.visiting[frame] = None
 
     def expand_output_fm(self, comp: Component, ofm: OutputFailureMode):
         key = ("ofm", comp.name, ofm.name, ofm.port)
@@ -157,7 +204,7 @@ class _Expander:
         try:
             node = self.expand_ref(comp, ofm.driver)
         finally:
-            self.visiting.pop()
+            self.visiting.popitem()
         self.memo[key] = node
         return node
 
@@ -190,7 +237,7 @@ class _Expander:
         try:
             children = tuple(self.expand_ref(comp, ref) for ref in gate.inputs)
         finally:
-            self.visiting.pop()
+            self.visiting.popitem()
         node = FTGate(gate.kind, children)
         self.memo[key] = node
         return node

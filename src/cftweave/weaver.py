@@ -20,6 +20,7 @@ Boolean-idempotent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import WeaveError
@@ -85,28 +86,35 @@ def _failure_units(provider: Component) -> tuple[InjectionSource, ...]:
 
 def _provider_first_order(model: ArchitectureModel) -> list[str]:
     """Component names with providers before their dependents, canonical
-    tie-break.  Only affects provenance ordering, not the woven result."""
-    known = {c.name for c in model.components}
+    tie-break.  Only affects provenance ordering, not the woven result.
+
+    A depth-first walk with an explicit stack, so chains of any length work.
+    """
     order: list[str] = []
     done: set[str] = set()
-    active: list[str] = []
-
-    def visit(name: str) -> None:
-        if name in done:
-            return
-        if name in active:
-            cycle = active[active.index(name):] + [name]
-            raise WeaveError("alfred dependency cycle: " + " -> ".join(cycle))
-        active.append(name)
-        for provider in model.providers_of(name):
-            if provider in known:
-                visit(provider)
-        active.pop()
-        done.add(name)
-        order.append(name)
+    # components on the walk's stack, in stack order, each with the
+    # iterator over its providers
+    active: dict[str, Iterator[str]] = {}
 
     for comp in model.components:
-        visit(comp.name)
+        if comp.name in done:
+            continue
+        active[comp.name] = iter(model.providers_of(comp.name))
+        while active:
+            name = next(reversed(active))
+            for provider in active[name]:
+                if provider in done or not model.has_component(provider):
+                    continue
+                if provider in active:
+                    names = list(active)
+                    cycle = names[names.index(provider):] + [provider]
+                    raise WeaveError("alfred dependency cycle: " + " -> ".join(cycle))
+                active[provider] = iter(model.providers_of(provider))
+                break
+            else:
+                del active[name]
+                done.add(name)
+                order.append(name)
     return order
 
 

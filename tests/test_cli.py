@@ -2,8 +2,10 @@
 
 from pathlib import Path
 
-from cftweave import parse, validate
+from cftweave import parse, serialize, validate
 from cftweave.cli import main
+
+import genmodels
 
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIG2 = str(REPO_FIXTURES / "example_fig2.alfred")
@@ -75,6 +77,17 @@ def test_weave_writes_model_and_sidecar(tmp_path, capsys):
     sidecar = (tmp_path / "woven.alfred.provenance.tsv").read_text(encoding="utf-8")
     assert sidecar.splitlines()[0] == "injected-node\tprovider\tdependent"
     assert len(sidecar.splitlines()) == 4
+
+
+def test_weave_deep_alfred_chain(tmp_path, capsys):
+    source = tmp_path / "chain.alfred"
+    source.write_text(serialize(genmodels.alfred_chain(3000)), encoding="utf-8")
+    assert main(["weave", str(source), "-o", str(tmp_path / "woven.alfred")]) == 0
+    _, err = capsys.readouterr()
+    assert err == ""
+    sidecar = (tmp_path / "woven.alfred.provenance.tsv").read_text(encoding="utf-8")
+    assert sidecar.splitlines()[1] == "C02998.from-C02999-fail\tC02999\tC02998"
+    assert len(sidecar.splitlines()) == 3000
 
 
 def test_weave_to_stdout(capsys):

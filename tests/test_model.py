@@ -1,13 +1,17 @@
 """Domain model validation and dependency lookups."""
 
+import dataclasses
+
 import pytest
 
 from cftweave import (
     AlfredDependency,
     ArchitectureModel,
     BasicEvent,
+    CommonCause,
     Component,
     ComponentFaultTree,
+    EventRef,
     Gate,
     GateKind,
     InputFailureMode,
@@ -202,5 +206,202 @@ class TestIdentity:
         assert model.event_identity("b", "e") == "a.e"
 
     def test_unknown_event(self, fig2):
+        with pytest.raises(ModelError):
+            fig2.event_identity("CPU", "ghost")
+
+
+def duplicates_model():
+    """A model only the object API can build: duplicate components,
+    connections into one in-port, dependencies and CFT nodes, and bare
+    names shared between an event, a gate and a port-less input.  ``a``'s
+    tree is large enough for lookup dicts, ``d``'s is scanned."""
+    cft_a = ComponentFaultTree(
+        events=(BasicEvent("e"), BasicEvent("e"), BasicEvent("k")),
+        gates=(Gate("g", GateKind.OR, (NodeRef("e"), NodeRef("x", "i"))),
+               Gate("g", GateKind.AND, (NodeRef("e"),)),
+               Gate("e", GateKind.OR, (NodeRef("k"),)),
+               Gate("h", GateKind.OR, (NodeRef("e"), NodeRef("p")))),
+        input_fms=(InputFailureMode("x", "i"), InputFailureMode("x", "i"),
+                   InputFailureMode("g", None), InputFailureMode("p", None),
+                   InputFailureMode("p", None)),
+        output_fms=(OutputFailureMode("f", "o", NodeRef("g")),
+                    OutputFailureMode("f", "o", NodeRef("e")),
+                    OutputFailureMode("f", None, NodeRef("h"))))
+    cft_a2 = ComponentFaultTree(events=(BasicEvent("e2"),),
+                                output_fms=(OutputFailureMode("f", "o", NodeRef("e2")),))
+    cft_b = ComponentFaultTree(
+        events=(BasicEvent("e"),),
+        input_fms=(InputFailureMode("f", "i"),),
+        output_fms=(OutputFailureMode("f", None, NodeRef("f", "i")),))
+    cft_d = ComponentFaultTree(
+        events=(BasicEvent("e"), BasicEvent("e")),
+        gates=(Gate("g", GateKind.OR, (NodeRef("e"),)), Gate("e", GateKind.AND, (NodeRef("e"),))),
+        input_fms=(InputFailureMode("x", "i"), InputFailureMode("x", "i"),
+                   InputFailureMode("g", None)),
+        output_fms=(OutputFailureMode("f", None, NodeRef("g")),))
+    return ArchitectureModel(
+        layers=("l",),
+        components=(Component("a", "l", in_ports=("i",), out_ports=("o",), cft=cft_a),
+                    Component("b", "l", in_ports=("i",), cft=cft_b),
+                    Component("a", "l", out_ports=("o",), cft=cft_a2),
+                    Component("c", "l", out_ports=("o",)),
+                    Component("d", "l", in_ports=("i",), cft=cft_d)),
+        connections=(PortConnection("c", "o", "b", "i"),
+                     PortConnection("a", "o", "b", "i"),
+                     PortConnection("a", "o", "b", "i")),
+        dependencies=(AlfredDependency("b", "c"), AlfredDependency("b", "a"),
+                      AlfredDependency("b", "a")),
+        common_causes=(CommonCause(EventRef("b", "e"), EventRef("a", "e")),))
+
+
+# Linear scans over the canonical tuples: the lookup rules the indexes keep.
+def scan_component(model, name):
+    return next((c for c in model.components if c.name == name), None)
+
+
+def scan_connection_into(model, component, port):
+    return next((c for c in model.connections
+                 if c.to_component == component and c.to_port == port), None)
+
+
+def scan_resolve(cft, ref):
+    if ref.port is not None:
+        return next((i for i in cft.input_fms
+                     if i.name == ref.name and i.port == ref.port), None)
+    for node in (*cft.events, *cft.gates):
+        if node.name == ref.name:
+            return node
+    return next((i for i in cft.input_fms
+                 if i.name == ref.name and i.port is None), None)
+
+
+class TestIndexes:
+    def test_lookups_return_first_match_in_canonical_order(self):
+        model = duplicates_model()
+        for name in ("a", "b", "c", "ghost"):
+            assert model.has_component(name) is (scan_component(model, name) is not None)
+            if name != "ghost":
+                assert model.component(name) is scan_component(model, name)
+        assert model.component("a").cft.events[0].name == "e"
+        for component, port in (("b", "i"), ("a", "i"), ("ghost", "i")):
+            assert model.connection_into(component, port) is \
+                scan_connection_into(model, component, port)
+        assert model.connection_into("b", "i").from_component == "a"
+        assert model.providers_of("b") == ("a", "a", "c")
+        assert model.providers_of("a") == ()
+
+        names = ("e", "g", "h", "k", "p", "x", "f", "ghost")
+        for cft in (c.cft for c in model.components if c.cft is not None):
+            for name in names:
+                assert cft.event(name) is next(
+                    (e for e in cft.events if e.name == name), None)
+                assert cft.gate(name) is next(
+                    (g for g in cft.gates if g.name == name), None)
+                for port in (None, "i", "o"):
+                    assert cft.input_fm(name, port) is next(
+                        (i for i in cft.input_fms if (i.name, i.port) == (name, port)), None)
+                    assert cft.output_fm(name, port) is next(
+                        (o for o in cft.output_fms if (o.name, o.port) == (name, port)), None)
+                    ref = NodeRef(name, port)
+                    assert cft.resolve(ref) is scan_resolve(cft, ref)
+        small = model.component("d").cft
+        assert isinstance(small.resolve(NodeRef("e")), BasicEvent)
+        assert small.gate("e").kind is GateKind.AND
+        assert small.input_fm("g", None) is small.input_fms[0]
+        assert small.input_fm("x", "i") is small.input_fms[1]
+
+        cft = model.component("a").cft
+        assert isinstance(cft.resolve(NodeRef("e")), BasicEvent)
+        assert isinstance(cft.resolve(NodeRef("g")), Gate)
+        assert cft.resolve(NodeRef("g")).kind is GateKind.OR
+        assert isinstance(cft.resolve(NodeRef("p")), InputFailureMode)
+        assert cft.output_fm("f", "o").driver == NodeRef("g")
+
+    def test_validate_findings_unchanged(self):
+        assert validate(duplicates_model()).render_lines() == (
+            "error[duplicate-node] a.e: name already used by a basic event",
+            "error[duplicate-node] a.e: name already used by a basic event",
+            "error[duplicate-node] a.g: name already used by a gate",
+            "error[duplicate-node] a.g: name already used by a gate",
+            "error[duplicate-failure-mode] a.p: input failure mode declared twice",
+            "error[duplicate-node] a.p: name already used by a port-less input failure mode",
+            "error[duplicate-failure-mode] a.x@i: input failure mode declared twice",
+            "error[duplicate-failure-mode] a.f@o: output failure mode declared twice",
+            "error[duplicate-component] a: component declared twice",
+            "error[duplicate-node] d.e: name already used by a basic event",
+            "error[duplicate-node] d.e: name already used by a basic event",
+            "error[duplicate-node] d.g: name already used by a gate",
+            "error[duplicate-failure-mode] d.x@i: input failure mode declared twice",
+            "error[duplicate-connection] a.o -> b.i: connection declared twice",
+            "error[inport-multiple-connections] b.i: in-port has 3 incoming connections",
+            "error[duplicate-dependency] b -> a: dependency declared twice",
+            "warning[unconnected-in-port] a.i: in-port has no incoming connection",
+            "warning[unconnected-in-port] d.i: in-port has no incoming connection",
+            "warning[provider-no-cft] c: dependency provider has no fault tree",
+        )
+
+    def test_identities_with_duplicates(self):
+        model = duplicates_model()
+        assert model.identity_map() == {
+            ("a", "e"): "a.e", ("a", "k"): "a.k", ("a", "e2"): "a.e2", ("b", "e"): "a.e",
+            ("d", "e"): "d.e"}
+        assert model.event_identity("b", "e") == "a.e"
+        assert model.event_identity("d", "e") == "d.e"
+        # declared only by the second declaration of a
+        assert model.event_identity("a", "e2") == "a.e2"
+        with pytest.raises(ModelError):
+            model.event_identity("c", "e")
+
+    def test_repr_shows_no_index(self, fig2):
+        for text in (repr(fig2), repr(fig2.component("f1").cft)):
+            assert "_components" not in text and "_events" not in text
+            assert "_bare" not in text and "_aliases" not in text
+        assert repr(ComponentFaultTree()) == \
+            "ComponentFaultTree(events=(), gates=(), input_fms=(), output_fms=())"
+
+    def test_declaration_order_does_not_matter(self, vehicle):
+        def flip(cft):
+            if cft is None:
+                return None
+            return ComponentFaultTree(
+                events=cft.events[::-1], gates=cft.gates[::-1],
+                input_fms=cft.input_fms[::-1], output_fms=cft.output_fms[::-1])
+
+        flipped = ArchitectureModel(
+            layers=vehicle.layers[::-1],
+            components=tuple(dataclasses.replace(c, cft=flip(c.cft))
+                             for c in reversed(vehicle.components)),
+            connections=vehicle.connections[::-1],
+            dependencies=vehicle.dependencies[::-1],
+            common_causes=vehicle.common_causes[::-1])
+        assert flipped == vehicle
+        assert hash(flipped) == hash(vehicle)
+        assert flipped.identity_map() == vehicle.identity_map()
+        for comp in vehicle.components:
+            assert flipped.component(comp.name) == comp
+            assert hash(flipped.component(comp.name).cft) == hash(comp.cft)
+
+    def test_replace_rebuilds_indexes(self, fig2):
+        extra = Component("extra", "hw", cft=ComponentFaultTree(
+            events=(BasicEvent("z"),),
+            output_fms=(OutputFailureMode("fail", None, NodeRef("z")),)))
+        bigger = dataclasses.replace(fig2, components=fig2.components + (extra,),
+                                     dependencies=(AlfredDependency("f2", "extra"),))
+        assert bigger.component("extra") is extra
+        assert bigger.providers_of("f2") == ("extra",)
+        assert bigger.providers_of("f1") == ()
+        assert bigger.event_identity("extra", "z") == "extra.z"
+        assert not fig2.has_component("extra")
+        cft = fig2.component("CPU").cft
+        renamed = dataclasses.replace(cft, events=(BasicEvent("b"),))
+        assert renamed.event("a") is None and renamed.event("b") is not None
+        assert cft.event("a") is not None
+
+    def test_identity_map_is_a_copy(self, fig2):
+        ident = fig2.identity_map()
+        ident[("CPU", "a")] = "changed"
+        ident[("CPU", "ghost")] = "ghost"
+        assert fig2.event_identity("CPU", "a") == "CPU.a"
+        assert fig2.identity_map()[("CPU", "a")] == "CPU.a"
         with pytest.raises(ModelError):
             fig2.event_identity("CPU", "ghost")

@@ -148,3 +148,17 @@ def test_not_gate_masks():
     table = table_of_tree(tree_of(FTGate(GateKind.NOT, (leaf("x"),))))
     assert table.variables == ("x",)
     assert table.verdict(0) is True and table.verdict(1) is False
+
+
+def test_propagation_cycle_message():
+    model = parse(
+        "layer l\n\n"
+        "component a in l {\n  in i\n  out o\n  infm loss-of@i\n"
+        "  outfm loss-of@o = loss-of@i\n}\n\n"
+        "component b in l {\n  in i\n  out o\n  infm loss-of@i\n"
+        "  outfm loss-of@o = loss-of@i\n}\n\n"
+        "connect a.o -> b.i\n\nconnect b.o -> a.i\n")
+    with pytest.raises(OracleError) as caught:
+        table_of_network(weave(model), "a.loss-of")
+    assert str(caught.value) == \
+        "propagation cycle: a.loss-of@o -> b.loss-of@o -> a.loss-of@o"

@@ -1,10 +1,15 @@
 """Fault-tree synthesis: structure, resolution, sharing, error paths."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftweave import (
+    FaultTree,
     FTBasicEvent,
     FTExternalEvent,
+    FTGate,
+    GateKind,
     SynthesisError,
     TopEventRef,
     equivalent,
@@ -47,8 +52,10 @@ def test_propagation_cycle_detected():
         "component b in l {\n  in i\n  out o\n  infm loss-of@i\n"
         "  outfm loss-of@o = loss-of@i\n}\n\n"
         "connect a.o -> b.i\n\nconnect b.o -> a.i\n")
-    with pytest.raises(SynthesisError, match="propagation cycle"):
+    with pytest.raises(SynthesisError, match="propagation cycle") as caught:
         synthesize(weave(model), "a.loss-of")
+    assert str(caught.value) == \
+        "propagation cycle: a.loss-of@o -> b.loss-of@o -> a.loss-of@o"
 
 
 def test_unmatched_failure_mode():
@@ -191,3 +198,73 @@ def test_leaf_soundness_on_sample():
                 else:
                     if leaf.port is not None:
                         assert (leaf.component, leaf.port) not in connected
+
+
+def reference_prefix_text(node) -> str:
+    """The prefix text by plain recursion, every occurrence rendered anew."""
+    if isinstance(node, FTGate):
+        return f"{node.kind.value}({','.join(map(reference_prefix_text, node.children))})"
+    return node.display
+
+
+@st.composite
+def shared_dags(draw):
+    """Fault trees whose gates draw children from all earlier nodes with a
+    bias to the latest, so subtrees are shared, repeated within one gate
+    and nested deeply; leaf and childless-gate roots are included."""
+    pool = []
+    for k in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pool.append(FTBasicEvent(identity=f"i{k}", display=f"d{k}"))
+        else:
+            pool.append(FTExternalEvent(component="c", port=None, failure_mode=f"x{k}",
+                                        identity=f"ext@c.x{k}", display=f"ext@c.x{k}"))
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(tuple(GateKind)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+        latest = draw(st.booleans())
+        children = tuple(pool[-1] if latest and j % 2 else pool[i]
+                         for j, i in enumerate(picks))
+        pool.append(FTGate(kind, children))
+    return FaultTree(root=pool[-1], top=TopEventRef("t", "t"))
+
+
+class TestPrefixText:
+    @settings(max_examples=300, deadline=None)
+    @given(shared_dags())
+    def test_matches_recursive_reference(self, tree):
+        assert tree.to_prefix_text() == reference_prefix_text(tree.root)
+        # rendering frees nothing the tree needs: a second call agrees
+        assert tree.to_prefix_text() == reference_prefix_text(tree.root)
+
+    def test_deep_gate_chain_without_recursion(self):
+        x = FTBasicEvent(identity="x", display="x")
+        node = x
+        for _ in range(5000):
+            node = FTGate(GateKind.OR, (node, x))
+        text = FaultTree(root=node, top=TopEventRef("t", "t")).to_prefix_text()
+        assert text == "OR(" * 5000 + "x" + ",x)" * 5000
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 20])
+    def test_lattice_text_length_in_closed_form(self, n):
+        # stage 0 is "L0.e"; stage k is "OR(t,t,Lk.e)" over stage k-1's text t
+        model, top = genmodels.lattice(n)
+        tree = synthesize(weave(model), top)
+        assert len(tree.nodes()) == 2 * n - 1
+        expected = 2 ** (n - 1) * len("L0.e") + sum(
+            2 ** (n - 1 - k) * len(f"OR(,,L{k}.e)") for k in range(1, n))
+        text = tree.to_prefix_text()
+        assert len(text) == expected
+        if n <= 10:
+            assert len(text) == 14 * 2 ** (n - 1) - 10
+        if n == 20:
+            assert len(text) == 7_341_045
+
+    def test_chain_text_in_closed_form(self):
+        model, top = genmodels.chain(60)
+        expected = "C0.e"
+        for k in range(60):
+            if k:
+                expected = f"OR({expected},C{k}.e)"
+            expected = f"OR({expected},C{k}.Battery-omission,C{k}.Battery-too-low)"
+        assert synthesize(weave(model), top).to_prefix_text() == expected

@@ -3,6 +3,9 @@
 import pytest
 
 from cftweave import (
+    AlfredDependency,
+    ArchitectureModel,
+    Component,
     GateKind,
     NodeRef,
     WeaveError,
@@ -12,6 +15,7 @@ from cftweave import (
     serialize,
     synthesize,
     table_of_network,
+    validate,
     weave,
 )
 
@@ -172,3 +176,28 @@ def test_reweave_truth_stable_on_generated_models():
             t1 = table_of_network(once, top)
             t2 = table_of_network(twice, top, variables=t1.variables)
             assert equivalent(t1, t2), f"seed={seed} top={top.render()}"
+
+
+def test_dependency_cycle_message():
+    model = ArchitectureModel(
+        layers=("l",),
+        components=(Component("x", "l"), Component("y", "l"), Component("z", "l")),
+        dependencies=(AlfredDependency("x", "y"), AlfredDependency("y", "z"),
+                      AlfredDependency("z", "y")))
+    with pytest.raises(WeaveError) as caught:
+        weave(model)
+    assert str(caught.value) == "alfred dependency cycle: y -> z -> y"
+
+
+def test_deep_reversed_alfred_chain():
+    n = 3000
+    model = genmodels.alfred_chain(n)
+    assert validate(model).findings == ()
+    woven = weave(model)
+    # providers first: the walk reaches the far end before listing anything
+    assert [e.component for e in woven.provenance] == \
+        [f"C{k:05d}" for k in range(n - 2, -1, -1)]
+    assert woven.provenance[0].source.provider == f"C{n - 1:05d}"
+    first = woven.model.component("C00000")
+    gate = first.cft.gate(first.cft.output_fm("fail", None).driver.name)
+    assert gate.inputs == (NodeRef("e"), NodeRef("from-C00001-fail"))
