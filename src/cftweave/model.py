@@ -15,10 +15,9 @@ anything beyond basic typing; structural rules are checked by
 :func:`validate`, which reports findings instead of raising.
 
 Construction also builds the lookup indexes, so every by-name lookup is a
-dict access, or a scan of a fault tree of a few nodes.  A model built
-through the object API may hold duplicate declarations; a lookup then
-returns the first match in canonical order.  The indexes take no part in
-equality, hashing or ``repr``.
+dict access.  A model built through the object API may hold duplicate
+declarations; a lookup then returns the first match in canonical order.
+The indexes take no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
@@ -108,26 +107,6 @@ def _index():
     return field(init=False, repr=False, compare=False)
 
 
-# A fault tree with at most this many nodes is searched by scanning its
-# tuples, which takes no longer than two or three dict lookups.  Most trees
-# are this small, and dicts for each would add about 1 KB to every tree.
-_SCAN_MAX_NODES = 8
-
-
-def _first(nodes, name: str):
-    for node in nodes:
-        if node.name == name:
-            return node
-    return None
-
-
-def _first_at(fms, name: str, port: str | None):
-    for fm in fms:
-        if fm.name == name and fm.port == port:
-            return fm
-    return None
-
-
 @dataclass(frozen=True)
 class ComponentFaultTree:
     """Boolean failure model of one component.
@@ -141,14 +120,9 @@ class ComponentFaultTree:
     gates: tuple[Gate, ...] = ()
     input_fms: tuple[InputFailureMode, ...] = ()
     output_fms: tuple[OutputFailureMode, ...] = ()
-    # None when the tree is small enough to scan
-    _events: dict[str, BasicEvent] | None = _index()
-    _gates: dict[str, Gate] | None = _index()
-    _input_fms: dict[tuple[str, str | None], InputFailureMode] | None = _index()
-    _output_fms: dict[tuple[str, str | None], OutputFailureMode] | None = _index()
-    # bare-name references: events shadow gates, gates shadow port-less
-    # input failure modes
-    _bare: dict[str, object] | None = _index()
+    # (kind, name, port) -> first node of that kind in canonical order;
+    # kind is "event", "gate", "in" or "out"
+    _nodes: dict[tuple[str, str, str | None], object] = _index()
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.name)))
@@ -156,61 +130,44 @@ class ComponentFaultTree:
         object.__setattr__(self, "input_fms", tuple(sorted(self.input_fms, key=_fm_key)))
         object.__setattr__(self, "output_fms", tuple(sorted(self.output_fms, key=_fm_key)))
 
-        setattr_ = object.__setattr__
-        size = len(self.events) + len(self.gates) + len(self.input_fms) + len(self.output_fms)
-        if size <= _SCAN_MAX_NODES:
-            for name in ("_events", "_gates", "_input_fms", "_output_fms", "_bare"):
-                setattr_(self, name, None)
-            return
-        # Built from the back, so the first match in canonical order wins.
-        events = {e.name: e for e in reversed(self.events)}
-        gates = {g.name: g for g in reversed(self.gates)}
-        input_fms = {(i.name, i.port): i for i in reversed(self.input_fms)}
-        setattr_(self, "_events", events)
-        setattr_(self, "_gates", gates)
-        setattr_(self, "_input_fms", input_fms)
-        setattr_(self, "_output_fms",
-                 {(o.name, o.port): o for o in reversed(self.output_fms)})
-        bare = {name: i for (name, port), i in input_fms.items() if port is None}
-        bare.update(gates)
-        bare.update(events)
-        setattr_(self, "_bare", bare)
+        # Filled from the back, so the first match in canonical order wins.
+        nodes = {}
+        for o in reversed(self.output_fms):
+            nodes["out", o.name, o.port] = o
+        for i in reversed(self.input_fms):
+            nodes["in", i.name, i.port] = i
+        for g in reversed(self.gates):
+            nodes["gate", g.name, None] = g
+        for e in reversed(self.events):
+            nodes["event", e.name, None] = e
+        object.__setattr__(self, "_nodes", nodes)
 
     def event(self, name: str) -> BasicEvent | None:
-        if self._events is None:
-            return _first(self.events, name)
-        return self._events.get(name)
+        return self._nodes.get(("event", name, None))
 
     def gate(self, name: str) -> Gate | None:
-        if self._gates is None:
-            return _first(self.gates, name)
-        return self._gates.get(name)
+        return self._nodes.get(("gate", name, None))
 
     def input_fm(self, name: str, port: str | None) -> InputFailureMode | None:
-        if self._input_fms is None:
-            return _first_at(self.input_fms, name, port)
-        return self._input_fms.get((name, port))
+        return self._nodes.get(("in", name, port))
 
     def output_fm(self, name: str, port: str | None) -> OutputFailureMode | None:
-        if self._output_fms is None:
-            return _first_at(self.output_fms, name, port)
-        return self._output_fms.get((name, port))
+        return self._nodes.get(("out", name, port))
 
     def output_fms_named(self, name: str) -> tuple[OutputFailureMode, ...]:
         return tuple(o for o in self.output_fms if o.name == name)
 
     def resolve(self, ref: NodeRef):
-        """Resolve a reference to its node, or None."""
+        """Resolve a reference to its node, or None.
+
+        A bare name is an event, else a gate, else a port-less input
+        failure mode.
+        """
+        nodes = self._nodes
         if ref.port is not None:
-            return self.input_fm(ref.name, ref.port)
-        if self._bare is not None:
-            return self._bare.get(ref.name)
-        node = _first(self.events, ref.name)
-        if node is None:
-            node = _first(self.gates, ref.name)
-        if node is None:
-            node = _first_at(self.input_fms, ref.name, None)
-        return node
+            return nodes.get(("in", ref.name, ref.port))
+        return (nodes.get(("event", ref.name, None)) or nodes.get(("gate", ref.name, None))
+                or nodes.get(("in", ref.name, None)))
 
 
 @dataclass(frozen=True)
@@ -315,9 +272,6 @@ class ArchitectureModel:
     _components: dict[str, Component] = _index()
     _connections_into: dict[tuple[str, str], PortConnection] = _index()
     _providers: dict[str, tuple[str, ...]] = _index()
-    # common-cause aliases by (component, event); every other identity is
-    # the owner-qualified name
-    _aliases: dict[tuple[str, str], str] = _index()
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(sorted(self.layers)))
@@ -340,16 +294,14 @@ class ArchitectureModel:
         object.__setattr__(self, "common_causes", tuple(pairs))
 
         # Built from the back, so the first match in canonical order wins.
-        setattr_ = object.__setattr__
-        setattr_(self, "_components", {c.name: c for c in reversed(self.components)})
-        setattr_(self, "_connections_into", {
+        object.__setattr__(self, "_components",
+                           {c.name: c for c in reversed(self.components)})
+        object.__setattr__(self, "_connections_into", {
             (c.to_component, c.to_port): c for c in reversed(self.connections)})
         providers: dict[str, list[str]] = {}
         for dep in self.dependencies:
             providers.setdefault(dep.dependent, []).append(dep.provider)
-        setattr_(self, "_providers", {k: tuple(v) for k, v in providers.items()})
-        setattr_(self, "_aliases", {
-            (cc.b.component, cc.b.event): cc.a.render() for cc in self.common_causes})
+        object.__setattr__(self, "_providers", {k: tuple(v) for k, v in providers.items()})
 
     def has_component(self, name: str) -> bool:
         return name in self._components
@@ -376,21 +328,17 @@ class ArchitectureModel:
 
         The default identity is the owner-qualified name; common-cause
         aliases collapse a group to its lexicographically smallest member.
-        The result is built afresh, so the caller may change it.
         """
         ident = {(c.name, e.name): f"{c.name}.{e.name}"
                  for c in self.components if c.cft
                  for e in c.cft.events}
-        for key, alias in self._aliases.items():
+        for cc in self.common_causes:
+            key = (cc.b.component, cc.b.event)
             if key in ident:
-                ident[key] = alias
+                ident[key] = cc.a.render()
         return ident
 
     def event_identity(self, component: str, event: str) -> str:
-        comp = self._components.get(component)
-        if comp is not None and comp.cft is not None and comp.cft.event(event) is not None:
-            return self._aliases.get((component, event), f"{component}.{event}")
-        # unknown, or declared only by a duplicate of the component
         try:
             return self.identity_map()[(component, event)]
         except KeyError:

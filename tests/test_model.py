@@ -213,8 +213,7 @@ class TestIdentity:
 def duplicates_model():
     """A model only the object API can build: duplicate components,
     connections into one in-port, dependencies and CFT nodes, and bare
-    names shared between an event, a gate and a port-less input.  ``a``'s
-    tree is large enough for lookup dicts, ``d``'s is scanned."""
+    names shared between an event, a gate and a port-less input."""
     cft_a = ComponentFaultTree(
         events=(BasicEvent("e"), BasicEvent("e"), BasicEvent("k")),
         gates=(Gate("g", GateKind.OR, (NodeRef("e"), NodeRef("x", "i"))),
@@ -354,8 +353,8 @@ class TestIndexes:
 
     def test_repr_shows_no_index(self, fig2):
         for text in (repr(fig2), repr(fig2.component("f1").cft)):
-            assert "_components" not in text and "_events" not in text
-            assert "_bare" not in text and "_aliases" not in text
+            assert "_components" not in text and "_nodes" not in text
+            assert "_connections_into" not in text and "_providers" not in text
         assert repr(ComponentFaultTree()) == \
             "ComponentFaultTree(events=(), gates=(), input_fms=(), output_fms=())"
 
