@@ -35,7 +35,6 @@ from .model import (
     PortConnection,
     Severity,
     ValidationReport,
-    dependency_closure,
     validate,
 )
 from .oracle import (
@@ -94,7 +93,6 @@ __all__ = [
     "WeaveError",
     "WovenModel",
     "cutsets",
-    "dependency_closure",
     "equivalent",
     "evaluate",
     "export_dot",

@@ -616,13 +616,3 @@ def validate(model: ArchitectureModel) -> ValidationReport:
                 "dependency provider has no fault tree")
 
     return ValidationReport(tuple(findings))
-
-
-def dependency_closure(model: ArchitectureModel, component: str) -> tuple[Component, ...]:
-    """Direct providers of *component*, in canonical order.
-
-    Deliberately not transitive: a provider's own failure sources flow in
-    through its fault tree when the model is woven and synthesised.
-    """
-    comp = model.component(component)
-    return tuple(model.component(name) for name in model.providers_of(comp.name))

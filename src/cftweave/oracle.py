@@ -6,12 +6,15 @@ integers (AND is ``&``, OR is ``|``, NOT is the masked complement).  Bit
 ``i`` of a variable's mask is its value in assignment ``i``, where bit ``k``
 of ``i`` holds the value of the ``k``-th variable.
 
-:func:`table_of_network` evaluates a component-fault-tree network directly,
-resolving port connections and injection provenance on the fly, without any
-help from the synthesizer; comparing its table against the synthesised
-tree's and against the DNF of the reduced cutsets certifies the whole
-pipeline.  Budgets are hard: more than 24 variables is an error, never a
-silent sample.
+:func:`table_of_network` resolves a component-fault-tree network in one
+explicit-stack walk of its own (port connections, injection provenance, and
+unconnected inputs, which are always free variables) into a DAG of gates
+and leaves, without any help from the synthesizer.  That DAG, synthesised
+trees and cutset lists are all evaluated by one explicit-stack bitmask
+evaluator, so depth is not bounded by the recursion limit.  Comparing the
+network's table against the synthesised tree's and against the DNF of the
+reduced cutsets certifies the whole pipeline.  Budgets are hard: more than
+24 variables is an error, never a silent sample.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModelError, OracleError
-from .model import ArchitectureModel, BasicEvent, Component, Gate, GateKind, NodeRef
-from .synthesizer import FaultTree, FTLeaf, TopEventRef
+from .model import ArchitectureModel, BasicEvent, Component, Gate, GateKind
+from .synthesizer import FaultTree, FTBasicEvent, FTGate, FTLeaf, TopEventRef
 from .weaver import WovenModel
 
 MAX_VARIABLES = 24
@@ -83,252 +86,188 @@ def _find_top(model: ArchitectureModel, top: TopEventRef):
     return comp, matches[0]
 
 
-class _NetworkWalker:
-    """Shared resolution rules for collecting atoms and evaluating masks."""
+def _input_source(model: ArchitectureModel, injections, identities,
+                  comp: Component, ifm):
+    """What an input failure mode stands for.
 
-    def __init__(self, model: ArchitectureModel, injections):
-        self.model = model
-        self.injections = injections
-        self.identities = model.identity_map()
-        # frames being walked, in stack order
-        self.visiting: dict[str, None] = {}
-
-    def _enter(self, frame: str) -> None:
-        if frame in self.visiting:
-            frames = list(self.visiting)
-            cycle = frames[frames.index(frame):] + [frame]
-            raise OracleError("propagation cycle: " + " -> ".join(cycle))
-        self.visiting[frame] = None
-
-    def _leave(self) -> None:
-        self.visiting.popitem()
-
-    def external_atom(self, comp: Component, name: str, port: str | None) -> str:
-        if port is not None:
-            return f"ext@{comp.name}.{port}.{name}"
-        return f"ext@{comp.name}.{name}"
-
-    def resolve(self, comp: Component, ifm) -> tuple:
-        """Classify an input failure mode.
-
-        Returns ("external", atom), ("ofm", component, output_fm) or
-        ("event", component, event).
-        """
-        if ifm.port is not None:
-            conn = self.model.connection_into(comp.name, ifm.port)
-            if conn is None:
-                return ("external", self.external_atom(comp, ifm.name, ifm.port))
-            upstream = self.model.component(conn.from_component)
-            match = (upstream.cft.output_fm(ifm.name, conn.from_port)
-                     if upstream.cft is not None else None)
-            if match is None:
-                raise OracleError(
-                    f"unmatched failure mode '{ifm.name}' at "
-                    f"{conn.from_component}.{conn.from_port}")
-            return ("ofm", upstream, match)
-        source = self.injections.get((comp.name, ifm.name))
-        if source is None:
-            return ("external", self.external_atom(comp, ifm.name, None))
-        provider = self.model.component(source.provider)
-        if source.kind == "basic-event":
-            event = provider.cft.event(source.name) if provider.cft else None
-            if event is None:
-                raise OracleError(
-                    f"stale provenance: '{source.provider}.{source.name}' missing")
-            return ("event", provider, event)
-        ofm = provider.cft.output_fm(source.name, source.port) if provider.cft else None
-        if ofm is None:
+    Returns a leaf identity (an external input or an injected basic event),
+    or the ``(component, output failure mode)`` pair it is wired or injected
+    from.
+    """
+    if ifm.port is not None:
+        conn = model.connection_into(comp.name, ifm.port)
+        if conn is None:
+            return f"ext@{comp.name}.{ifm.port}.{ifm.name}"
+        upstream = model.component(conn.from_component)
+        match = (upstream.cft.output_fm(ifm.name, conn.from_port)
+                 if upstream.cft is not None else None)
+        if match is None:
+            raise OracleError(
+                f"unmatched failure mode '{ifm.name}' at "
+                f"{conn.from_component}.{conn.from_port}")
+        return upstream, match
+    source = injections.get((comp.name, ifm.name))
+    if source is None:
+        return f"ext@{comp.name}.{ifm.name}"
+    provider = model.component(source.provider)
+    if source.kind == "basic-event":
+        event = provider.cft.event(source.name) if provider.cft else None
+        if event is None:
             raise OracleError(
                 f"stale provenance: '{source.provider}.{source.name}' missing")
-        return ("ofm", provider, ofm)
+        return identities[(provider.name, event.name)]
+    ofm = provider.cft.output_fm(source.name, source.port) if provider.cft else None
+    if ofm is None:
+        raise OracleError(
+            f"stale provenance: '{source.provider}.{source.name}' missing")
+    return provider, ofm
 
 
-def _collect_atoms(walker: _NetworkWalker, comp: Component, ofm) -> tuple[set, set]:
-    basics: set[str] = set()
-    externals: set[str] = set()
-    seen: set[tuple] = set()
+def _resolve_network(model: ArchitectureModel, injections,
+                     comp: Component, ofm) -> tuple[object, set[str]]:
+    """Resolve the network under one output failure mode into a DAG.
 
-    def walk_ofm(component: Component, output_fm) -> None:
-        key = ("ofm", component.name, output_fm.name, output_fm.port)
-        if key in seen:
-            return
-        seen.add(key)
-        frame = f"{component.name}.{output_fm.name}"
-        walker._enter(frame + (f"@{output_fm.port}" if output_fm.port else ""))
-        try:
-            walk_ref(component, output_fm.driver)
-        finally:
-            walker._leave()
+    One explicit-stack walk follows gates, port connections and injection
+    provenance.  Each gate becomes one shared :class:`FTGate`, an output
+    failure mode stands for its driver's node, and each distinct leaf
+    identity becomes one :class:`FTBasicEvent`.  Returns the root and the
+    set of leaf identities.
+    """
+    identities = model.identity_map()
+    leaves: dict[str, FTBasicEvent] = {}
+    done: dict[tuple, object] = {}
+    # names of the frames being walked, in stack order
+    visiting: dict[str, None] = {}
+    # (memo key, owner, gate or output failure mode, references left,
+    # child nodes so far) of each frame being walked
+    stack: list[tuple] = []
 
-    def walk_ref(component: Component, ref: NodeRef) -> None:
-        target = component.cft.resolve(ref)
-        if target is None:
-            raise OracleError(
-                f"unresolved node reference '{ref.render()}' in '{component.name}'")
-        if isinstance(target, BasicEvent):
-            basics.add(walker.identities[(component.name, target.name)])
-        elif isinstance(target, Gate):
-            key = ("gate", component.name, target.name)
-            if key in seen:
-                return
-            seen.add(key)
-            walker._enter(f"{component.name}:{target.name}")
-            try:
-                for child in target.inputs:
-                    walk_ref(component, child)
-            finally:
-                walker._leave()
+    def leaf(identity: str) -> FTBasicEvent:
+        if identity not in leaves:
+            leaves[identity] = FTBasicEvent(identity=identity, display=identity)
+        return leaves[identity]
+
+    def enter(component: Component, item):
+        """The finished node of a gate or output failure mode, or None
+        after pushing a frame for it."""
+        if isinstance(item, Gate):
+            key = ("gate", component.name, item.name)
+            frame = f"{component.name}:{item.name}"
+            refs = item.inputs
         else:
-            kind, *rest = walker.resolve(component, target)
-            if kind == "external":
-                externals.add(rest[0])
-            elif kind == "event":
-                provider, event = rest
-                basics.add(walker.identities[(provider.name, event.name)])
+            key = ("ofm", component.name, item.name, item.port)
+            frame = f"{component.name}.{item.name}" + (f"@{item.port}" if item.port else "")
+            refs = (item.driver,)
+        if key in done:
+            return done[key]
+        if frame in visiting:
+            frames = list(visiting)
+            cycle = frames[frames.index(frame):] + [frame]
+            raise OracleError("propagation cycle: " + " -> ".join(cycle))
+        visiting[frame] = None
+        stack.append((key, component, item, iter(refs), []))
+        return None
+
+    enter(comp, ofm)
+    while True:
+        key, component, item, refs, children = stack[-1]
+        for ref in refs:
+            target = component.cft.resolve(ref)
+            if target is None:
+                raise OracleError(
+                    f"unresolved node reference '{ref.render()}' in '{component.name}'")
+            if isinstance(target, BasicEvent):
+                node = leaf(identities[(component.name, target.name)])
+            elif isinstance(target, Gate):
+                node = enter(component, target)
             else:
-                walk_ofm(*rest)
+                source = _input_source(model, injections, identities, component, target)
+                node = leaf(source) if isinstance(source, str) else enter(*source)
+            if node is None:
+                break
+            children.append(node)
+        else:
+            stack.pop()
+            visiting.popitem()
+            node = (FTGate(item.kind, tuple(children)) if isinstance(item, Gate)
+                    else children[0])
+            done[key] = node
+            if not stack:
+                return node, set(leaves)
+            stack[-1][4].append(node)
 
-    walk_ofm(comp, ofm)
-    return basics, externals
 
+def _evaluate(root, mask_of: dict[str, int], full: int) -> int:
+    """Bitmask of a DAG of :class:`FTGate` and leaf nodes.
 
-def _eval_network(walker: _NetworkWalker, comp: Component, ofm,
-                  mask_of: dict[str, int], free_externals: bool) -> int:
-    memo: dict[tuple, int] = {}
-
-    def eval_ofm(component: Component, output_fm) -> int:
-        key = ("ofm", component.name, output_fm.name, output_fm.port)
-        if key in memo:
-            return memo[key]
-        walker._enter(f"{component.name}.{output_fm.name}"
-                      + (f"@{output_fm.port}" if output_fm.port else ""))
-        try:
-            value = eval_ref(component, output_fm.driver)
-        finally:
-            walker._leave()
-        memo[key] = value
-        return value
-
-    def eval_ref(component: Component, ref: NodeRef) -> int:
-        target = component.cft.resolve(ref)
-        if isinstance(target, BasicEvent):
-            return mask_of[walker.identities[(component.name, target.name)]]
-        if isinstance(target, Gate):
-            key = ("gate", component.name, target.name)
-            if key in memo:
-                return memo[key]
-            walker._enter(f"{component.name}:{target.name}")
-            try:
-                values = [eval_ref(component, child) for child in target.inputs]
-            finally:
-                walker._leave()
-            if target.kind is GateKind.AND:
-                value = mask_of["__full__"]
-                for v in values:
+    Folds bottom-up with an explicit stack, each shared node once.
+    """
+    values: dict[int, int] = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in values:
+            continue
+        if isinstance(node, FTLeaf):
+            values[id(node)] = mask_of[node.identity]
+        elif ready:
+            kids = [values[id(child)] for child in node.children]
+            if node.kind is GateKind.AND:
+                value = full
+                for v in kids:
                     value &= v
-            elif target.kind is GateKind.OR:
+            elif node.kind is GateKind.OR:
                 value = 0
-                for v in values:
+                for v in kids:
                     value |= v
             else:
-                value = mask_of["__full__"] ^ values[0]
-            memo[key] = value
-            return value
-        kind, *rest = walker.resolve(component, target)
-        if kind == "external":
-            atom = rest[0]
-            return mask_of[atom] if free_externals else 0
-        if kind == "event":
-            provider, event = rest
-            return mask_of[walker.identities[(provider.name, event.name)]]
-        return eval_ofm(*rest)
+                value = full ^ kids[0]
+            values[id(node)] = value
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return values[id(root)]
 
-    return eval_ofm(comp, ofm)
+
+def _table(root, needed: set[str], variables) -> TruthTable:
+    """Evaluate *root* over *variables*, or over *needed* sorted."""
+    order = tuple(variables) if variables is not None else tuple(sorted(needed))
+    missing = needed - set(order)
+    if missing:
+        raise OracleError("variables do not cover: " + ", ".join(sorted(missing)))
+    masks, full = variable_masks(len(order))
+    return TruthTable(order, _evaluate(root, dict(zip(order, masks)), full))
 
 
 def table_of_network(model: ArchitectureModel | WovenModel,
                      top: TopEventRef | str,
-                     external_policy: str = "free",
                      variables=None) -> TruthTable:
     """Truth table of a CFT network for one top event, without synthesis.
 
-    ``external_policy`` decides whether unconnected inputs are free
-    variables (``"free"``, the default) or pinned false (``"false"``).  An
-    explicit ``variables`` order may be passed so several tables line up; it
-    must cover every atom the network actually reaches.
+    Unconnected inputs are free variables.  An explicit ``variables`` order
+    may be passed so several tables line up; it must cover every atom the
+    network actually reaches.
     """
-    if external_policy not in ("free", "false"):
-        raise OracleError(f"unknown external policy '{external_policy}'")
     if isinstance(model, WovenModel):
         base, injections = model.model, model.injection_map()
     else:
         base, injections = model, {}
     if isinstance(top, str):
         top = TopEventRef.parse(top)
-
     comp, ofm = _find_top(base, top)
-    walker = _NetworkWalker(base, injections)
-    basics, externals = _collect_atoms(walker, comp, ofm)
-    free = external_policy == "free"
-    needed = basics | (externals if free else set())
-    order = tuple(variables) if variables is not None else tuple(sorted(needed))
-    missing = needed - set(order)
-    if missing:
-        raise OracleError("variables do not cover: " + ", ".join(sorted(missing)))
-
-    masks, full = variable_masks(len(order))
-    mask_of = dict(zip(order, masks))
-    mask_of["__full__"] = full
-    bits = _eval_network(walker, comp, ofm, mask_of, free)
-    return TruthTable(order, bits)
+    root, needed = _resolve_network(base, injections, comp, ofm)
+    return _table(root, needed, variables)
 
 
 def table_of_tree(tree: FaultTree, variables=None) -> TruthTable:
     """Truth table of a synthesised fault tree over its leaf identities."""
-    needed = set(tree.leaf_identities())
-    order = tuple(variables) if variables is not None else tuple(sorted(needed))
-    missing = needed - set(order)
-    if missing:
-        raise OracleError("variables do not cover: " + ", ".join(sorted(missing)))
-    masks, full = variable_masks(len(order))
-    mask_of = dict(zip(order, masks))
-    memo: dict[int, int] = {}
-
-    def go(node) -> int:
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, FTLeaf):
-            value = mask_of[node.identity]
-        elif node.kind is GateKind.AND:
-            value = full
-            for child in node.children:
-                value &= go(child)
-        elif node.kind is GateKind.OR:
-            value = 0
-            for child in node.children:
-                value |= go(child)
-        else:
-            value = full ^ go(node.children[0])
-        memo[id(node)] = value
-        return value
-
-    return TruthTable(order, go(tree.root))
+    return _table(tree.root, set(tree.leaf_identities()), variables)
 
 
 def table_of_cutsets(identity_sets, variables=None) -> TruthTable:
     """Truth table of a disjunction of conjunctions over event identities."""
     sets = [frozenset(s) for s in identity_sets]
-    needed = set().union(*sets) if sets else set()
-    order = tuple(variables) if variables is not None else tuple(sorted(needed))
-    missing = needed - set(order)
-    if missing:
-        raise OracleError("variables do not cover: " + ", ".join(sorted(missing)))
-    masks, full = variable_masks(len(order))
-    mask_of = dict(zip(order, masks))
-    bits = 0
-    for s in sets:
-        term = full
-        for atom in sorted(s):
-            term &= mask_of[atom]
-        bits |= term
-    return TruthTable(order, bits)
+    root = FTGate(GateKind.OR, tuple(
+        FTGate(GateKind.AND, tuple(FTBasicEvent(identity=a, display=a) for a in s))
+        for s in sets))
+    return _table(root, set().union(*sets), variables)

@@ -570,26 +570,40 @@ def _model_dot(model: ArchitectureModel) -> str:
 
 
 def _tree_dot(tree: FaultTree) -> str:
+    """Nodes numbered in preorder, shared nodes once; each edge is written
+    when its child's subtree is finished.  Walks with an explicit stack."""
     ids: dict[int, str] = {}
     node_lines: list[str] = []
     edge_lines: list[str] = []
 
-    def visit(node) -> str:
-        if id(node) in ids:
-            return ids[id(node)]
-        name = f"n{len(ids)}"
-        ids[id(node)] = name
+    def number(node) -> None:
+        ids[id(node)] = f"n{len(ids)}"
         if isinstance(node, FTGate):
-            node_lines.append(f"  {name} [label={_quote(node.kind.value)}, shape=box];")
-            for child in node.children:
-                edge_lines.append(f"  {name} -> {visit(child)};")
+            label, shape = node.kind.value, "box"
         elif isinstance(node, FTExternalEvent):
-            node_lines.append(f"  {name} [label={_quote(node.display)}, shape=triangle];")
+            label, shape = node.display, "triangle"
         else:
-            node_lines.append(f"  {name} [label={_quote(node.display)}, shape=ellipse];")
-        return name
+            label, shape = node.display, "ellipse"
+        node_lines.append(f"  {ids[id(node)]} [label={_quote(label)}, shape={shape}];")
 
-    visit(tree.root)
+    root = tree.root
+    number(root)
+    # (name, children left) of each gate whose subtree is being written
+    stack = [(ids[id(root)], iter(root.children))] if isinstance(root, FTGate) else []
+    while stack:
+        parent, children = stack[-1]
+        for child in children:
+            key = id(child)
+            if key not in ids:
+                number(child)
+                if isinstance(child, FTGate):
+                    stack.append((ids[key], iter(child.children)))
+                    break
+            edge_lines.append(f"  {parent} -> {ids[key]};")
+        else:
+            stack.pop()
+            if stack:
+                edge_lines.append(f"  {stack[-1][0]} -> {parent};")
     return "\n".join(["digraph fault_tree {", *node_lines, *edge_lines, "}"]) + "\n"
 
 

@@ -19,6 +19,7 @@ from cftweave import (
     synthesize,
     weave,
 )
+from cftweave import analyzer
 from cftweave.analyzer import MAX_PRODUCTS, STAGES
 
 import genmodels
@@ -187,6 +188,23 @@ class TestClosedFormFamilies:
                    for choice in itertools.product("fg", repeat=n)}
         assert len(report.cutsets) == 2 + 2 ** n
         assert report.identity_sets() == self.BATTERY | sensors
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 12])
+    def test_wide_and_cost_follows_the_answer(self, n, monkeypatch):
+        # no minimisation step is handed more than 4 products per reduced
+        # cutset (2.22 at most today), where full expansion would be 4**n
+        sizes = []
+        minimise = analyzer._minimise
+
+        def recording(masks):
+            masks = list(masks)
+            sizes.append(len(masks))
+            return minimise(masks)
+
+        monkeypatch.setattr(analyzer, "_minimise", recording)
+        model, top = genmodels.wide(n, GateKind.AND)
+        report = cutsets(synthesize(weave(model), top), "reduced")
+        assert max(sizes) <= 4 * len(report.cutsets)
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_wide_or(self, n):

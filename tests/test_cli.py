@@ -7,7 +7,7 @@ from cftweave.cli import main
 
 import genmodels
 
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cftweave" / "fixtures"
 FIG2 = str(REPO_FIXTURES / "example_fig2.alfred")
 VEHICLE = str(REPO_FIXTURES / "vehicle.alfred")
 

@@ -1,7 +1,5 @@
 """Bundled fixtures: counts, cleanliness, canonical stability."""
 
-from pathlib import Path
-
 import pytest
 
 from cftweave import (
@@ -12,8 +10,6 @@ from cftweave import (
     serialize,
     validate,
 )
-
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_names():
@@ -52,9 +48,3 @@ def test_fixture_files_are_canonical():
     # canonical form or in the fixture itself fails here.
     for name in fixture_names():
         assert serialize(load_fixture(name)) == fixture_text(name)
-
-
-def test_repo_copies_match_package_data():
-    for name in fixture_names():
-        repo_file = REPO_FIXTURES / f"{name}.alfred"
-        assert repo_file.read_text(encoding="utf-8") == fixture_text(name)

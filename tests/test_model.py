@@ -20,7 +20,6 @@ from cftweave import (
     OutputFailureMode,
     PortConnection,
     Severity,
-    dependency_closure,
     parse,
     validate,
 )
@@ -167,31 +166,6 @@ class TestValidate:
         assert validate(vehicle).findings == ()
 
 
-class TestDependencyClosure:
-    def test_fig2_f1(self, fig2):
-        assert [c.name for c in dependency_closure(fig2, "f1")] == ["CPU", "RAM"]
-
-    def test_fig2_ram_and_cpu_empty(self, fig2):
-        assert dependency_closure(fig2, "RAM") == ()
-        assert dependency_closure(fig2, "CPU") == ()
-
-    def test_vehicle_ebc(self, vehicle):
-        assert [c.name for c in dependency_closure(vehicle, "EBC")] == ["M"]
-
-    def test_unknown_component(self, fig2):
-        with pytest.raises(ModelError):
-            dependency_closure(fig2, "nope")
-
-    def test_not_transitive(self):
-        model = parse(
-            "layer l\n\n"
-            "component a in l {\n  event e\n  outfm f = e\n}\n\n"
-            "component b in l {\n  event e\n  outfm f = e\n}\n\n"
-            "component c in l {\n  event e\n  outfm f = e\n}\n\n"
-            "alfred a -> b\n\nalfred b -> c\n")
-        assert [p.name for p in dependency_closure(model, "a")] == ["b"]
-
-
 class TestIdentity:
     def test_default_identity_is_owner_qualified(self, fig2):
         assert fig2.event_identity("CPU", "a") == "CPU.a"
@@ -281,6 +255,8 @@ class TestIndexes:
             assert model.has_component(name) is (scan_component(model, name) is not None)
             if name != "ghost":
                 assert model.component(name) is scan_component(model, name)
+        with pytest.raises(ModelError, match="unknown component 'ghost'"):
+            model.component("ghost")
         assert model.component("a").cft.events[0].name == "e"
         for component, port in (("b", "i"), ("a", "i"), ("ghost", "i")):
             assert model.connection_into(component, port) is \
@@ -385,9 +361,12 @@ class TestIndexes:
             events=(BasicEvent("z"),),
             output_fms=(OutputFailureMode("fail", None, NodeRef("z")),)))
         bigger = dataclasses.replace(fig2, components=fig2.components + (extra,),
-                                     dependencies=(AlfredDependency("f2", "extra"),))
+                                     dependencies=(AlfredDependency("f2", "extra"),
+                                                   AlfredDependency("extra", "RAM")))
         assert bigger.component("extra") is extra
+        # direct providers only: f2 -> extra -> RAM does not make RAM one of f2's
         assert bigger.providers_of("f2") == ("extra",)
+        assert bigger.providers_of("extra") == ("RAM",)
         assert bigger.providers_of("f1") == ()
         assert bigger.event_identity("extra", "z") == "extra.z"
         assert not fig2.has_component("extra")

@@ -3,11 +3,18 @@
 import pytest
 
 from cftweave import (
+    ArchitectureModel,
+    BasicEvent,
+    Component,
+    ComponentFaultTree,
     FaultTree,
     FTBasicEvent,
     FTGate,
+    Gate,
     GateKind,
+    NodeRef,
     OracleError,
+    OutputFailureMode,
     TopEventRef,
     cutsets,
     equivalent,
@@ -93,15 +100,10 @@ def test_identity_budget_enforced():
 
 
 def test_external_policy_pinned_false(fig2):
+    # unconnected inputs are always free variables
     free = table_of_network(fig2, "f1.loss-of")
     assert free.variables == ("ext@f1.p1.loss-of", "ext@f1.p2.loss-of")
     assert free.bits == 0b1000  # AND of the two external inputs
-    pinned = table_of_network(fig2, "f1.loss-of", external_policy="false")
-    assert pinned.variables == ()
-    assert pinned.bits == 0
-
-    with pytest.raises(OracleError, match="external policy"):
-        table_of_network(fig2, "f1.loss-of", external_policy="maybe")
 
 
 def test_variables_must_cover_network(fig2):
@@ -162,3 +164,50 @@ def test_propagation_cycle_message():
         table_of_network(weave(model), "a.loss-of")
     assert str(caught.value) == \
         "propagation cycle: a.loss-of@o -> b.loss-of@o -> a.loss-of@o"
+
+
+def test_not_gate_network_table():
+    model = parse("layer l\n\ncomponent c in l {\n  event e\n"
+                  "  gate n = NOT(e)\n  outfm f = n\n}\n")
+    table = table_of_network(model, "c.f")
+    assert table.variables == ("c.e",)
+    assert table.bits == 0b01
+
+
+def deep_gate_chain(depth):
+    """Gate k alternates AND and OR over gate k-1 and event y; the innermost
+    input is event x.  The function is y, for every depth above 1."""
+    gates = []
+    below = NodeRef("x")
+    for k in range(depth):
+        name = f"g{k:05d}"
+        kind = GateKind.OR if k % 2 else GateKind.AND
+        gates.append(Gate(name, kind, (below, NodeRef("y"))))
+        below = NodeRef(name)
+    cft = ComponentFaultTree(events=(BasicEvent("x"), BasicEvent("y")),
+                             gates=tuple(gates),
+                             output_fms=(OutputFailureMode("f", None, below),))
+    return ArchitectureModel(layers=("l",), components=(Component("c", "l", cft=cft),))
+
+
+def test_deep_network_without_recursion():
+    model = deep_gate_chain(5000)
+    table = table_of_network(model, "c.f")
+    assert table.variables == ("c.x", "c.y")
+    assert table.bits == 0b1100
+
+
+def test_deep_tree_without_recursion():
+    x, y = leaf("x"), leaf("y")
+    node = x
+    for depth in range(5000):
+        node = FTGate(GateKind.OR if depth % 2 else GateKind.AND, (node, y))
+    table = table_of_tree(tree_of(node))
+    assert table.variables == ("x", "y")
+    assert table.bits == 0b1100
+
+
+def test_deep_woven_chain_hits_the_identity_budget():
+    model, top = genmodels.chain(3000)
+    with pytest.raises(OracleError, match="identity budget exceeded: 3002 > 24"):
+        table_of_network(weave(model), top)

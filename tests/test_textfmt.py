@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftweave import (
+    FaultTree,
+    FTBasicEvent,
+    FTGate,
+    GateKind,
     ParseError,
+    TopEventRef,
     export_dot,
     fixture_text,
     parse,
@@ -228,6 +233,25 @@ class TestDot:
 
     def test_deterministic(self, vehicle):
         assert export_dot(vehicle) == export_dot(vehicle)
+
+    def test_deep_tree_without_recursion(self):
+        depth = 5000
+        x = FTBasicEvent(identity="x", display="x")
+        node = x
+        for _ in range(depth):
+            node = FTGate(GateKind.OR, (node, x))
+        dot = export_dot(FaultTree(root=node, top=TopEventRef("t", "t")))
+        # gates are n0 (outermost) .. n4999, the shared leaf is n5000; an
+        # edge is written when its child's subtree is finished
+        leaf = f"n{depth}"
+        edges = [f"  n{depth - 1} -> {leaf};"] * 2
+        for k in range(depth - 2, -1, -1):
+            edges += [f"  n{k} -> n{k + 1};", f"  n{k} -> {leaf};"]
+        assert dot == "\n".join([
+            "digraph fault_tree {",
+            *(f'  n{k} [label="OR", shape=box];' for k in range(depth)),
+            f'  {leaf} [label="x", shape=ellipse];',
+            *edges, "}"]) + "\n"
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
