@@ -39,6 +39,8 @@ def _load_model(path: str) -> ArchitectureModel:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _fail(1, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _fail(1, f"{path}: {exc}") from None
     try:
         return parse(text)
     except ParseError as exc:

@@ -34,11 +34,6 @@ from .errors import ModelError
 IDENTIFIER_PATTERN = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 
-def is_identifier(text: str) -> bool:
-    """True if *text* is a legal name token."""
-    return bool(IDENTIFIER_PATTERN.match(text))
-
-
 class GateKind(Enum):
     AND = "AND"
     OR = "OR"
@@ -312,9 +307,6 @@ class ArchitectureModel:
         except KeyError:
             raise ModelError(f"unknown component '{name}'") from None
 
-    def layer_components(self, layer: str) -> tuple[Component, ...]:
-        return tuple(c for c in self.components if c.layer == layer)
-
     def connection_into(self, component: str, port: str) -> PortConnection | None:
         """The connection feeding an in-port, if any."""
         return self._connections_into.get((component, port))
@@ -337,12 +329,6 @@ class ArchitectureModel:
             if key in ident:
                 ident[key] = cc.a.render()
         return ident
-
-    def event_identity(self, component: str, event: str) -> str:
-        try:
-            return self.identity_map()[(component, event)]
-        except KeyError:
-            raise ModelError(f"unknown event '{component}.{event}'") from None
 
 
 class Severity(Enum):
@@ -383,29 +369,30 @@ class ValidationReport:
 
 def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
     """Kahn's algorithm; returns the sorted nodes stuck on a cycle."""
+    if not edges:
+        return ()
     out = {n: set() for n in nodes}
     indeg = {n: 0 for n in nodes}
     for a, b in edges:
         if a in out and b in indeg and b not in out[a]:
             out[a].add(b)
             indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
+    ready = [n for n in nodes if indeg[n] == 0]
     done = 0
     while ready:
         n = ready.pop()
         done += 1
-        for m in sorted(out[n]):
+        for m in out[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
-        ready.sort()
     if done == len(set(nodes)):
         return ()
     return tuple(sorted(n for n in indeg if indeg[n] > 0))
 
 
 def _check_name(add, kind: str, name: str, element: str) -> None:
-    if not is_identifier(name):
+    if not IDENTIFIER_PATTERN.match(name):
         add(Severity.ERROR, "bad-identifier", element,
             f"{kind} name {name!r} is not a legal identifier")
 
@@ -417,13 +404,13 @@ def _validate_cft(comp: Component, add) -> None:
         _check_name(add, "event", event.name, f"{comp.name}.{event.name}")
         if event.name in bare:
             add(Severity.ERROR, "duplicate-node", f"{comp.name}.{event.name}",
-                f"name already used by a {bare[event.name]}")
+                f"name already used by a {bare[event.name]}", event, event.name)
         bare[event.name] = "basic event"
     for gate in cft.gates:
         _check_name(add, "gate", gate.name, f"{comp.name}.{gate.name}")
         if gate.name in bare:
             add(Severity.ERROR, "duplicate-node", f"{comp.name}.{gate.name}",
-                f"name already used by a {bare[gate.name]}")
+                f"name already used by a {bare[gate.name]}", gate, gate.name)
         bare[gate.name] = "gate"
 
     seen_in: set[tuple[str, str | None]] = set()
@@ -432,19 +419,19 @@ def _validate_cft(comp: Component, add) -> None:
         _check_name(add, "input failure mode", ifm.name, element)
         if (ifm.name, ifm.port) in seen_in:
             add(Severity.ERROR, "duplicate-failure-mode", element,
-                "input failure mode declared twice")
+                "input failure mode declared twice", ifm, ifm.name)
         seen_in.add((ifm.name, ifm.port))
         if ifm.port is None:
             if ifm.name in bare:
                 add(Severity.ERROR, "duplicate-node", f"{comp.name}.{ifm.name}",
-                    f"name already used by a {bare[ifm.name]}")
+                    f"name already used by a {bare[ifm.name]}", ifm, ifm.name)
             bare[ifm.name] = "port-less input failure mode"
         elif ifm.port in comp.out_ports:
             add(Severity.ERROR, "wrong-port-direction", element,
                 f"input failure mode bound to out-port '{ifm.port}'")
         elif ifm.port not in comp.in_ports:
             add(Severity.ERROR, "unknown-port", element,
-                f"port '{ifm.port}' is not declared")
+                f"port '{ifm.port}' is not declared", ifm, f"{comp.name}.{ifm.port}")
 
     seen_out: set[tuple[str, str | None]] = set()
     for ofm in cft.output_fms:
@@ -452,7 +439,7 @@ def _validate_cft(comp: Component, add) -> None:
         _check_name(add, "output failure mode", ofm.name, element)
         if (ofm.name, ofm.port) in seen_out:
             add(Severity.ERROR, "duplicate-failure-mode", element,
-                "output failure mode declared twice")
+                "output failure mode declared twice", ofm, ofm.name)
         seen_out.add((ofm.name, ofm.port))
         if ofm.port is not None:
             if ofm.port in comp.in_ports:
@@ -460,7 +447,7 @@ def _validate_cft(comp: Component, add) -> None:
                     f"output failure mode bound to in-port '{ofm.port}'")
             elif ofm.port not in comp.out_ports:
                 add(Severity.ERROR, "unknown-port", element,
-                    f"port '{ofm.port}' is not declared")
+                    f"port '{ofm.port}' is not declared", ofm, f"{comp.name}.{ofm.port}")
 
     for gate in cft.gates:
         element = f"{comp.name}.{gate.name}"
@@ -473,12 +460,12 @@ def _validate_cft(comp: Component, add) -> None:
         for ref in gate.inputs:
             if cft.resolve(ref) is None:
                 add(Severity.ERROR, "unknown-node-ref", element,
-                    f"input '{ref.render()}' does not resolve")
+                    f"input '{ref.render()}' does not resolve", gate, ref.render())
     for ofm in cft.output_fms:
         element = f"{comp.name}.{ofm.name}" + (f"@{ofm.port}" if ofm.port else "")
         if cft.resolve(ofm.driver) is None:
             add(Severity.ERROR, "unknown-node-ref", element,
-                f"driver '{ofm.driver.render()}' does not resolve")
+                f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
     gate_edges = []
     gate_names = [g.name for g in cft.gates]
@@ -493,18 +480,14 @@ def _validate_cft(comp: Component, add) -> None:
             "gates form a cycle: " + ", ".join(cyclic))
 
 
-def validate(model: ArchitectureModel) -> ValidationReport:
-    """Check every structural invariant; never raises.
+def _check(model: ArchitectureModel, add) -> None:
+    """The checks behind :func:`validate`, reported in its order to *add*.
 
-    Findings come out in a deterministic order: model-level checks first,
-    then per-component checks in canonical component order, connections,
-    dependencies, common causes, and finally warnings.
+    ``add(severity, code, element, message, about, name)`` gets each
+    finding.  For the codes the parser rejects, *about* is the declaration
+    object the finding is about (the repeat, for a duplicate) and *name* is
+    the name that fails; ``textfmt.parse`` maps them back to source tokens.
     """
-    findings: list[Finding] = []
-
-    def add(severity: Severity, code: str, element: str, message: str) -> None:
-        findings.append(Finding(severity, code, element, message))
-
     if not model.layers:
         add(Severity.ERROR, "no-layers", "model", "no layers declared")
     if not model.components:
@@ -514,7 +497,7 @@ def validate(model: ArchitectureModel) -> ValidationReport:
     for layer in model.layers:
         _check_name(add, "layer", layer, layer)
         if layer in seen_layers:
-            add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice")
+            add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice", None, layer)
         seen_layers.add(layer)
 
     seen_comps: set[str] = set()
@@ -522,17 +505,17 @@ def validate(model: ArchitectureModel) -> ValidationReport:
         _check_name(add, "component", comp.name, comp.name)
         if comp.name in seen_comps:
             add(Severity.ERROR, "duplicate-component", comp.name,
-                "component declared twice")
+                "component declared twice", comp, comp.name)
         seen_comps.add(comp.name)
         if comp.layer not in seen_layers:
             add(Severity.ERROR, "unknown-layer", comp.name,
-                f"layer '{comp.layer}' is not declared")
-        counts = Counter(comp.in_ports) + Counter(comp.out_ports)
+                f"layer '{comp.layer}' is not declared", comp, comp.layer)
+        counts = Counter(comp.in_ports + comp.out_ports)
         for port in sorted(counts):
             _check_name(add, "port", port, f"{comp.name}.{port}")
             if counts[port] > 1:
                 add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
-                    "port name used more than once")
+                    "port name used more than once", comp, port)
         if comp.cft is not None:
             _validate_cft(comp, add)
 
@@ -545,7 +528,7 @@ def validate(model: ArchitectureModel) -> ValidationReport:
                 (conn.to_component, conn.to_port, "in_ports", "out_ports", "target")):
             if not model.has_component(end):
                 add(Severity.ERROR, "unknown-component", element,
-                    f"{side} component '{end}' is not declared")
+                    f"{side} component '{end}' is not declared", conn, end)
                 continue
             comp = model.component(end)
             if port in getattr(comp, ports_ok):
@@ -555,14 +538,14 @@ def validate(model: ArchitectureModel) -> ValidationReport:
                     f"{side} port '{end}.{port}' has the wrong direction")
             else:
                 add(Severity.ERROR, "unknown-port", element,
-                    f"{side} port '{end}.{port}' is not declared")
+                    f"{side} port '{end}.{port}' is not declared", conn, f"{end}.{port}")
         if conn.from_component == conn.to_component:
             add(Severity.ERROR, "self-connection", element,
                 "connection endpoints are on the same component")
         key = (conn.from_component, conn.from_port, conn.to_component, conn.to_port)
         if key in seen_conns:
             add(Severity.ERROR, "duplicate-connection", element,
-                "connection declared twice")
+                "connection declared twice", conn, element)
         seen_conns.add(key)
         incoming[(conn.to_component, conn.to_port)] += 1
     for (comp_name, port), count in sorted(incoming.items()):
@@ -576,14 +559,14 @@ def validate(model: ArchitectureModel) -> ValidationReport:
         for end in (dep.dependent, dep.provider):
             if not model.has_component(end):
                 add(Severity.ERROR, "unknown-component", element,
-                    f"component '{end}' is not declared")
+                    f"component '{end}' is not declared", dep, end)
         if dep.dependent == dep.provider:
             add(Severity.ERROR, "self-dependency", element,
                 "component depends on itself")
         key = (dep.dependent, dep.provider)
         if key in seen_deps:
             add(Severity.ERROR, "duplicate-dependency", element,
-                "dependency declared twice")
+                "dependency declared twice", dep, element)
         seen_deps.add(key)
     comp_names = [c.name for c in model.components]
     dep_edges = [(d.dependent, d.provider) for d in model.dependencies
@@ -597,12 +580,12 @@ def validate(model: ArchitectureModel) -> ValidationReport:
         for ref in (cc.a, cc.b):
             if not model.has_component(ref.component):
                 add(Severity.ERROR, "unknown-event", ref.render(),
-                    f"component '{ref.component}' is not declared")
+                    f"component '{ref.component}' is not declared", cc, ref.render())
                 continue
             cft = model.component(ref.component).cft
             if cft is None or cft.event(ref.event) is None:
                 add(Severity.ERROR, "unknown-event", ref.render(),
-                    "event is not declared")
+                    "event is not declared", cc, ref.render())
 
     connected = {(c.to_component, c.to_port) for c in model.connections}
     for comp in model.components:
@@ -615,4 +598,19 @@ def validate(model: ArchitectureModel) -> ValidationReport:
             add(Severity.WARNING, "provider-no-cft", provider,
                 "dependency provider has no fault tree")
 
+
+def validate(model: ArchitectureModel) -> ValidationReport:
+    """Check every structural invariant; never raises.
+
+    Findings come out in a deterministic order: model-level checks first,
+    then per-component checks in canonical component order, connections,
+    dependencies, common causes, and finally warnings.
+    """
+    findings: list[Finding] = []
+
+    def add(severity: Severity, code: str, element: str, message: str,
+            about=None, name=None) -> None:
+        findings.append(Finding(severity, code, element, message))
+
+    _check(model, add)
     return ValidationReport(tuple(findings))

@@ -33,8 +33,9 @@ valid model, and serialising twice is byte-identical.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 from .model import (
@@ -51,19 +52,39 @@ from .model import (
     NodeRef,
     OutputFailureMode,
     PortConnection,
+    _check,
 )
 from .synthesizer import FaultTree, FTExternalEvent, FTGate
 from .weaver import WovenModel
 
-_ID_CHARS = frozenset(string.ascii_letters + string.digits + "_-")
-_PUNCT = frozenset("{}()=,@.")
+# Group 1: punctuation, group 2: a name (a '-' that starts '->' ends it),
+# group 3: any other character but blanks, which is '#' or an error.
+_TOKEN = re.compile(r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])")
 _GATE_KINDS = {k.value: k for k in GateKind}
 _TOP_KEYWORDS = ("layer", "component", "connect", "alfred", "common-cause")
 _BODY_KEYWORDS = ("in", "out", "event", "gate", "infm", "outfm", "}")
 
+# The validate findings that parse rejects, as the parser words them.
+_REJECTED = {
+    "duplicate-layer": "duplicate declaration of layer '{name}'",
+    "duplicate-component": "duplicate declaration of component '{name}'",
+    "unknown-layer": "reference to undeclared layer '{name}'",
+    "port-collision": "duplicate declaration of port '{owner}.{name}'",
+    "duplicate-node": "duplicate declaration of node '{owner}.{name}'",
+    "duplicate-failure-mode": "duplicate declaration of {kind} failure mode '{owner}.{name}'",
+    "unknown-port": "reference to undeclared port '{name}'",
+    "unknown-node-ref": "reference to undeclared node '{name}' in component '{owner}'",
+    "unknown-component": "reference to undeclared component '{name}'",
+    "duplicate-connection": "duplicate declaration of connection {name}",
+    "duplicate-dependency": "duplicate declaration of dependency {name}",
+    "unknown-event": "reference to undeclared event '{name}'",
+}
 
-@dataclass(frozen=True)
-class _Token:
+
+_new_tuple = tuple.__new__
+
+
+class _Token(NamedTuple):
     kind: str  # "ident" or the punctuation itself ("{", "->", ...)
     value: str
     line: int
@@ -72,31 +93,16 @@ class _Token:
 
 def _tokenize_line(text: str, line: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            break
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", line, i + 1))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, i + 1))
-            i += 1
-            continue
-        if ch in _ID_CHARS:
-            start = i
-            while i < n and text[i] in _ID_CHARS:
-                if text[i] == "-" and i + 1 < n and text[i + 1] == ">":
-                    break
-                i += 1
-            tokens.append(_Token("ident", text[start:i], line, start + 1))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, i + 1, token=ch)
+    for m in _TOKEN.finditer(text):
+        value, group = m[0], m.lastindex
+        if group == 3:
+            if value == "#":
+                break
+            raise ParseError(f"unexpected character {value!r}", line, m.start() + 1,
+                             token=value)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        tokens.append(_new_tuple(_Token, ("ident" if group == 2 else value, value, line,
+                                          m.start() + 1)))
     return tokens
 
 
@@ -169,30 +175,32 @@ class _Cursor:
 
 
 @dataclass
-class _RawComponent:
-    name: str
-    layer: str
-    line: int
-    column: int
-    in_ports: list[tuple[str, _Token]] = field(default_factory=list)
-    out_ports: list[tuple[str, _Token]] = field(default_factory=list)
-    events: list[tuple[str, _Token]] = field(default_factory=list)
-    gates: list[tuple[str, GateKind, tuple[NodeRef, ...], _Token]] = field(default_factory=list)
-    infms: list[tuple[str, str | None, _Token]] = field(default_factory=list)
-    outfms: list[tuple[str, str | None, NodeRef, _Token]] = field(default_factory=list)
+class _Block:
+    """A component block: its name and layer tokens and its declarations."""
+
+    name: _Token
+    layer: _Token
+    in_ports: list[_Token] = field(default_factory=list)
+    out_ports: list[_Token] = field(default_factory=list)
+    events: list[BasicEvent] = field(default_factory=list)
+    gates: list[Gate] = field(default_factory=list)
+    infms: list[InputFailureMode] = field(default_factory=list)
+    outfms: list[OutputFailureMode] = field(default_factory=list)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.split("\n")
-        self.layers: list[tuple[str, _Token]] = []
-        self.components: list[_RawComponent] = []
-        self.connects: list[tuple[str, str, str, str, _Token]] = []
-        self.alfreds: list[tuple[str, str, _Token]] = []
-        self.ccs: list[tuple[EventRef, EventRef, _Token]] = []
+        self.layers: list[_Token] = []
+        self.components: list[Component] = []
+        self.connections: list[PortConnection] = []
+        self.dependencies: list[AlfredDependency] = []
+        self.aliases: list[tuple[EventRef, EventRef, _Token]] = []
+        # (object, token an error about it points at, enclosing block)
+        self.declared: list[tuple[object, _Token, _Block | None]] = []
 
     def parse(self) -> ArchitectureModel:
-        current: _RawComponent | None = None
+        current: _Block | None = None
         for lineno, raw in enumerate(self.lines, start=1):
             raw = raw.rstrip("\r")
             tokens = _tokenize_line(raw, lineno)
@@ -201,16 +209,64 @@ class _Parser:
             cur = _Cursor(tokens, lineno, len(raw))
             if current is None:
                 current = self._top_statement(cur)
-            else:
-                if not self._body_statement(cur, current):
-                    current = None
+            elif not self._body_statement(cur, current):
+                self._close(current)
+                current = None
         if current is not None:
             raise ParseError(
-                f"unexpected end of file inside component '{current.name}'",
+                f"unexpected end of file inside component '{current.name.value}'",
                 len(self.lines), 1, expected=("}",))
-        return self._assemble()
+        if not self.layers:
+            raise ParseError("no layer declared", 1, 1, expected=("layer",))
+        model = ArchitectureModel(
+            layers=[tok.value for tok in self.layers],
+            components=tuple(self.components),
+            connections=tuple(self.connections),
+            dependencies=tuple(self.dependencies),
+            common_causes=tuple(CommonCause(a, b) for a, b, _ in self.aliases),
+        )
+        _check(model, self._reject)
+        # Canonical construction erases self-aliases and repeated pairs, so
+        # these two are checked here, on the declarations.
+        seen: set[frozenset[EventRef]] = set()
+        for a, b, tok in self.aliases:
+            if a == b:
+                raise ParseError("common-cause aliases an event to itself",
+                                 tok.line, tok.column, token=a.render())
+            if frozenset((a, b)) in seen:
+                raise ParseError(
+                    f"duplicate declaration of common-cause {a.render()} = {b.render()}",
+                    tok.line, tok.column, token=tok.value)
+            seen.add(frozenset((a, b)))
+        return model
 
-    def _top_statement(self, cur: _Cursor) -> _RawComponent | None:
+    def _reject(self, severity, code, element, message, about=None, name=None) -> None:
+        """The sink given to the shared checks: raises at the first finding
+        whose code is in ``_REJECTED``, located at the declaration it is
+        about (the second one with the name, for layers, components and
+        ports)."""
+        template = _REJECTED.get(code)
+        if template is None:
+            return
+        block = None
+        if code == "duplicate-layer":
+            tok = [t for t in self.layers if t.value == name][1]
+        elif code == "unknown-event":
+            tok = next(t for a, b, t in self.aliases if name in (a.render(), b.render()))
+        else:
+            tok, block = next((t, b) for obj, t, b in self.declared if obj is about)
+            if code == "duplicate-component":
+                tok = [t for obj, t, _ in self.declared
+                       if isinstance(obj, Component) and t.value == name][1]
+            elif code == "port-collision":
+                tok = [t for t in block.in_ports + block.out_ports if t.value == name][1]
+        message = template.format(
+            name=name, owner=block and block.name.value,
+            kind="input" if isinstance(about, InputFailureMode) else "output")
+        raise ParseError(message, tok.line, tok.column,
+                         token=name if code == "unknown-layer" else tok.value)
+
+    def _top_statement(self, cur: _Cursor) -> _Block | None:
         tok = cur.peek()
         if tok.kind != "ident" or tok.value not in _TOP_KEYWORDS:
             raise ParseError("expected a declaration", tok.line, tok.column,
@@ -219,37 +275,39 @@ class _Parser:
         if tok.value == "layer":
             name = cur.take_ident("layer name")
             cur.end()
-            self.layers.append((name.value, name))
+            self.layers.append(name)
         elif tok.value == "component":
             name = cur.take_ident("component name")
             cur.take_keyword("in")
             layer = cur.take_ident("layer name")
             cur.take("{")
             cur.end()
-            component = _RawComponent(name.value, layer.value, name.line, name.column)
-            self.components.append(component)
-            return component
+            return _Block(name, layer)
         elif tok.value == "connect":
             from_comp, from_port = cur.qualified("source port")
             cur.take("->")
             to_comp, to_port = cur.qualified("target port")
             cur.end()
-            self.connects.append((from_comp, from_port, to_comp, to_port, tok))
+            conn = PortConnection(from_comp, from_port, to_comp, to_port)
+            self.connections.append(conn)
+            self.declared.append((conn, tok, None))
         elif tok.value == "alfred":
             dependent = cur.take_ident("dependent component")
             cur.take("->")
             provider = cur.take_ident("provider component")
             cur.end()
-            self.alfreds.append((dependent.value, provider.value, tok))
+            dep = AlfredDependency(dependent.value, provider.value)
+            self.dependencies.append(dep)
+            self.declared.append((dep, tok, None))
         else:  # common-cause
             a_comp, a_event = cur.qualified("event reference")
             cur.take("=")
             b_comp, b_event = cur.qualified("event reference")
             cur.end()
-            self.ccs.append((EventRef(a_comp, a_event), EventRef(b_comp, b_event), tok))
+            self.aliases.append((EventRef(a_comp, a_event), EventRef(b_comp, b_event), tok))
         return None
 
-    def _body_statement(self, cur: _Cursor, comp: _RawComponent) -> bool:
+    def _body_statement(self, cur: _Cursor, block: _Block) -> bool:
         """Parse one declaration inside a component block.
 
         Returns False when the block was closed by '}'.
@@ -264,17 +322,18 @@ class _Parser:
                              tok.column, token=tok.value, expected=_BODY_KEYWORDS)
         cur.pos += 1
         if tok.value == "in":
-            name = cur.take_ident("port name")
+            block.in_ports.append(cur.take_ident("port name"))
             cur.end()
-            comp.in_ports.append((name.value, name))
-        elif tok.value == "out":
-            name = cur.take_ident("port name")
+            return True
+        if tok.value == "out":
+            block.out_ports.append(cur.take_ident("port name"))
             cur.end()
-            comp.out_ports.append((name.value, name))
-        elif tok.value == "event":
+            return True
+        if tok.value == "event":
             name = cur.take_ident("event name")
             cur.end()
-            comp.events.append((name.value, name))
+            node = BasicEvent(name.value)
+            block.events.append(node)
         elif tok.value == "gate":
             name = cur.take_ident("gate name")
             cur.take("=")
@@ -289,14 +348,16 @@ class _Parser:
                 refs.append(cur.node_ref())
             cur.take(")")
             cur.end()
-            comp.gates.append((name.value, kind, tuple(refs), name))
+            node = Gate(name.value, kind, tuple(refs))
+            block.gates.append(node)
         elif tok.value == "infm":
             name = cur.take_ident("failure mode name")
             port = None
             if cur.accept("@"):
                 port = cur.take_ident("port name").value
             cur.end()
-            comp.infms.append((name.value, port, name))
+            node = InputFailureMode(name.value, port)
+            block.infms.append(node)
         else:  # outfm
             name = cur.take_ident("failure mode name")
             port = None
@@ -305,165 +366,38 @@ class _Parser:
             cur.take("=")
             driver = cur.node_ref()
             cur.end()
-            comp.outfms.append((name.value, port, driver, name))
+            node = OutputFailureMode(name.value, port, driver)
+            block.outfms.append(node)
+        self.declared.append((node, name, block))
         return True
 
-    @staticmethod
-    def _dup(what: str, tok: _Token):
-        raise ParseError(f"duplicate declaration of {what}", tok.line, tok.column,
-                         token=tok.value)
-
-    @staticmethod
-    def _undeclared(what: str, tok: _Token):
-        raise ParseError(f"reference to undeclared {what}", tok.line, tok.column,
-                         token=tok.value)
-
-    def _assemble(self) -> ArchitectureModel:
-        if not self.layers:
-            raise ParseError("no layer declared", 1, 1, expected=("layer",))
-        layer_names: set[str] = set()
-        for name, tok in self.layers:
-            if name in layer_names:
-                self._dup(f"layer '{name}'", tok)
-            layer_names.add(name)
-
-        comp_names: set[str] = set()
-        for comp in self.components:
-            if comp.name in comp_names:
-                raise ParseError(f"duplicate declaration of component '{comp.name}'",
-                                 comp.line, comp.column, token=comp.name)
-            comp_names.add(comp.name)
-            if comp.layer not in layer_names:
-                raise ParseError(f"reference to undeclared layer '{comp.layer}'",
-                                 comp.line, comp.column, token=comp.layer)
-            self._check_component(comp)
-
-        components = tuple(self._build_component(c) for c in self.components)
-        ports = {c.name: set(dict(c.in_ports)) | set(dict(c.out_ports))
-                 for c in self.components}
-
-        seen_conn: set[tuple[str, str, str, str]] = set()
-        connections = []
-        for from_comp, from_port, to_comp, to_port, tok in self.connects:
-            for end, port in ((from_comp, from_port), (to_comp, to_port)):
-                if end not in comp_names:
-                    self._undeclared(f"component '{end}'", tok)
-                if port not in ports[end]:
-                    self._undeclared(f"port '{end}.{port}'", tok)
-            key = (from_comp, from_port, to_comp, to_port)
-            if key in seen_conn:
-                self._dup(f"connection {from_comp}.{from_port} -> {to_comp}.{to_port}", tok)
-            seen_conn.add(key)
-            connections.append(PortConnection(*key))
-
-        seen_dep: set[tuple[str, str]] = set()
-        dependencies = []
-        for dependent, provider, tok in self.alfreds:
-            for end in (dependent, provider):
-                if end not in comp_names:
-                    self._undeclared(f"component '{end}'", tok)
-            if (dependent, provider) in seen_dep:
-                self._dup(f"dependency {dependent} -> {provider}", tok)
-            seen_dep.add((dependent, provider))
-            dependencies.append(AlfredDependency(dependent, provider))
-
-        events = {c.name: {e for e, _ in c.events} for c in self.components}
-        seen_cc: set[frozenset[str]] = set()
-        causes = []
-        for a, b, tok in self.ccs:
-            for ref in (a, b):
-                if ref.component not in comp_names or ref.event not in events[ref.component]:
-                    self._undeclared(f"event '{ref.render()}'", tok)
-            if a == b:
-                raise ParseError("common-cause aliases an event to itself",
-                                 tok.line, tok.column, token=a.render())
-            key = frozenset((a.render(), b.render()))
-            if key in seen_cc:
-                self._dup(f"common-cause {a.render()} = {b.render()}", tok)
-            seen_cc.add(key)
-            causes.append(CommonCause(a, b))
-
-        return ArchitectureModel(
-            layers=tuple(layer_names),
-            components=components,
-            connections=tuple(connections),
-            dependencies=tuple(dependencies),
-            common_causes=tuple(causes),
-        )
-
-    def _check_component(self, comp: _RawComponent) -> None:
-        port_names: set[str] = set()
-        for name, tok in comp.in_ports + comp.out_ports:
-            if name in port_names:
-                self._dup(f"port '{comp.name}.{name}'", tok)
-            port_names.add(name)
-
-        bare: set[str] = set()
-        for name, tok in comp.events:
-            if name in bare:
-                self._dup(f"node '{comp.name}.{name}'", tok)
-            bare.add(name)
-        for name, _, _, tok in comp.gates:
-            if name in bare:
-                self._dup(f"node '{comp.name}.{name}'", tok)
-            bare.add(name)
-        infm_keys: set[tuple[str, str | None]] = set()
-        for name, port, tok in comp.infms:
-            if (name, port) in infm_keys:
-                self._dup(f"input failure mode '{comp.name}.{name}'", tok)
-            infm_keys.add((name, port))
-            if port is None:
-                if name in bare:
-                    self._dup(f"node '{comp.name}.{name}'", tok)
-                bare.add(name)
-            elif port not in port_names:
-                self._undeclared(f"port '{comp.name}.{port}'", tok)
-        outfm_keys: set[tuple[str, str | None]] = set()
-        for name, port, _, tok in comp.outfms:
-            if (name, port) in outfm_keys:
-                self._dup(f"output failure mode '{comp.name}.{name}'", tok)
-            outfm_keys.add((name, port))
-            if port is not None and port not in port_names:
-                self._undeclared(f"port '{comp.name}.{port}'", tok)
-
-        def check_ref(ref: NodeRef, tok: _Token) -> None:
-            if ref.port is not None:
-                if (ref.name, ref.port) not in infm_keys:
-                    self._undeclared(f"node '{ref.render()}' in component '{comp.name}'", tok)
-            elif ref.name not in bare:
-                self._undeclared(f"node '{ref.name}' in component '{comp.name}'", tok)
-
-        for _, _, refs, tok in comp.gates:
-            for ref in refs:
-                check_ref(ref, tok)
-        for _, _, driver, tok in comp.outfms:
-            check_ref(driver, tok)
-
-    @staticmethod
-    def _build_component(comp: _RawComponent) -> Component:
+    def _close(self, block: _Block) -> None:
         cft = None
-        if comp.events or comp.gates or comp.infms or comp.outfms:
-            cft = ComponentFaultTree(
-                events=tuple(BasicEvent(n) for n, _ in comp.events),
-                gates=tuple(Gate(n, k, refs) for n, k, refs, _ in comp.gates),
-                input_fms=tuple(InputFailureMode(n, p) for n, p, _ in comp.infms),
-                output_fms=tuple(OutputFailureMode(n, p, d) for n, p, d, _ in comp.outfms),
-            )
-        return Component(
-            name=comp.name,
-            layer=comp.layer,
-            in_ports=tuple(n for n, _ in comp.in_ports),
-            out_ports=tuple(n for n, _ in comp.out_ports),
+        if block.events or block.gates or block.infms or block.outfms:
+            cft = ComponentFaultTree(events=tuple(block.events), gates=tuple(block.gates),
+                                     input_fms=tuple(block.infms),
+                                     output_fms=tuple(block.outfms))
+        comp = Component(
+            name=block.name.value,
+            layer=block.layer.value,
+            in_ports=tuple(t.value for t in block.in_ports),
+            out_ports=tuple(t.value for t in block.out_ports),
             cft=cft,
         )
+        self.components.append(comp)
+        self.declared.append((comp, block.name, block))
 
 
 def parse(text: str) -> ArchitectureModel:
     """Parse a model document.
 
     Raises :class:`ParseError` with the first offending position; any input
-    either yields a model or a located error, never a crash.  The result is
-    ready for :func:`cftweave.model.validate`.
+    either yields a model or a located error, never a crash.  Syntax is
+    checked line by line; declaration errors (a duplicate declaration or a
+    reference to an undeclared name) are found by the checks behind
+    :func:`cftweave.model.validate`, so a document with several is rejected
+    at the first in ``validate``'s canonical order.  The result is ready for
+    :func:`cftweave.model.validate`.
     """
     return _Parser(text).parse()
 

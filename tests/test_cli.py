@@ -124,6 +124,16 @@ def test_missing_file(capsys):
     assert "error:" in err
 
 
+def test_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.alfred"
+    bad.write_bytes(b"layer l\n\xff\n")
+    assert main(["validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 8: "
+                   "invalid start byte\n")
+
+
 def test_parse_error_is_located(tmp_path, capsys):
     bad = tmp_path / "garbage.alfred"
     bad.write_text("what is this\n", encoding="utf-8")

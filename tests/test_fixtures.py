@@ -33,8 +33,8 @@ def test_vehicle_counts(vehicle):
     assert vehicle.layers == ("functional", "physical")
     assert [(d.dependent, d.provider) for d in vehicle.dependencies] == [
         ("EBC", "M"), ("R", "B"), ("U1", "B"), ("U2", "B")]
-    assert {c.name for c in vehicle.layer_components("physical")} == {"B", "M"}
-    assert {c.name for c in vehicle.layer_components("functional")} == \
+    assert {c.name for c in vehicle.components if c.layer == "physical"} == {"B", "M"}
+    assert {c.name for c in vehicle.components if c.layer == "functional"} == \
         {"R", "U1", "U2", "EBC", "E", "S"}
 
 

@@ -168,7 +168,7 @@ class TestValidate:
 
 class TestIdentity:
     def test_default_identity_is_owner_qualified(self, fig2):
-        assert fig2.event_identity("CPU", "a") == "CPU.a"
+        assert fig2.identity_map()[("CPU", "a")] == "CPU.a"
 
     def test_alias_collapses_to_smallest_member(self):
         model = parse(
@@ -176,12 +176,8 @@ class TestIdentity:
             "component a in l {\n  event e\n  outfm f = e\n}\n\n"
             "component b in l {\n  event e\n  outfm f = e\n}\n\n"
             "common-cause b.e = a.e\n")
-        assert model.event_identity("a", "e") == "a.e"
-        assert model.event_identity("b", "e") == "a.e"
-
-    def test_unknown_event(self, fig2):
-        with pytest.raises(ModelError):
-            fig2.event_identity("CPU", "ghost")
+        assert model.identity_map()[("a", "e")] == "a.e"
+        assert model.identity_map()[("b", "e")] == "a.e"
 
 
 def duplicates_model():
@@ -320,12 +316,6 @@ class TestIndexes:
         assert model.identity_map() == {
             ("a", "e"): "a.e", ("a", "k"): "a.k", ("a", "e2"): "a.e2", ("b", "e"): "a.e",
             ("d", "e"): "d.e"}
-        assert model.event_identity("b", "e") == "a.e"
-        assert model.event_identity("d", "e") == "d.e"
-        # declared only by the second declaration of a
-        assert model.event_identity("a", "e2") == "a.e2"
-        with pytest.raises(ModelError):
-            model.event_identity("c", "e")
 
     def test_repr_shows_no_index(self, fig2):
         for text in (repr(fig2), repr(fig2.component("f1").cft)):
@@ -368,7 +358,7 @@ class TestIndexes:
         assert bigger.providers_of("f2") == ("extra",)
         assert bigger.providers_of("extra") == ("RAM",)
         assert bigger.providers_of("f1") == ()
-        assert bigger.event_identity("extra", "z") == "extra.z"
+        assert bigger.identity_map()[("extra", "z")] == "extra.z"
         assert not fig2.has_component("extra")
         cft = fig2.component("CPU").cft
         renamed = dataclasses.replace(cft, events=(BasicEvent("b"),))
@@ -379,7 +369,5 @@ class TestIndexes:
         ident = fig2.identity_map()
         ident[("CPU", "a")] = "changed"
         ident[("CPU", "ghost")] = "ghost"
-        assert fig2.event_identity("CPU", "a") == "CPU.a"
         assert fig2.identity_map()[("CPU", "a")] == "CPU.a"
-        with pytest.raises(ModelError):
-            fig2.event_identity("CPU", "ghost")
+        assert ("CPU", "ghost") not in fig2.identity_map()

@@ -1,0 +1,233 @@
+"""Declaration errors rejected by ``parse``, and whole-pipeline totality.
+
+Each document below holds exactly one declaration error; the expected text
+is ``str(err)``, so the message, line, column and token are all pinned.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cftweave import (
+    CftweaveError,
+    ParseError,
+    TopEventRef,
+    cutsets,
+    parse,
+    serialize,
+    synthesize,
+    validate,
+    weave,
+)
+
+import genmodels
+
+
+def component(name, *body, layer="l"):
+    lines = [f"component {name} in {layer} {{", *(f"  {b}" for b in body), "}"]
+    return "\n".join(lines) + "\n\n"
+
+
+HEAD = "layer l\n\n"
+TWO = HEAD + component("c", "event e") + component("d", "event e")
+PORTS = HEAD + component("c", "out p") + component("d", "in q")
+
+REJECTED = {
+    "layer": (
+        "layer l\nlayer m\nlayer l\n",
+        "3:7: duplicate declaration of layer 'l' (got 'l')"),
+    "component": (
+        HEAD + component("c") + component("c"),
+        "6:11: duplicate declaration of component 'c' (got 'c')"),
+    "component on another layer": (
+        "layer a\nlayer b\n\n" + component("c", layer="b") + component("c", layer="a"),
+        "7:11: duplicate declaration of component 'c' (got 'c')"),
+    "undeclared layer": (
+        HEAD + component("c", layer="m"),
+        "3:11: reference to undeclared layer 'm' (got 'm')"),
+    "port": (
+        HEAD + component("c", "in p", "in q", "in p"),
+        "6:6: duplicate declaration of port 'c.p' (got 'p')"),
+    # in-ports are checked before out-ports, so the out-port is the repeat
+    "port in and out": (
+        HEAD + component("c", "out p", "in p"),
+        "4:7: duplicate declaration of port 'c.p' (got 'p')"),
+    "node event": (
+        HEAD + component("c", "event e", "event e"),
+        "5:9: duplicate declaration of node 'c.e' (got 'e')"),
+    "node gate and event": (
+        HEAD + component("c", "event e", "gate e = OR(e)"),
+        "5:8: duplicate declaration of node 'c.e' (got 'e')"),
+    "node gate": (
+        HEAD + component("c", "event e", "gate g = OR(e)", "gate g = AND(e)"),
+        "6:8: duplicate declaration of node 'c.g' (got 'g')"),
+    "node port-less input failure mode": (
+        HEAD + component("c", "infm x", "gate x = OR(x)"),
+        "4:8: duplicate declaration of node 'c.x' (got 'x')"),
+    "node port-less input failure mode and event": (
+        HEAD + component("c", "event x", "infm x"),
+        "5:8: duplicate declaration of node 'c.x' (got 'x')"),
+    "input failure mode": (
+        HEAD + component("c", "in p", "infm f@p", "infm f@p"),
+        "6:8: duplicate declaration of input failure mode 'c.f' (got 'f')"),
+    "port-less input failure mode": (
+        HEAD + component("c", "infm f", "infm f"),
+        "5:8: duplicate declaration of input failure mode 'c.f' (got 'f')"),
+    "output failure mode": (
+        HEAD + component("c", "event e", "out p", "outfm f@p = e", "outfm f@p = e"),
+        "7:9: duplicate declaration of output failure mode 'c.f' (got 'f')"),
+    "port-less output failure mode": (
+        HEAD + component("c", "event e", "outfm f = e", "outfm f = e"),
+        "6:9: duplicate declaration of output failure mode 'c.f' (got 'f')"),
+    "input failure mode port": (
+        HEAD + component("c", "infm f@p"),
+        "4:8: reference to undeclared port 'c.p' (got 'f')"),
+    "output failure mode port": (
+        HEAD + component("c", "event e", "outfm f@p = e"),
+        "5:9: reference to undeclared port 'c.p' (got 'f')"),
+    "gate input": (
+        HEAD + component("c", "event e", "gate g = OR(e, ghost)"),
+        "5:8: reference to undeclared node 'ghost' in component 'c' (got 'g')"),
+    "gate input on a port": (
+        HEAD + component("c", "in p", "infm f@p", "gate g = AND(f@p, f@q)"),
+        "6:8: reference to undeclared node 'f@q' in component 'c' (got 'g')"),
+    "output failure mode driver": (
+        HEAD + component("c", "event e", "outfm f = ghost"),
+        "5:9: reference to undeclared node 'ghost' in component 'c' (got 'f')"),
+    "output failure mode driver on a port": (
+        HEAD + component("c", "in p", "infm f", "outfm o = f@p"),
+        "6:9: reference to undeclared node 'f@p' in component 'c' (got 'o')"),
+    "connection source component": (
+        HEAD + component("c", "in p") + "connect d.q -> c.p\n",
+        "7:1: reference to undeclared component 'd' (got 'connect')"),
+    "connection target component": (
+        HEAD + component("c", "out p") + "connect c.p -> d.q\n",
+        "7:1: reference to undeclared component 'd' (got 'connect')"),
+    "connection source port": (
+        PORTS + "connect c.x -> d.q\n",
+        "11:1: reference to undeclared port 'c.x' (got 'connect')"),
+    "connection target port": (
+        PORTS + "connect c.p -> d.x\n",
+        "11:1: reference to undeclared port 'd.x' (got 'connect')"),
+    "connection": (
+        PORTS + "connect c.p -> d.q\nconnect c.p -> d.q\n",
+        "12:1: duplicate declaration of connection c.p -> d.q (got 'connect')"),
+    "alfred dependent": (
+        HEAD + component("c") + "alfred x -> c\n",
+        "6:1: reference to undeclared component 'x' (got 'alfred')"),
+    "alfred provider": (
+        HEAD + component("c") + "alfred c -> x\n",
+        "6:1: reference to undeclared component 'x' (got 'alfred')"),
+    "alfred": (
+        HEAD + component("c") + component("d") + "alfred c -> d\nalfred c -> d\n",
+        "10:1: duplicate declaration of dependency c -> d (got 'alfred')"),
+    "common-cause event": (
+        TWO + "common-cause c.e = d.x\n",
+        "11:1: reference to undeclared event 'd.x' (got 'common-cause')"),
+    "common-cause component": (
+        HEAD + component("c", "event e") + "common-cause c.e = z.e\n",
+        "7:1: reference to undeclared event 'z.e' (got 'common-cause')"),
+    # the first line that names the undeclared event is reported
+    "common-cause event named twice": (
+        TWO + "common-cause c.e = d.e\ncommon-cause c.x = d.e\ncommon-cause d.e = c.x\n",
+        "12:1: reference to undeclared event 'c.x' (got 'common-cause')"),
+    "common-cause self-alias": (
+        HEAD + component("c", "event e") + "common-cause c.e = c.e\n",
+        "7:1: common-cause aliases an event to itself (got 'c.e')"),
+    "common-cause pair": (
+        TWO + "common-cause c.e = d.e\ncommon-cause d.e = c.e\n",
+        "12:1: duplicate declaration of common-cause d.e = c.e (got 'common-cause')"),
+    "empty document": (
+        "",
+        "1:1: no layer declared; expected layer"),
+    "comments only": (
+        "# nothing\n\n",
+        "1:1: no layer declared; expected layer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_declaration_error(case):
+    text, expected = REJECTED[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == expected
+
+
+# Errors that only validate reports: each of these documents parses.
+ACCEPTED = {
+    "in-port bound as output": HEAD + component("c", "event e", "in p", "outfm f@p = e"),
+    "out-port bound as input": HEAD + component("c", "out p", "infm f@p"),
+    "NOT arity": HEAD + component("c", "event e", "gate g = NOT(e, e)"),
+    "gate cycle": HEAD + component("c", "gate g = OR(h)", "gate h = OR(g)"),
+    "gate on itself": HEAD + component("c", "gate g = OR(g)"),
+    "self-connection": HEAD + component("c", "in i", "out o") + "connect c.o -> c.i\n",
+    "connection direction": PORTS + "connect d.q -> c.p\n",
+    "in-port fed twice": (HEAD + component("a", "out o") + component("b", "out o")
+                          + component("c", "in i")
+                          + "connect a.o -> c.i\nconnect b.o -> c.i\n"),
+    "self-dependency": HEAD + component("c") + "alfred c -> c\n",
+    "dependency cycle": HEAD + component("c") + component("d")
+                        + "alfred c -> d\nalfred d -> c\n",
+    "no components": "layer l\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_validate_only_error_parses(case):
+    assert not validate(parse(ACCEPTED[case])).ok
+
+
+IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated model's document with one line deleted, one line
+    duplicated, or one identifier replaced by another from the document."""
+    model, _ = genmodels.random_model(draw(st.integers(0, 10**6)))
+    text = serialize(model)
+    lines = text.split("\n")
+    how = draw(st.sampled_from(("delete", "duplicate", "swap")))
+    if how == "swap":
+        spans = [m.span() for m in IDENTIFIER.finditer(text)]
+        names = sorted({text[a:b] for a, b in spans})
+        start, end = draw(st.sampled_from(spans))
+        return text[:start] + draw(st.sampled_from(names)) + text[end:]
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def step(fn, *args):
+    """Run one pipeline step: its result, or None for a CftweaveError.
+
+    Any other exception propagates and fails the test.
+    """
+    try:
+        return fn(*args)
+    except CftweaveError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_pipeline_returns_or_raises_cftweave_error(text):
+    model = step(parse, text)
+    if model is None:
+        return
+    validate(model)
+    woven = step(weave, model)
+    if woven is None:
+        return
+    for comp in model.components:
+        for ofm in comp.cft.output_fms if comp.cft else ():
+            tree = step(synthesize, woven, TopEventRef(comp.name, ofm.name))
+            if tree is not None:
+                step(cutsets, tree, "pre")
+                step(cutsets, tree, "reduced")
