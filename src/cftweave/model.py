@@ -23,6 +23,7 @@ The indexes take no part in equality, hashing or ``repr``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -97,8 +98,8 @@ def _fm_key(fm) -> tuple[str, str]:
 
 
 def _index():
-    """A derived lookup table: built in ``__post_init__``, outside eq,
-    hash and repr."""
+    """A derived field (a lookup table, or parse's report): set in
+    ``__post_init__``, outside eq, hash and repr."""
     return field(init=False, repr=False, compare=False)
 
 
@@ -267,8 +268,11 @@ class ArchitectureModel:
     _components: dict[str, Component] = _index()
     _connections_into: dict[tuple[str, str], PortConnection] = _index()
     _providers: dict[str, tuple[str, ...]] = _index()
+    # validate's report, when parse already ran the checks on this model
+    _report: ValidationReport | None = _index()
 
     def __post_init__(self):
+        object.__setattr__(self, "_report", None)
         object.__setattr__(self, "layers", tuple(sorted(self.layers)))
         object.__setattr__(
             self, "components",
@@ -391,6 +395,12 @@ def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
     return tuple(sorted(n for n in indeg if indeg[n] > 0))
 
 
+def _has(ports: tuple[str, ...], name: str) -> bool:
+    """Membership in a sorted tuple of port names, by binary search."""
+    i = bisect_left(ports, name)
+    return i < len(ports) and ports[i] == name
+
+
 def _check_name(add, kind: str, name: str, element: str) -> None:
     if not IDENTIFIER_PATTERN.match(name):
         add(Severity.ERROR, "bad-identifier", element,
@@ -426,10 +436,10 @@ def _validate_cft(comp: Component, add) -> None:
                 add(Severity.ERROR, "duplicate-node", f"{comp.name}.{ifm.name}",
                     f"name already used by a {bare[ifm.name]}", ifm, ifm.name)
             bare[ifm.name] = "port-less input failure mode"
-        elif ifm.port in comp.out_ports:
+        elif _has(comp.out_ports, ifm.port):
             add(Severity.ERROR, "wrong-port-direction", element,
                 f"input failure mode bound to out-port '{ifm.port}'")
-        elif ifm.port not in comp.in_ports:
+        elif not _has(comp.in_ports, ifm.port):
             add(Severity.ERROR, "unknown-port", element,
                 f"port '{ifm.port}' is not declared", ifm, f"{comp.name}.{ifm.port}")
 
@@ -442,10 +452,10 @@ def _validate_cft(comp: Component, add) -> None:
                 "output failure mode declared twice", ofm, ofm.name)
         seen_out.add((ofm.name, ofm.port))
         if ofm.port is not None:
-            if ofm.port in comp.in_ports:
+            if _has(comp.in_ports, ofm.port):
                 add(Severity.ERROR, "wrong-port-direction", element,
                     f"output failure mode bound to in-port '{ofm.port}'")
-            elif ofm.port not in comp.out_ports:
+            elif not _has(comp.out_ports, ofm.port):
                 add(Severity.ERROR, "unknown-port", element,
                     f"port '{ofm.port}' is not declared", ofm, f"{comp.name}.{ofm.port}")
 
@@ -531,9 +541,9 @@ def _check(model: ArchitectureModel, add) -> None:
                     f"{side} component '{end}' is not declared", conn, end)
                 continue
             comp = model.component(end)
-            if port in getattr(comp, ports_ok):
+            if _has(getattr(comp, ports_ok), port):
                 continue
-            if port in getattr(comp, ports_wrong):
+            if _has(getattr(comp, ports_wrong), port):
                 add(Severity.ERROR, "wrong-port-direction", element,
                     f"{side} port '{end}.{port}' has the wrong direction")
             else:
@@ -605,7 +615,14 @@ def validate(model: ArchitectureModel) -> ValidationReport:
     Findings come out in a deterministic order: model-level checks first,
     then per-component checks in canonical component order, connections,
     dependencies, common causes, and finally warnings.
+
+    A model returned by :func:`cftweave.textfmt.parse` carries the report
+    of the checks parse already ran on it, and that report is returned
+    as is; models are frozen, so it cannot go stale.  Any other model,
+    including one from ``dataclasses.replace``, is checked afresh.
     """
+    if model._report is not None:
+        return model._report
     findings: list[Finding] = []
 
     def add(severity: Severity, code: str, element: str, message: str,

@@ -131,7 +131,8 @@ def _resolve_network(model: ArchitectureModel, injections,
     provenance.  Each gate becomes one shared :class:`FTGate`, an output
     failure mode stands for its driver's node, and each distinct leaf
     identity becomes one :class:`FTBasicEvent`.  Returns the root and the
-    set of leaf identities.
+    set of leaf identities.  Raises as soon as a distinct identity past
+    the table budget appears, before the rest of the network is walked.
     """
     identities = model.identity_map()
     leaves: dict[str, FTBasicEvent] = {}
@@ -144,6 +145,10 @@ def _resolve_network(model: ArchitectureModel, injections,
 
     def leaf(identity: str) -> FTBasicEvent:
         if identity not in leaves:
+            if len(leaves) == MAX_VARIABLES:
+                # no table could hold this network, whatever order is asked for
+                raise OracleError(f"identity budget exceeded: {len(leaves) + 1} > "
+                                  f"{MAX_VARIABLES}")
             leaves[identity] = FTBasicEvent(identity=identity, display=identity)
         return leaves[identity]
 

@@ -46,12 +46,14 @@ from .model import (
     Component,
     ComponentFaultTree,
     EventRef,
+    Finding,
     Gate,
     GateKind,
     InputFailureMode,
     NodeRef,
     OutputFailureMode,
     PortConnection,
+    ValidationReport,
     _check,
 )
 from .synthesizer import FaultTree, FTExternalEvent, FTGate
@@ -60,6 +62,12 @@ from .weaver import WovenModel
 # Group 1: punctuation, group 2: a name (a '-' that starts '->' ends it),
 # group 3: any other character but blanks, which is '#' or an error.
 _TOKEN = re.compile(r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])")
+# The same tokens without groups, for a line that _CLEAN accepts: blanks,
+# name characters and punctuation, with '>' only as part of '->'.
+_WORD = re.compile(r"->|[{}()=,@.]|(?:[A-Za-z0-9_]|-(?!>))+")
+_CLEAN = re.compile(r"[A-Za-z0-9_{}()=,@. \t-]*(?:(?<=-)>[A-Za-z0-9_{}()=,@. \t-]*)*")
+# A word is punctuation or a name; None ends a line's words.
+_NOT_IDENT = frozenset(("->", "{", "}", "(", ")", "=", ",", "@", ".", None))
 _GATE_KINDS = {k.value: k for k in GateKind}
 _TOP_KEYWORDS = ("layer", "component", "connect", "alfred", "common-cause")
 _BODY_KEYWORDS = ("in", "out", "event", "gate", "infm", "outfm", "}")
@@ -85,93 +93,92 @@ _new_tuple = tuple.__new__
 
 
 class _Token(NamedTuple):
-    kind: str  # "ident" or the punctuation itself ("{", "->", ...)
+    """A word an error may point at, by line and index among the line's
+    words; its column is found only when the error is raised."""
+
     value: str
     line: int
-    column: int
+    index: int
 
 
-def _tokenize_line(text: str, line: int) -> list[_Token]:
-    tokens: list[_Token] = []
+def _columns(text: str, line: int) -> list[int]:
+    """The column of each word of a line, up to a comment.
+
+    Raises the located error at the first character no word can hold.
+    """
+    columns: list[int] = []
     for m in _TOKEN.finditer(text):
-        value, group = m[0], m.lastindex
-        if group == 3:
+        if m.lastindex == 3:
+            value = m[0]
             if value == "#":
                 break
             raise ParseError(f"unexpected character {value!r}", line, m.start() + 1,
                              token=value)
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        tokens.append(_new_tuple(_Token, ("ident" if group == 2 else value, value, line,
-                                          m.start() + 1)))
-    return tokens
+        columns.append(m.start() + 1)
+    return columns
 
 
 class _Cursor:
-    """Token cursor for one line."""
+    """Word cursor for one line; *words* ends with a ``None`` sentinel."""
 
-    def __init__(self, tokens: list[_Token], line: int, width: int):
-        self.tokens = tokens
+    def __init__(self, words: list, line: int, text: str):
+        self.words = words
         self.line = line
-        self.width = width
+        self.text = text
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def fail_at(self, index: int, message: str, expected: tuple[str, ...]):
+        """Raise at the word at *index*, or just past the line's end."""
+        word = self.words[index]
+        if word is None:
+            raise ParseError(message, self.line, len(self.text) + 1, expected=expected)
+        raise ParseError(message, self.line, _columns(self.text, self.line)[index],
+                         token=word, expected=expected)
 
-    def _fail(self, what: str, expected: tuple[str, ...]):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}", self.line, self.width + 1,
-                             expected=expected)
-        raise ParseError(f"expected {what}", tok.line, tok.column,
-                         token=tok.value, expected=expected)
-
-    def take(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            self._fail(what or f"'{kind}'", (kind,))
+    def take(self, punct: str, what: str | None = None) -> None:
+        if self.words[self.pos] != punct:
+            self.fail_at(self.pos, "expected " + (what or f"'{punct}'"), (punct,))
         self.pos += 1
-        return tok
 
-    def take_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
-            self._fail(what, ("identifier",))
+    def take_ident(self, what: str) -> str:
+        pos = self.pos
+        word = self.words[pos]
+        if word in _NOT_IDENT:
+            self.fail_at(pos, f"expected {what}", ("identifier",))
+        self.pos = pos + 1
+        return word
+
+    def take_name(self, what: str) -> _Token:
+        """An identifier, kept with its position for later errors."""
+        word = self.take_ident(what)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return _new_tuple(_Token, (word, self.line, self.pos - 1))
+
+    def take_keyword(self, word: str) -> None:
+        if self.words[self.pos] != word:
+            self.fail_at(self.pos, f"expected '{word}'", (word,))
         self.pos += 1
-        return tok
 
-    def take_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.value != word:
-            self._fail(f"'{word}'", (word,))
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> _Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind:
+    def accept(self, punct: str) -> bool:
+        if self.words[self.pos] == punct:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
     def end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("expected end of line", tok.line, tok.column,
-                             token=tok.value, expected=("end of line",))
+        if self.words[self.pos] is not None:
+            self.fail_at(self.pos, "expected end of line", ("end of line",))
 
     def qualified(self, what: str) -> tuple[str, str]:
         first = self.take_ident(what)
         self.take(".", f"'.' in {what}")
-        second = self.take_ident(what)
-        return first.value, second.value
+        return first, self.take_ident(what)
 
     def node_ref(self) -> NodeRef:
         name = self.take_ident("node reference")
         if self.accept("@"):
-            port = self.take_ident("port name")
-            return NodeRef(name.value, port.value)
-        return NodeRef(name.value)
+            return NodeRef(name, self.take_ident("port name"))
+        return NodeRef(name)
 
 
 @dataclass
@@ -198,15 +205,21 @@ class _Parser:
         self.aliases: list[tuple[EventRef, EventRef, _Token]] = []
         # (object, token an error about it points at, enclosing block)
         self.declared: list[tuple[object, _Token, _Block | None]] = []
+        # what the shared checks found and parse does not reject
+        self.findings: list[Finding] = []
 
     def parse(self) -> ArchitectureModel:
         current: _Block | None = None
         for lineno, raw in enumerate(self.lines, start=1):
             raw = raw.rstrip("\r")
-            tokens = _tokenize_line(raw, lineno)
-            if not tokens:
+            code = raw.split("#", 1)[0]
+            if not _CLEAN.fullmatch(code):
+                _columns(raw, lineno)  # raises at the first bad character
+            words = _WORD.findall(code)
+            if not words:
                 continue
-            cur = _Cursor(tokens, lineno, len(raw))
+            words.append(None)
+            cur = _Cursor(words, lineno, raw)
             if current is None:
                 current = self._top_statement(cur)
             elif not self._body_statement(cur, current):
@@ -232,21 +245,28 @@ class _Parser:
         for a, b, tok in self.aliases:
             if a == b:
                 raise ParseError("common-cause aliases an event to itself",
-                                 tok.line, tok.column, token=a.render())
+                                 tok.line, self._column(tok), token=a.render())
             if frozenset((a, b)) in seen:
                 raise ParseError(
                     f"duplicate declaration of common-cause {a.render()} = {b.render()}",
-                    tok.line, tok.column, token=tok.value)
+                    tok.line, self._column(tok), token=tok.value)
             seen.add(frozenset((a, b)))
+        # No finding was rejected, so these are all of validate's findings.
+        object.__setattr__(model, "_report", ValidationReport(tuple(self.findings)))
         return model
 
+    def _column(self, tok: _Token) -> int:
+        """A kept token's column, from its line scanned again."""
+        return _columns(self.lines[tok.line - 1].rstrip("\r"), tok.line)[tok.index]
+
     def _reject(self, severity, code, element, message, about=None, name=None) -> None:
-        """The sink given to the shared checks: raises at the first finding
-        whose code is in ``_REJECTED``, located at the declaration it is
-        about (the second one with the name, for layers, components and
-        ports)."""
+        """The sink given to the shared checks: keeps each finding whose code
+        is not in ``_REJECTED`` and raises at the first one whose code is,
+        located at the declaration it is about (the second one with the
+        name, for layers, components and ports)."""
         template = _REJECTED.get(code)
         if template is None:
+            self.findings.append(Finding(severity, code, element, message))
             return
         block = None
         if code == "duplicate-layer":
@@ -263,48 +283,50 @@ class _Parser:
         message = template.format(
             name=name, owner=block and block.name.value,
             kind="input" if isinstance(about, InputFailureMode) else "output")
-        raise ParseError(message, tok.line, tok.column,
+        raise ParseError(message, tok.line, self._column(tok),
                          token=name if code == "unknown-layer" else tok.value)
 
     def _top_statement(self, cur: _Cursor) -> _Block | None:
-        tok = cur.peek()
-        if tok.kind != "ident" or tok.value not in _TOP_KEYWORDS:
-            raise ParseError("expected a declaration", tok.line, tok.column,
-                             token=tok.value, expected=_TOP_KEYWORDS)
-        cur.pos += 1
-        if tok.value == "layer":
-            name = cur.take_ident("layer name")
+        word = cur.words[0]
+        if word not in _TOP_KEYWORDS:
+            cur.fail_at(0, "expected a declaration", _TOP_KEYWORDS)
+        cur.pos = 1
+        if word == "layer":
+            name = cur.take_name("layer name")
             cur.end()
             self.layers.append(name)
-        elif tok.value == "component":
-            name = cur.take_ident("component name")
+            return None
+        if word == "component":
+            name = cur.take_name("component name")
             cur.take_keyword("in")
-            layer = cur.take_ident("layer name")
+            layer = cur.take_name("layer name")
             cur.take("{")
             cur.end()
             return _Block(name, layer)
-        elif tok.value == "connect":
+        keyword = _new_tuple(_Token, (word, cur.line, 0))
+        if word == "connect":
             from_comp, from_port = cur.qualified("source port")
             cur.take("->")
             to_comp, to_port = cur.qualified("target port")
             cur.end()
             conn = PortConnection(from_comp, from_port, to_comp, to_port)
             self.connections.append(conn)
-            self.declared.append((conn, tok, None))
-        elif tok.value == "alfred":
+            self.declared.append((conn, keyword, None))
+        elif word == "alfred":
             dependent = cur.take_ident("dependent component")
             cur.take("->")
             provider = cur.take_ident("provider component")
             cur.end()
-            dep = AlfredDependency(dependent.value, provider.value)
+            dep = AlfredDependency(dependent, provider)
             self.dependencies.append(dep)
-            self.declared.append((dep, tok, None))
+            self.declared.append((dep, keyword, None))
         else:  # common-cause
             a_comp, a_event = cur.qualified("event reference")
             cur.take("=")
             b_comp, b_event = cur.qualified("event reference")
             cur.end()
-            self.aliases.append((EventRef(a_comp, a_event), EventRef(b_comp, b_event), tok))
+            self.aliases.append((EventRef(a_comp, a_event), EventRef(b_comp, b_event),
+                                 keyword))
         return None
 
     def _body_statement(self, cur: _Cursor, block: _Block) -> bool:
@@ -312,36 +334,32 @@ class _Parser:
 
         Returns False when the block was closed by '}'.
         """
-        tok = cur.peek()
-        if tok.kind == "}":
-            cur.pos += 1
+        word = cur.words[0]
+        cur.pos = 1
+        if word == "}":
             cur.end()
             return False
-        if tok.kind != "ident" or tok.value not in _BODY_KEYWORDS:
-            raise ParseError("expected a component declaration", tok.line,
-                             tok.column, token=tok.value, expected=_BODY_KEYWORDS)
-        cur.pos += 1
-        if tok.value == "in":
-            block.in_ports.append(cur.take_ident("port name"))
+        if word not in _BODY_KEYWORDS:
+            cur.fail_at(0, "expected a component declaration", _BODY_KEYWORDS)
+        if word == "in":
+            block.in_ports.append(cur.take_name("port name"))
             cur.end()
             return True
-        if tok.value == "out":
-            block.out_ports.append(cur.take_ident("port name"))
+        if word == "out":
+            block.out_ports.append(cur.take_name("port name"))
             cur.end()
             return True
-        if tok.value == "event":
-            name = cur.take_ident("event name")
+        if word == "event":
+            name = cur.take_name("event name")
             cur.end()
             node = BasicEvent(name.value)
             block.events.append(node)
-        elif tok.value == "gate":
-            name = cur.take_ident("gate name")
+        elif word == "gate":
+            name = cur.take_name("gate name")
             cur.take("=")
-            kind_tok = cur.take_ident("gate kind")
-            kind = _GATE_KINDS.get(kind_tok.value)
+            kind = _GATE_KINDS.get(cur.take_ident("gate kind"))
             if kind is None:
-                raise ParseError("unknown gate kind", kind_tok.line, kind_tok.column,
-                                 token=kind_tok.value, expected=tuple(_GATE_KINDS))
+                cur.fail_at(cur.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
             cur.take("(")
             refs = [cur.node_ref()]
             while cur.accept(","):
@@ -350,19 +368,15 @@ class _Parser:
             cur.end()
             node = Gate(name.value, kind, tuple(refs))
             block.gates.append(node)
-        elif tok.value == "infm":
-            name = cur.take_ident("failure mode name")
-            port = None
-            if cur.accept("@"):
-                port = cur.take_ident("port name").value
+        elif word == "infm":
+            name = cur.take_name("failure mode name")
+            port = cur.take_ident("port name") if cur.accept("@") else None
             cur.end()
             node = InputFailureMode(name.value, port)
             block.infms.append(node)
         else:  # outfm
-            name = cur.take_ident("failure mode name")
-            port = None
-            if cur.accept("@"):
-                port = cur.take_ident("port name").value
+            name = cur.take_name("failure mode name")
+            port = cur.take_ident("port name") if cur.accept("@") else None
             cur.take("=")
             driver = cur.node_ref()
             cur.end()
@@ -396,8 +410,10 @@ def parse(text: str) -> ArchitectureModel:
     checked line by line; declaration errors (a duplicate declaration or a
     reference to an undeclared name) are found by the checks behind
     :func:`cftweave.model.validate`, so a document with several is rejected
-    at the first in ``validate``'s canonical order.  The result is ready for
-    :func:`cftweave.model.validate`.
+    at the first in ``validate``'s canonical order.  Those checks run once:
+    the model carries the findings parse does not reject (the rest of
+    ``validate``'s errors, and its warnings), and
+    :func:`cftweave.model.validate` returns them without checking again.
     """
     return _Parser(text).parse()
 

@@ -21,8 +21,11 @@ from cftweave import (
     PortConnection,
     Severity,
     parse,
+    serialize,
     validate,
 )
+
+import genmodels
 
 
 def codes(report):
@@ -371,3 +374,66 @@ class TestIndexes:
         ident[("CPU", "ghost")] = "ghost"
         assert fig2.identity_map()[("CPU", "a")] == "CPU.a"
         assert ("CPU", "ghost") not in fig2.identity_map()
+
+    def test_only_parse_leaves_a_report(self, fig2):
+        text = serialize(fig2)
+        parsed = parse(text)
+        assert parsed._report == validate(fig2)
+        assert validate(parsed) is parsed._report
+        # outside eq, hash and repr, like the indexes
+        assert parsed == fig2 and hash(parsed) == hash(fig2)
+        assert "_report" not in repr(parsed)
+        assert dataclasses.replace(parsed)._report is None
+        assert ArchitectureModel(layers=parsed.layers, components=parsed.components,
+                                 connections=parsed.connections)._report is None
+
+
+class _CountingName(str):
+    """A port name that counts its equality and order comparisons."""
+
+    calls = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        _CountingName.calls += 1
+        return str.__eq__(self, other)
+
+    def __lt__(self, other):
+        _CountingName.calls += 1
+        return str.__lt__(self, other)
+
+
+def with_counting_ports(model):
+    """The model rebuilt with every port name a fresh :class:`_CountingName`."""
+
+    def port(name):
+        return None if name is None else _CountingName(name)
+
+    def ref(r):
+        return NodeRef(r.name, port(r.port))
+
+    components = []
+    for c in model.components:
+        cft = c.cft and ComponentFaultTree(
+            events=c.cft.events,
+            gates=tuple(Gate(g.name, g.kind, tuple(map(ref, g.inputs))) for g in c.cft.gates),
+            input_fms=tuple(InputFailureMode(i.name, port(i.port)) for i in c.cft.input_fms),
+            output_fms=tuple(OutputFailureMode(o.name, port(o.port), ref(o.driver))
+                             for o in c.cft.output_fms))
+        components.append(Component(c.name, c.layer, tuple(map(port, c.in_ports)),
+                                    tuple(map(port, c.out_ports)), cft))
+    connections = tuple(PortConnection(c.from_component, port(c.from_port),
+                                       c.to_component, port(c.to_port))
+                        for c in model.connections)
+    return dataclasses.replace(model, components=tuple(components), connections=connections)
+
+
+def test_validate_compares_port_names_in_linear_time():
+    counts = []
+    for n in (1000, 4000):
+        model = with_counting_ports(genmodels.wide(n, GateKind.OR)[0])
+        _CountingName.calls = 0
+        assert validate(model).ok
+        counts.append(_CountingName.calls)
+    # n log n binary searches grow about 4.8x per 4x of n; tuple scans 16x
+    assert counts[1] <= 5 * counts[0]

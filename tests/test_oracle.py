@@ -1,5 +1,7 @@
 """Truth-table oracle: direct network evaluation and equivalence checks."""
 
+import tracemalloc
+
 import pytest
 
 from cftweave import (
@@ -209,5 +211,21 @@ def test_deep_tree_without_recursion():
 
 def test_deep_woven_chain_hits_the_identity_budget():
     model, top = genmodels.chain(3000)
-    with pytest.raises(OracleError, match="identity budget exceeded: 3002 > 24"):
+    with pytest.raises(OracleError, match="identity budget exceeded: 25 > 24"):
         table_of_network(weave(model), top)
+
+
+def test_wide_network_walk_stops_at_the_identity_budget():
+    model, top = genmodels.wide(4000, GateKind.OR)
+    woven = weave(model)
+    # an order long enough for every leaf does not lift the budget
+    variables = [f"v{k}" for k in range(8002)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleError, match=r"identity budget exceeded: 25 > 24\Z"):
+            table_of_network(woven, top, variables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # resolving all 8,002 leaves and 4,000 sensor gates peaks above 5 MB
+    assert peak < 3_000_000

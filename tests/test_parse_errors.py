@@ -1,13 +1,16 @@
-"""Declaration errors rejected by ``parse``, and whole-pipeline totality.
+"""Syntax and declaration errors rejected by ``parse``, the report it
+hands to ``validate``, and whole-pipeline totality.
 
-Each document below holds exactly one declaration error; the expected text
-is ``str(err)``, so the message, line, column and token are all pinned.
+Each document below holds exactly one error.  For declaration errors the
+expected text is ``str(err)``, so the message, line, column and token are
+all pinned; for syntax errors every field is pinned on its own.
 """
 
+import dataclasses
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cftweave import (
@@ -156,6 +159,138 @@ def test_declaration_error(case):
     assert str(err.value) == expected
 
 
+
+# One document per syntax error path: (str(err), line, column, token, expected).
+TOP = ("layer", "component", "connect", "alfred", "common-cause")
+BODY = ("in", "out", "event", "gate", "infm", "outfm", "}")
+SYNTAX = {
+    "character before a comment": (
+        "layer l $ # x\n",
+        ("1:9: unexpected character '$' (got '$')", 1, 9, "$", ())),
+    "character in a comment, error on the next line": (
+        "layer l # $\nlayer\n",
+        ("2:6: expected layer name; expected identifier", 2, 6, None, ("identifier",))),
+    "lone '>'": (
+        HEAD + component("c") + "alfred c > c\n",
+        ("6:10: unexpected character '>' (got '>')", 6, 10, ">", ())),
+    "'>' ending a line that parses without it": (
+        "layer l>\n",
+        ("1:8: unexpected character '>' (got '>')", 1, 8, ">", ())),
+    "'-' then '>'": (
+        HEAD + component("c") + "alfred c - > c\n",
+        ("6:12: unexpected character '>' (got '>')", 6, 12, ">", ())),
+    "names with '-'": (
+        HEAD + component("c-d") + "alfred c-d -> x-y\n",
+        ("6:1: reference to undeclared component 'x-y' (got 'alfred')", 6, 1, "alfred", ())),
+    # '-->' is the name 'c-' then '->'
+    "'-->'": (
+        HEAD + component("c") + "alfred c-->c\n",
+        ("6:1: reference to undeclared component 'c-' (got 'alfred')", 6, 1, "alfred", ())),
+    "'-- >'": (
+        HEAD + component("c-") + "alfred c-->c-\nalfred c -- > c\n",
+        ("7:13: unexpected character '>' (got '>')", 7, 13, ">", ())),
+    "tab indentation": (
+        "layer l\n\tlayer\n",
+        ("2:7: expected layer name; expected identifier", 2, 7, None, ("identifier",))),
+    "CRLF": (
+        "layer l\r\n\r\ncomponent c in l {\r\n  in p\r\n  in p\r\n}\r\n",
+        ("5:6: duplicate declaration of port 'c.p' (got 'p')", 5, 6, "p", ())),
+    "CRLF, truncated": (
+        "layer l\r\nlayer\r\n",
+        ("2:6: expected layer name; expected identifier", 2, 6, None, ("identifier",))),
+    "stray carriage return": (
+        "layer l\nlayer m\rn\n",
+        ("2:8: unexpected character '\\r' (got '\\r')", 2, 8, "\r", ())),
+    "vertical tab": (
+        "layer l\nlayer\x0bm\n",
+        ("2:6: unexpected character '\\x0b' (got '\\x0b')", 2, 6, "\x0b", ())),
+    "non-ASCII letter": (
+        "layer l\nlayer ä\n",
+        ("2:7: unexpected character 'ä' (got 'ä')", 2, 7, "ä", ())),
+    "truncated statement": (
+        HEAD + component("c", "gate g = OR(e,"),
+        ("4:17: expected node reference; expected identifier", 4, 17, None, ("identifier",))),
+    # the column is one past the whole line, comment included
+    "truncated before a comment": (
+        HEAD + "component c in   # note\n",
+        ("3:24: expected layer name; expected identifier", 3, 24, None, ("identifier",))),
+    "unknown top-level keyword": (
+        "layer l\nlayers m\n",
+        ("2:1: expected a declaration (got 'layers'); expected "
+         "layer | component | connect | alfred | common-cause", 2, 1, "layers", TOP)),
+    "punctuation at top level": (
+        "layer l\n{ m\n",
+        ("2:1: expected a declaration (got '{'); expected "
+         "layer | component | connect | alfred | common-cause", 2, 1, "{", TOP)),
+    "unknown body keyword": (
+        HEAD + component("c", "port p"),
+        ("4:3: expected a component declaration (got 'port'); expected "
+         "in | out | event | gate | infm | outfm | }", 4, 3, "port", BODY)),
+    "punctuation in a body": (
+        HEAD + component("c", "= p"),
+        ("4:3: expected a component declaration (got '='); expected "
+         "in | out | event | gate | infm | outfm | }", 4, 3, "=", BODY)),
+    "unknown gate kind": (
+        HEAD + component("c", "event e", "gate g = XOR(e)"),
+        ("5:12: unknown gate kind (got 'XOR'); expected AND | OR | NOT", 5, 12, "XOR",
+         ("AND", "OR", "NOT"))),
+    "missing '{'": (
+        HEAD + "component c in l\n}\n",
+        ("3:17: expected '{'; expected {", 3, 17, None, ("{",))),
+    "extra token": (
+        "layer l m\n",
+        ("1:9: expected end of line (got 'm'); expected end of line", 1, 9, "m",
+         ("end of line",))),
+    "extra token after '}'": (
+        HEAD + "component c in l {\n} x\n",
+        ("4:3: expected end of line (got 'x'); expected end of line", 4, 3, "x",
+         ("end of line",))),
+    "missing '.'": (
+        HEAD + "connect c p\n",
+        ("3:11: expected '.' in source port (got 'p'); expected .", 3, 11, "p", (".",))),
+    "missing port after '@'": (
+        HEAD + component("c", "gate g = OR(e@)"),
+        ("4:17: expected port name (got ')'); expected identifier", 4, 17, ")",
+         ("identifier",))),
+    "missing '='": (
+        HEAD + component("c", "outfm f@p e"),
+        ("4:13: expected '=' (got 'e'); expected =", 4, 13, "e", ("=",))),
+    "missing ')'": (
+        HEAD + component("c", "gate g = OR(e e)"),
+        ("4:17: expected ')' (got 'e'); expected )", 4, 17, "e", (")",))),
+    "common-cause self-alias, spaced": (
+        HEAD + component("c", "event e") + "common-cause  c.e = c.e\n",
+        ("7:1: common-cause aliases an event to itself (got 'c.e')", 7, 1, "c.e", ())),
+    "common-cause pair, indented": (
+        TWO + "common-cause c.e = d.e\n  common-cause d.e = c.e\n",
+        ("12:3: duplicate declaration of common-cause d.e = c.e (got 'common-cause')",
+         12, 3, "common-cause", ())),
+    # located at the component's name, like every finding about a component
+    "undeclared layer, spaced": (
+        HEAD + "component   c  in\tm {\n}\n",
+        ("3:13: reference to undeclared layer 'm' (got 'm')", 3, 13, "m", ())),
+    "unclosed block": (
+        HEAD + "component c in l {\n  event e\n",
+        ("5:1: unexpected end of file inside component 'c'; expected }", 5, 1, None, ("}",))),
+    "unclosed block, no final newline": (
+        HEAD + "component c in l {\n  event e",
+        ("4:1: unexpected end of file inside component 'c'; expected }", 4, 1, None, ("}",))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTAX))
+def test_syntax_error(case):
+    text, expected = SYNTAX[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    e = err.value
+    assert (str(e), e.line, e.column, e.token, e.expected) == expected
+
+
+def test_comment_may_hold_any_character():
+    model = parse("layer l # $ > \x0b ä\r\n")
+    assert model.layers == ("l",)
+
 # Errors that only validate reports: each of these documents parses.
 ACCEPTED = {
     "in-port bound as output": HEAD + component("c", "event e", "in p", "outfm f@p = e"),
@@ -231,3 +366,37 @@ def test_pipeline_returns_or_raises_cftweave_error(text):
             if tree is not None:
                 step(cutsets, tree, "pre")
                 step(cutsets, tree, "reduced")
+
+
+# Documents that parse with warnings only.
+WARNED = {
+    "unconnected in-port": HEAD + component("c", "in p"),
+    "provider without a fault tree": HEAD + component("c") + component("d")
+                                     + "alfred c -> d\n",
+}
+
+
+@st.composite
+def documents(draw):
+    """A generated model's document, as serialised or mutated."""
+    if draw(st.booleans()):
+        return draw(mutated_documents())
+    model, _ = genmodels.random_model(draw(st.integers(0, 10**6)))
+    return serialize(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_parse_hands_validate_the_fresh_report(text):
+    model = step(parse, text)
+    assume(model is not None)
+    # replace builds a model without parse's report, so validate checks it afresh
+    assert validate(model) == validate(dataclasses.replace(model))
+
+
+@pytest.mark.parametrize("text", [*ACCEPTED.values(), *WARNED.values()],
+                         ids=[*ACCEPTED, *WARNED])
+def test_handed_report_has_errors_and_warnings(text):
+    model = parse(text)
+    assert validate(model).findings
+    assert validate(model) == validate(dataclasses.replace(model))
