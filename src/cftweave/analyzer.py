@@ -1,9 +1,9 @@
 """Qualitative fault-tree analysis: cutsets and Boolean reduction.
 
 Cutsets come from top-down product expansion (the classic
-AND-distributes-over-OR walk), folded bottom-up over the DAG with an
-explicit stack and memoised per shared node, so tree depth is not limited by
-the interpreter's recursion limit.  Two report stages exist:
+AND-distributes-over-OR walk), folded bottom-up in one loop over the tree's
+children-first node list, each shared node once, so tree depth is not
+limited by the interpreter's recursion limit.  Two report stages exist:
 
 * ``pre``: the expanded products over leaf display names, deduplicated but
   without absorption, with every display-named leaf treated as its own atom.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import AnalysisError
 from .model import GateKind
-from .synthesizer import FaultTree, FTGate, FTLeaf
+from .synthesizer import FaultTree, FTGate
 
 STAGES = ("pre", "reduced")
 
@@ -71,26 +71,17 @@ class CutSetReport:
         return {cs.identities for cs in self.cutsets}
 
 
-def _fold(root, leaf, gate):
-    """Fold the DAG bottom-up, each shared node once, with an explicit stack.
+def _fold(nodes, leaf, gate):
+    """The value of the last of *nodes*, a children-first node list.
 
     ``leaf(node)`` gives a leaf's value and ``gate(node, values)`` a gate's
     from its children's values in child order.
     """
-    memo: dict[int, object] = {}
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, FTLeaf):
-            memo[id(node)] = leaf(node)
-        elif ready:
-            memo[id(node)] = gate(node, [memo[id(child)] for child in node.children])
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-    return memo[id(root)]
+    values: dict[int, object] = {}
+    for node in nodes:
+        values[id(node)] = (gate(node, [values[id(child)] for child in node.children])
+                            if isinstance(node, FTGate) else leaf(node))
+    return values[id(node)]
 
 
 def _check_budget(acc: tuple, child: tuple) -> None:
@@ -101,7 +92,7 @@ def _check_budget(acc: tuple, child: tuple) -> None:
             f"over the budget of {MAX_PRODUCTS}")
 
 
-def _display_products(root) -> tuple[frozenset[str], ...]:
+def _display_products(nodes) -> tuple[frozenset[str], ...]:
     """Every product over leaf display names, deduplicated, not absorbed."""
     def gate(node, kids):
         if node.kind is GateKind.OR:
@@ -112,7 +103,7 @@ def _display_products(root) -> tuple[frozenset[str], ...]:
             acc = tuple(dict.fromkeys(a | b for a in acc for b in kid))
         return acc
 
-    return _fold(root, lambda leaf: (frozenset((leaf.display,)),), gate)
+    return _fold(nodes, lambda leaf: (frozenset((leaf.display,)),), gate)
 
 
 def _minimise(masks) -> tuple[int, ...]:
@@ -150,7 +141,7 @@ def _minimise(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _identity_products(root, bit_of: dict[str, int]) -> tuple[int, ...]:
+def _identity_products(nodes, bit_of: dict[str, int]) -> tuple[int, ...]:
     """The minimal products over leaf identities, as bitmasks."""
     def gate(node, kids):
         if node.kind is GateKind.OR:
@@ -161,7 +152,7 @@ def _identity_products(root, bit_of: dict[str, int]) -> tuple[int, ...]:
             acc = _minimise([a | b for a in acc for b in kid])
         return acc
 
-    return _minimise(_fold(root, lambda leaf: (bit_of[leaf.identity],), gate))
+    return _minimise(_fold(nodes, lambda leaf: (bit_of[leaf.identity],), gate))
 
 
 def _report_key(cs: CutSet) -> tuple[int, tuple[str, ...]]:
@@ -180,20 +171,18 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
 
     identity_of: dict[str, str] = {}
     displays_per_identity: dict[str, set[str]] = {}
-    for node in nodes:
-        if not isinstance(node, FTLeaf):
-            continue
-        known = identity_of.get(node.display)
-        if known is not None and known != node.identity:
+    for leaf in tree.leaves():
+        known = identity_of.get(leaf.display)
+        if known is not None and known != leaf.identity:
             raise AnalysisError(
-                f"display name '{node.display}' maps to several identities")
-        identity_of[node.display] = node.identity
-        displays_per_identity.setdefault(node.identity, set()).add(node.display)
+                f"display name '{leaf.display}' maps to several identities")
+        identity_of[leaf.display] = leaf.identity
+        displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
 
     if stage == "pre":
         sets = [CutSet(displays=tuple(sorted(p)),
                        identities=frozenset(identity_of[d] for d in p))
-                for p in _display_products(tree.root)]
+                for p in _display_products(nodes)]
         return CutSetReport("pre", tuple(sorted(sets, key=_report_key)))
 
     names = sorted(displays_per_identity)
@@ -204,7 +193,7 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
                   for ident, ds in displays_per_identity.items()}
 
     sets = []
-    for mask in _identity_products(tree.root, bit_of):
+    for mask in _identity_products(nodes, bit_of):
         members = []
         while mask:
             low = mask & -mask
@@ -234,4 +223,4 @@ def evaluate(tree: FaultTree, assignment) -> bool:
             return any(values)
         return not values[0]
 
-    return _fold(tree.root, lambda leaf: bool(assignment[leaf.identity]), gate)
+    return _fold(tree.nodes(), lambda leaf: bool(assignment[leaf.identity]), gate)

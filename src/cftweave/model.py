@@ -268,6 +268,9 @@ class ArchitectureModel:
     _components: dict[str, Component] = _index()
     _connections_into: dict[tuple[str, str], PortConnection] = _index()
     _providers: dict[str, tuple[str, ...]] = _index()
+    # (component, event) of each aliased event that is not its group's
+    # smallest member, to that member's rendered name
+    _aliases: dict[tuple[str, str], str] = _index()
     # validate's report, when parse already ran the checks on this model
     _report: ValidationReport | None = _index()
 
@@ -291,6 +294,8 @@ class ArchitectureModel:
                  for members in groups.values() for other in members[1:]]
         pairs.sort(key=lambda cc: (cc.a.component, cc.a.event, cc.b.component, cc.b.event))
         object.__setattr__(self, "common_causes", tuple(pairs))
+        object.__setattr__(self, "_aliases", {
+            (cc.b.component, cc.b.event): cc.a.render() for cc in pairs})
 
         # Built from the back, so the first match in canonical order wins.
         object.__setattr__(self, "_components",
@@ -319,20 +324,17 @@ class ArchitectureModel:
         """Direct failure-dependency providers, in canonical order."""
         return self._providers.get(component, ())
 
-    def identity_map(self) -> dict[tuple[str, str], str]:
-        """Map (component, event) to its event identity.
+    def _identity(self, component: str, event: str) -> str:
+        """The identity of a component's basic event: the owner-qualified
+        name, or for an aliased event its common-cause group's
+        lexicographically smallest member."""
+        return self._aliases.get((component, event)) or f"{component}.{event}"
 
-        The default identity is the owner-qualified name; common-cause
-        aliases collapse a group to its lexicographically smallest member.
-        """
-        ident = {(c.name, e.name): f"{c.name}.{e.name}"
-                 for c in self.components if c.cft
-                 for e in c.cft.events}
-        for cc in self.common_causes:
-            key = (cc.b.component, cc.b.event)
-            if key in ident:
-                ident[key] = cc.a.render()
-        return ident
+    def identity_map(self) -> dict[tuple[str, str], str]:
+        """Map (component, event) to its event identity."""
+        return {(c.name, e.name): self._identity(c.name, e.name)
+                for c in self.components if c.cft
+                for e in c.cft.events}
 
 
 class Severity(Enum):

@@ -9,9 +9,10 @@ of ``i`` holds the value of the ``k``-th variable.
 :func:`table_of_network` resolves a component-fault-tree network in one
 explicit-stack walk of its own (port connections, injection provenance, and
 unconnected inputs, which are always free variables) into a DAG of gates
-and leaves, without any help from the synthesizer.  That DAG, synthesised
-trees and cutset lists are all evaluated by one explicit-stack bitmask
-evaluator, so depth is not bounded by the recursion limit.  Comparing the
+and leaves, without any help from the synthesizer, and lists its nodes as
+it finishes them.  That list, a synthesised tree's children-first node
+list and the leaves, ANDs and OR of a cutset list are all evaluated by one
+loop, so depth is not bounded by the recursion limit.  Comparing the
 network's table against the synthesised tree's and against the DNF of the
 reduced cutsets certifies the whole pipeline.  Budgets are hard: more than
 24 variables is an error, never a silent sample.
@@ -86,8 +87,7 @@ def _find_top(model: ArchitectureModel, top: TopEventRef):
     return comp, matches[0]
 
 
-def _input_source(model: ArchitectureModel, injections, identities,
-                  comp: Component, ifm):
+def _input_source(model: ArchitectureModel, injections, comp: Component, ifm):
     """What an input failure mode stands for.
 
     Returns a leaf identity (an external input or an injected basic event),
@@ -115,7 +115,7 @@ def _input_source(model: ArchitectureModel, injections, identities,
         if event is None:
             raise OracleError(
                 f"stale provenance: '{source.provider}.{source.name}' missing")
-        return identities[(provider.name, event.name)]
+        return model._identity(provider.name, event.name)
     ofm = provider.cft.output_fm(source.name, source.port) if provider.cft else None
     if ofm is None:
         raise OracleError(
@@ -124,18 +124,20 @@ def _input_source(model: ArchitectureModel, injections, identities,
 
 
 def _resolve_network(model: ArchitectureModel, injections,
-                     comp: Component, ofm) -> tuple[object, set[str]]:
+                     comp: Component, ofm) -> tuple[list, set[str]]:
     """Resolve the network under one output failure mode into a DAG.
 
     One explicit-stack walk follows gates, port connections and injection
     provenance.  Each gate becomes one shared :class:`FTGate`, an output
     failure mode stands for its driver's node, and each distinct leaf
-    identity becomes one :class:`FTBasicEvent`.  Returns the root and the
-    set of leaf identities.  Raises as soon as a distinct identity past
-    the table budget appears, before the rest of the network is walked.
+    identity becomes one :class:`FTBasicEvent`.  Returns every node,
+    children first and the root last, and the set of leaf identities.
+    Raises as soon as a distinct identity past the table budget appears,
+    before the rest of the network is walked.
     """
-    identities = model.identity_map()
     leaves: dict[str, FTBasicEvent] = {}
+    # each node as it is finished, so children come before their parents
+    nodes: list = []
     done: dict[tuple, object] = {}
     # names of the frames being walked, in stack order
     visiting: dict[str, None] = {}
@@ -150,6 +152,7 @@ def _resolve_network(model: ArchitectureModel, injections,
                 raise OracleError(f"identity budget exceeded: {len(leaves) + 1} > "
                                   f"{MAX_VARIABLES}")
             leaves[identity] = FTBasicEvent(identity=identity, display=identity)
+            nodes.append(leaves[identity])
         return leaves[identity]
 
     def enter(component: Component, item):
@@ -182,11 +185,11 @@ def _resolve_network(model: ArchitectureModel, injections,
                 raise OracleError(
                     f"unresolved node reference '{ref.render()}' in '{component.name}'")
             if isinstance(target, BasicEvent):
-                node = leaf(identities[(component.name, target.name)])
+                node = leaf(model._identity(component.name, target.name))
             elif isinstance(target, Gate):
                 node = enter(component, target)
             else:
-                source = _input_source(model, injections, identities, component, target)
+                source = _input_source(model, injections, component, target)
                 node = leaf(source) if isinstance(source, str) else enter(*source)
             if node is None:
                 break
@@ -194,54 +197,46 @@ def _resolve_network(model: ArchitectureModel, injections,
         else:
             stack.pop()
             visiting.popitem()
-            node = (FTGate(item.kind, tuple(children)) if isinstance(item, Gate)
-                    else children[0])
+            if isinstance(item, Gate):
+                node = FTGate(item.kind, tuple(children))
+                nodes.append(node)
+            else:
+                node = children[0]
             done[key] = node
             if not stack:
-                return node, set(leaves)
+                return nodes, set(leaves)
             stack[-1][4].append(node)
 
 
-def _evaluate(root, mask_of: dict[str, int], full: int) -> int:
-    """Bitmask of a DAG of :class:`FTGate` and leaf nodes.
-
-    Folds bottom-up with an explicit stack, each shared node once.
-    """
+def _evaluate(nodes, mask_of: dict[str, int], full: int) -> int:
+    """Bitmask of the last of *nodes*, a children-first list of
+    :class:`FTGate` and leaf nodes."""
     values: dict[int, int] = {}
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in values:
-            continue
+    for node in nodes:
         if isinstance(node, FTLeaf):
-            values[id(node)] = mask_of[node.identity]
-        elif ready:
-            kids = [values[id(child)] for child in node.children]
-            if node.kind is GateKind.AND:
-                value = full
-                for v in kids:
-                    value &= v
-            elif node.kind is GateKind.OR:
-                value = 0
-                for v in kids:
-                    value |= v
-            else:
-                value = full ^ kids[0]
-            values[id(node)] = value
+            value = mask_of[node.identity]
+        elif node.kind is GateKind.AND:
+            value = full
+            for child in node.children:
+                value &= values[id(child)]
+        elif node.kind is GateKind.OR:
+            value = 0
+            for child in node.children:
+                value |= values[id(child)]
         else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-    return values[id(root)]
+            value = full ^ values[id(node.children[0])]
+        values[id(node)] = value
+    return value
 
 
-def _table(root, needed: set[str], variables) -> TruthTable:
-    """Evaluate *root* over *variables*, or over *needed* sorted."""
+def _table(nodes, needed: set[str], variables) -> TruthTable:
+    """Evaluate the last of *nodes* over *variables*, or over *needed* sorted."""
     order = tuple(variables) if variables is not None else tuple(sorted(needed))
     missing = needed - set(order)
     if missing:
         raise OracleError("variables do not cover: " + ", ".join(sorted(missing)))
     masks, full = variable_masks(len(order))
-    return TruthTable(order, _evaluate(root, dict(zip(order, masks)), full))
+    return TruthTable(order, _evaluate(nodes, dict(zip(order, masks)), full))
 
 
 def table_of_network(model: ArchitectureModel | WovenModel,
@@ -260,19 +255,19 @@ def table_of_network(model: ArchitectureModel | WovenModel,
     if isinstance(top, str):
         top = TopEventRef.parse(top)
     comp, ofm = _find_top(base, top)
-    root, needed = _resolve_network(base, injections, comp, ofm)
-    return _table(root, needed, variables)
+    nodes, needed = _resolve_network(base, injections, comp, ofm)
+    return _table(nodes, needed, variables)
 
 
 def table_of_tree(tree: FaultTree, variables=None) -> TruthTable:
     """Truth table of a synthesised fault tree over its leaf identities."""
-    return _table(tree.root, set(tree.leaf_identities()), variables)
+    return _table(tree.nodes(), set(tree.leaf_identities()), variables)
 
 
 def table_of_cutsets(identity_sets, variables=None) -> TruthTable:
     """Truth table of a disjunction of conjunctions over event identities."""
     sets = [frozenset(s) for s in identity_sets]
-    root = FTGate(GateKind.OR, tuple(
-        FTGate(GateKind.AND, tuple(FTBasicEvent(identity=a, display=a) for a in s))
-        for s in sets))
-    return _table(root, set().union(*sets), variables)
+    leaves = {a: FTBasicEvent(identity=a, display=a) for a in set().union(*sets)}
+    ands = [FTGate(GateKind.AND, tuple(leaves[a] for a in s)) for s in sets]
+    return _table([*leaves.values(), *ands, FTGate(GateKind.OR, tuple(ands))],
+                  set(leaves), variables)

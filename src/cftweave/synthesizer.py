@@ -11,17 +11,22 @@ dependent-qualified display name (``U1.Battery-omission``), which is what
 later lets the analyzer both list the occurrence per dependent and collapse
 common causes.
 
-Repeated references to one output failure mode resolve to one shared
-subgraph, so the result is a DAG.  The canonical text rendering still writes
-a shared subtree out at every occurrence, so its length can grow
-exponentially with depth, but it renders each shared subtree once, so its
-time is linear in the unique nodes plus the bytes written.  Child order
-follows the model's canonical order, so output is byte-stable.
+Resolution is one explicit-stack walk whose frames are gates and output
+failure modes, so propagation depth is not bounded by the interpreter's
+recursion limit.  Repeated references to one output failure mode resolve to
+one shared subgraph, so the result is a DAG.  A :class:`FaultTree` lists its
+unique nodes once, children first, when it is built; every later pass (the
+text rendering, the cutset folds, the oracle's evaluator) is a plain loop
+over that list.  The canonical text rendering still writes a shared subtree
+out at every occurrence, so its length can grow exponentially with depth,
+but it renders each shared subtree once, so its time is linear in the
+unique nodes plus the bytes written.  Child order follows the model's
+canonical order, so output is byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import ModelError, SynthesisError
 from .model import (
@@ -31,7 +36,6 @@ from .model import (
     Gate,
     GateKind,
     InputFailureMode,
-    NodeRef,
     OutputFailureMode,
 )
 from .weaver import WovenModel
@@ -82,32 +86,39 @@ class FTExternalEvent:
 FTLeaf = (FTBasicEvent, FTExternalEvent)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FaultTree:
     """Single-rooted DAG of gates over basic-event and external leaves."""
 
     root: object
     top: TopEventRef
+    _nodes: tuple = field(init=False, repr=False)
 
-    def nodes(self) -> list:
-        """All nodes in deterministic preorder, shared nodes once."""
-        if self.root is None:
-            return []
-        seen: set[int] = set()
-        out: list = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            out.append(node)
-            if isinstance(node, FTGate):
-                stack.extend(reversed(node.children))
-        return out
+    def __post_init__(self):
+        # one explicit-stack walk lists every node once, children first
+        nodes: list = []
+        if self.root is not None:
+            seen = {id(self.root)}
+            stack = [(self.root, iter(getattr(self.root, "children", ())))]
+            while stack:
+                node, children = stack[-1]
+                for child in children:
+                    if id(child) not in seen:
+                        seen.add(id(child))
+                        stack.append((child, iter(getattr(child, "children", ()))))
+                        break
+                else:
+                    stack.pop()
+                    nodes.append(node)
+        object.__setattr__(self, "_nodes", tuple(nodes))
+
+    def nodes(self) -> tuple:
+        """All nodes, shared ones once, children first: each node follows
+        its children, and the root comes last."""
+        return self._nodes
 
     def leaves(self) -> list:
-        return [n for n in self.nodes() if isinstance(n, FTLeaf)]
+        return [n for n in self._nodes if isinstance(n, FTLeaf)]
 
     def leaf_identities(self) -> tuple[str, ...]:
         return tuple(sorted({leaf.identity for leaf in self.leaves()}))
@@ -116,33 +127,19 @@ class FaultTree:
         """Canonical nested-prefix rendering, e.g. ``OR(AND(x,y),z)``.
 
         Shared subtrees are written out at every occurrence, but each gate
-        is rendered once: one explicit-stack walk lists the gates children
-        first and counts their parent references, then each gate's text is
-        built from its children's and kept until the last reference to it.
+        is rendered once: its text is built from its children's, which come
+        before it in :meth:`nodes`, and kept until the last reference to it.
         """
-        root = self.root
-        if not isinstance(root, FTGate):
-            return root.display
+        if not isinstance(self.root, FTGate):
+            return self.root.display
+        gates = [node for node in self._nodes if isinstance(node, FTGate)]
         uses: dict[int, int] = {}
-        order: list[FTGate] = []
-        stack = [root]
-        iters = [iter(root.children)]
-        while iters:
-            for child in iters[-1]:
+        for node in gates:
+            for child in node.children:
                 if isinstance(child, FTGate):
-                    key = id(child)
-                    if key in uses:
-                        uses[key] += 1
-                    else:
-                        uses[key] = 1
-                        stack.append(child)
-                        iters.append(iter(child.children))
-                        break
-            else:
-                iters.pop()
-                order.append(stack.pop())
+                    uses[id(child)] = uses.get(id(child), 0) + 1
         texts: dict[int, str] = {}
-        for node in order:
+        for node in gates:
             # one join builds the text, so no second copy of it is made
             parts = [node.kind.value + "("]
             for child in node.children:
@@ -162,7 +159,7 @@ class FaultTree:
             else:
                 parts.append(")")
             texts[id(node)] = "".join(parts)
-        return texts[id(root)]
+        return texts[id(self.root)]
 
 
 def _fallback_display(dependent: str, source) -> str:
@@ -176,141 +173,139 @@ def _fallback_display(dependent: str, source) -> str:
     return text
 
 
-class _Expander:
-    def __init__(self, model: ArchitectureModel, injections):
-        self.model = model
-        self.injections = injections
-        self.identities = model.identity_map()
-        self.memo: dict[tuple, object] = {}
-        # frames being expanded, in stack order
-        self.visiting: dict[str, None] = {}
-        # wrapped leaves and their fallback display, used if two identities
-        # would otherwise share one display name
-        self.wrapped: list[tuple[object, str]] = []
+def _expand(model: ArchitectureModel, injections, comp: Component,
+            ofm: OutputFailureMode):
+    """The tree node of one output failure mode, and the wrapped leaves.
 
-    def _enter(self, frame: str) -> None:
-        if frame in self.visiting:
-            frames = list(self.visiting)
+    One explicit-stack walk follows gates, port connections and injection
+    provenance; gates and output failure modes are its frames.  Each gate,
+    output failure mode, event, external input and injection is expanded
+    once and shared.  A wrapped leaf is an injected reference that came out
+    as a single leaf; it is listed with its provider-qualified fallback
+    display, used if two identities would otherwise share one display name.
+    """
+    memo: dict[tuple, object] = {}
+    # names of the frames being expanded, in stack order
+    visiting: dict[str, None] = {}
+    wrapped: list[tuple[object, str]] = []
+    # (memo key, owner, gate or output failure mode, references left, child
+    # nodes so far, injection the result stands for) of each frame
+    stack: list[tuple] = []
+
+    def inject(injection, node):
+        """*node* as the injected failure mode *injection* stands for it."""
+        key, dependent, source = injection
+        if isinstance(node, FTLeaf):
+            node = replace(node, display=f"{dependent}.{source.name}")
+            wrapped.append((node, _fallback_display(dependent, source)))
+        memo[key] = node
+        return node
+
+    def event_leaf(component: Component, event: BasicEvent):
+        key = ("event", component.name, event.name)
+        if key not in memo:
+            memo[key] = FTBasicEvent(identity=model._identity(component.name, event.name),
+                                     display=f"{component.name}.{event.name}")
+        return memo[key]
+
+    def external(component: Component, ifm: InputFailureMode):
+        key = ("ext", component.name, ifm.port, ifm.name)
+        if key not in memo:
+            port = "" if ifm.port is None else f"{ifm.port}."
+            identity = f"ext@{component.name}.{port}{ifm.name}"
+            memo[key] = FTExternalEvent(
+                component=component.name, port=ifm.port, failure_mode=ifm.name,
+                identity=identity, display=identity)
+        return memo[key]
+
+    def enter(component: Component, item, injection=None):
+        """The finished node of a gate or output failure mode, or None
+        after pushing a frame for it."""
+        if isinstance(item, Gate):
+            key = ("gate", component.name, item.name)
+            frame = f"{component.name}:{item.name}"
+            refs = item.inputs
+        else:
+            key = ("ofm", component.name, item.name, item.port)
+            frame = f"{component.name}.{item.name}" + (f"@{item.port}" if item.port else "")
+            refs = (item.driver,)
+        if key in memo:
+            return memo[key] if injection is None else inject(injection, memo[key])
+        if frame in visiting:
+            frames = list(visiting)
             cycle = frames[frames.index(frame):] + [frame]
             raise SynthesisError("propagation cycle: " + " -> ".join(cycle))
-        self.visiting[frame] = None
+        visiting[frame] = None
+        stack.append((key, component, item, iter(refs), [], injection))
+        return None
 
-    def expand_output_fm(self, comp: Component, ofm: OutputFailureMode):
-        key = ("ofm", comp.name, ofm.name, ofm.port)
-        if key in self.memo:
-            return self.memo[key]
-        frame = f"{comp.name}.{ofm.name}" + (f"@{ofm.port}" if ofm.port else "")
-        self._enter(frame)
-        try:
-            node = self.expand_ref(comp, ofm.driver)
-        finally:
-            self.visiting.popitem()
-        self.memo[key] = node
-        return node
-
-    def expand_ref(self, comp: Component, ref: NodeRef):
-        target = comp.cft.resolve(ref)
-        if target is None:
-            raise SynthesisError(
-                f"unresolved node reference '{ref.render()}' in component '{comp.name}'")
-        if isinstance(target, BasicEvent):
-            return self._event_leaf(comp, target)
-        if isinstance(target, Gate):
-            return self._gate(comp, target)
-        return self._input_fm(comp, target)
-
-    def _event_leaf(self, comp: Component, event: BasicEvent):
-        key = ("event", comp.name, event.name)
-        if key not in self.memo:
-            identity = self.identities.get((comp.name, event.name))
-            if identity is None:
-                raise SynthesisError(f"unknown event '{comp.name}.{event.name}'")
-            self.memo[key] = FTBasicEvent(identity=identity,
-                                          display=f"{comp.name}.{event.name}")
-        return self.memo[key]
-
-    def _gate(self, comp: Component, gate: Gate):
-        key = ("gate", comp.name, gate.name)
-        if key in self.memo:
-            return self.memo[key]
-        self._enter(f"{comp.name}:{gate.name}")
-        try:
-            children = tuple(self.expand_ref(comp, ref) for ref in gate.inputs)
-        finally:
-            self.visiting.popitem()
-        node = FTGate(gate.kind, children)
-        self.memo[key] = node
-        return node
-
-    def _external(self, comp: Component, ifm: InputFailureMode):
+    def input_fm(component: Component, ifm: InputFailureMode):
         if ifm.port is not None:
-            key = ("ext", comp.name, ifm.port, ifm.name)
-            identity = f"ext@{comp.name}.{ifm.port}.{ifm.name}"
-        else:
-            key = ("ext-portless", comp.name, ifm.name)
-            identity = f"ext@{comp.name}.{ifm.name}"
-        if key not in self.memo:
-            self.memo[key] = FTExternalEvent(
-                component=comp.name, port=ifm.port, failure_mode=ifm.name,
-                identity=identity, display=identity)
-        return self.memo[key]
-
-    def _input_fm(self, comp: Component, ifm: InputFailureMode):
-        if ifm.port is not None:
-            conn = self.model.connection_into(comp.name, ifm.port)
+            conn = model.connection_into(component.name, ifm.port)
             if conn is None:
-                return self._external(comp, ifm)
-            upstream = self.model.component(conn.from_component)
+                return external(component, ifm)
+            upstream = model.component(conn.from_component)
             match = (upstream.cft.output_fm(ifm.name, conn.from_port)
                      if upstream.cft is not None else None)
             if match is None:
                 raise SynthesisError(
                     f"unmatched failure mode: no output failure mode "
                     f"'{ifm.name}' at {conn.from_component}.{conn.from_port} "
-                    f"(needed by {comp.name}.{ifm.port})")
-            return self.expand_output_fm(upstream, match)
-
-        source = self.injections.get((comp.name, ifm.name))
+                    f"(needed by {component.name}.{ifm.port})")
+            return enter(upstream, match)
+        source = injections.get((component.name, ifm.name))
         if source is None:
-            return self._external(comp, ifm)
-        key = ("injection", comp.name, ifm.name)
-        if key in self.memo:
-            return self.memo[key]
-        provider = self.model.component(source.provider)
+            return external(component, ifm)
+        key = ("injection", component.name, ifm.name)
+        if key in memo:
+            return memo[key]
+        injection = (key, component.name, source)
+        provider = model.component(source.provider)
         if source.kind == "basic-event":
             event = provider.cft.event(source.name) if provider.cft else None
             if event is None:
                 raise SynthesisError(
                     f"stale provenance: provider event '{source.provider}.{source.name}'"
                     " is missing")
-            node = FTBasicEvent(
-                identity=self.identities[(provider.name, event.name)],
-                display=f"{comp.name}.{source.name}")
-            self.wrapped.append((node, _fallback_display(comp.name, source)))
-        else:
-            ofm = provider.cft.output_fm(source.name, source.port) if provider.cft else None
-            if ofm is None:
-                raise SynthesisError(
-                    f"stale provenance: provider failure mode "
-                    f"'{source.provider}.{source.name}' is missing")
-            sub = self.expand_output_fm(provider, ofm)
-            if isinstance(sub, FTBasicEvent):
-                node = FTBasicEvent(identity=sub.identity,
-                                    display=f"{comp.name}.{source.name}")
-                self.wrapped.append((node, _fallback_display(comp.name, source)))
-            elif isinstance(sub, FTExternalEvent):
-                node = FTExternalEvent(
-                    component=sub.component, port=sub.port,
-                    failure_mode=sub.failure_mode, identity=sub.identity,
-                    display=f"{comp.name}.{source.name}")
-                self.wrapped.append((node, _fallback_display(comp.name, source)))
+            return inject(injection, event_leaf(provider, event))
+        ofm = provider.cft.output_fm(source.name, source.port) if provider.cft else None
+        if ofm is None:
+            raise SynthesisError(
+                f"stale provenance: provider failure mode "
+                f"'{source.provider}.{source.name}' is missing")
+        return enter(provider, ofm, injection)
+
+    enter(comp, ofm)
+    while True:
+        key, component, item, refs, children, injection = stack[-1]
+        for ref in refs:
+            target = component.cft.resolve(ref)
+            if target is None:
+                raise SynthesisError(f"unresolved node reference '{ref.render()}' "
+                                     f"in component '{component.name}'")
+            if isinstance(target, BasicEvent):
+                node = event_leaf(component, target)
+            elif isinstance(target, Gate):
+                node = enter(component, target)
             else:
-                node = sub
-        self.memo[key] = node
-        return node
+                node = input_fm(component, target)
+            if node is None:
+                break
+            children.append(node)
+        else:
+            stack.pop()
+            visiting.popitem()
+            node = (FTGate(item.kind, tuple(children)) if isinstance(item, Gate)
+                    else children[0])
+            memo[key] = node
+            if injection is not None:
+                node = inject(injection, node)
+            if not stack:
+                return node, wrapped
+            stack[-1][4].append(node)
 
 
-def _resolve_display_collisions(tree: FaultTree, expander: _Expander) -> None:
+def _resolve_display_collisions(tree: FaultTree, wrapped) -> None:
     """Ensure the display-name to identity mapping is injective.
 
     Two injected leaves may end up with one display name (same dependent,
@@ -318,19 +313,19 @@ def _resolve_display_collisions(tree: FaultTree, expander: _Expander) -> None:
     provider-qualified display.  Plain leaves cannot collide: their display
     is the owner-qualified event name.
     """
-    by_display: dict[str, set[str]] = {}
-    for leaf in tree.leaves():
-        by_display.setdefault(leaf.display, set()).add(leaf.identity)
-    colliding = {d for d, ids in by_display.items() if len(ids) > 1}
+    def ambiguous() -> set[str]:
+        by_display: dict[str, set[str]] = {}
+        for leaf in tree.leaves():
+            by_display.setdefault(leaf.display, set()).add(leaf.identity)
+        return {d for d, ids in by_display.items() if len(ids) > 1}
+
+    colliding = ambiguous()
     if not colliding:
         return
-    for leaf, fallback in expander.wrapped:
+    for leaf, fallback in wrapped:
         if leaf.display in colliding:
             leaf.display = fallback
-    check: dict[str, set[str]] = {}
-    for leaf in tree.leaves():
-        check.setdefault(leaf.display, set()).add(leaf.identity)
-    still = {d for d, ids in check.items() if len(ids) > 1}
+    still = ambiguous()
     if still:
         raise SynthesisError(
             "display names remain ambiguous after qualification: "
@@ -366,8 +361,7 @@ def synthesize(woven: WovenModel | ArchitectureModel,
         raise SynthesisError(
             f"ambiguous top event '{top.render()}': declared on ports {ports}")
 
-    expander = _Expander(model, injections)
-    root = expander.expand_output_fm(comp, matches[0])
+    root, wrapped = _expand(model, injections, comp, matches[0])
     tree = FaultTree(root=root, top=top)
-    _resolve_display_collisions(tree, expander)
+    _resolve_display_collisions(tree, wrapped)
     return tree

@@ -263,7 +263,8 @@ class _Parser:
         """The sink given to the shared checks: keeps each finding whose code
         is not in ``_REJECTED`` and raises at the first one whose code is,
         located at the declaration it is about (the second one with the
-        name, for layers, components and ports)."""
+        name, for layers, components and ports; the layer name, for a
+        component on an undeclared layer)."""
         template = _REJECTED.get(code)
         if template is None:
             self.findings.append(Finding(severity, code, element, message))
@@ -280,11 +281,12 @@ class _Parser:
                        if isinstance(obj, Component) and t.value == name][1]
             elif code == "port-collision":
                 tok = [t for t in block.in_ports + block.out_ports if t.value == name][1]
+            elif code == "unknown-layer":
+                tok = block.layer
         message = template.format(
             name=name, owner=block and block.name.value,
             kind="input" if isinstance(about, InputFailureMode) else "output")
-        raise ParseError(message, tok.line, self._column(tok),
-                         token=name if code == "unknown-layer" else tok.value)
+        raise ParseError(message, tok.line, self._column(tok), token=tok.value)
 
     def _top_statement(self, cur: _Cursor) -> _Block | None:
         word = cur.words[0]

@@ -231,6 +231,23 @@ class TestLimits:
         # 360,000 built products would take well over 10 MB in either stage
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_first_gate_over_budget_in_children_first_order(self, stage):
+        def over(prefix, n):
+            sides = tuple(FTGate(GateKind.OR, tuple(leaf(f"{prefix}{side}{k}")
+                                                    for k in range(n)))
+                          for side in "ab")
+            return FTGate(GateKind.AND, sides)
+
+        # both AND gates are over the budget; the first one finished reports
+        pair = FTGate(GateKind.OR, (over("x", 600), over("y", 700)))
+        tree = tree_of(FTGate(GateKind.OR, (leaf("z"), pair)))
+        with pytest.raises(AnalysisError) as caught:
+            cutsets(tree, stage)
+        assert str(caught.value) == (
+            "cutset expansion would form 360000 products at one AND gate, "
+            "over the budget of 262144")
+
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")
         node = x

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, streams, determinism."""
 
+import contextlib
+import io
 from pathlib import Path
 
-from cftweave import parse, serialize, validate
+from hypothesis import given, settings
+
+from cftweave import CftweaveError, parse, serialize, validate
 from cftweave.cli import main
 
 import genmodels
+from test_parse_errors import mutated_documents
 
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cftweave" / "fixtures"
 FIG2 = str(REPO_FIXTURES / "example_fig2.alfred")
@@ -191,3 +196,79 @@ def test_byte_determinism(capsys):
     main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking", "--stage", "pre"])
     second, _ = capsys.readouterr()
     assert first == second
+
+
+def chain_file(tmp_path, n):
+    path = tmp_path / f"chain{n}.alfred"
+    path.write_text(serialize(genmodels.chain(n)[0]), encoding="utf-8")
+    return str(path)
+
+
+def test_synthesize_deep_chain(tmp_path, capsys):
+    # far deeper than the interpreter's recursion limit
+    n = 5000
+    path, top = chain_file(tmp_path, n), f"C{n - 1}.fail"
+    assert main(["synthesize", path, "--top", top]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    battery = "C{k}.Battery-omission,C{k}.Battery-too-low)"
+    assert out == "".join(["OR(OR(" * (n - 1), "OR(C0.e,", battery.format(k=0),
+                           *(f",C{k}.e)," + battery.format(k=k) for k in range(1, n)),
+                           "\n"])
+    assert main(["synthesize", path, "--top", top, "--dot"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # stage 0 is an OR over three leaves; every later stage adds two ORs,
+    # its event and its two battery leaves; no node is shared
+    assert out.count(" [label=") == 5 * n - 1
+    assert out.count(" -> ") == 5 * n - 2
+
+
+def test_cutsets_deep_chain(tmp_path, capsys):
+    n = 1000
+    path, top = chain_file(tmp_path, n), f"C{n - 1}.fail"
+    assert main(["cutsets", path, "--top", top, "--stage", "pre"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == sorted(
+        f"C{k}.{event}" for k in range(n) for event in ("e", "Battery-omission",
+                                                        "Battery-too-low"))
+    assert main(["cutsets", path, "--top", top]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # the per-stage battery displays collapse to the battery's identities
+    assert out.splitlines() == sorted(
+        [f"C{k}.e" for k in range(n)] + ["B.Battery-omission", "B.Battery-too-low"])
+
+
+def cli_run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_documents())
+def test_every_command_exits_cleanly_on_mutated_documents(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("doc") / "model.alfred"
+    path.write_text(text, encoding="utf-8")
+    doc = str(path)
+    try:
+        model = parse(text)
+        tops = [f"{c.name}.{o.name}" for c in model.components
+                for o in (c.cft.output_fms if c.cft else ())]
+    except CftweaveError:
+        tops = []
+    runs = [["validate", doc], ["weave", doc], ["export-dot", doc]]
+    for top in tops or ["C0.loss-of"]:
+        runs += [["synthesize", doc, "--top", top],
+                 ["synthesize", doc, "--top", top, "--dot"],
+                 ["cutsets", doc, "--top", top, "--stage", "pre"],
+                 ["cutsets", doc, "--top", top, "--stage", "reduced"]]
+    for argv in runs:
+        code, err = cli_run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code and argv[0] != "validate":  # validate prints its findings instead
+            assert "error: " in err, argv

@@ -227,5 +227,6 @@ def test_wide_network_walk_stops_at_the_identity_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # resolving all 8,002 leaves and 4,000 sensor gates peaks above 5 MB
-    assert peak < 3_000_000
+    # resolving all 8,002 leaves and 4,000 sensor gates peaks above 5 MB,
+    # and an identity map of the whole model alone takes over 1 MB
+    assert peak < 1_200_000

@@ -49,7 +49,7 @@ REJECTED = {
         "7:11: duplicate declaration of component 'c' (got 'c')"),
     "undeclared layer": (
         HEAD + component("c", layer="m"),
-        "3:11: reference to undeclared layer 'm' (got 'm')"),
+        "3:16: reference to undeclared layer 'm' (got 'm')"),
     "port": (
         HEAD + component("c", "in p", "in q", "in p"),
         "6:6: duplicate declaration of port 'c.p' (got 'p')"),
@@ -265,10 +265,10 @@ SYNTAX = {
         TWO + "common-cause c.e = d.e\n  common-cause d.e = c.e\n",
         ("12:3: duplicate declaration of common-cause d.e = c.e (got 'common-cause')",
          12, 3, "common-cause", ())),
-    # located at the component's name, like every finding about a component
+    # located at the layer name, so column and token agree
     "undeclared layer, spaced": (
         HEAD + "component   c  in\tm {\n}\n",
-        ("3:13: reference to undeclared layer 'm' (got 'm')", 3, 13, "m", ())),
+        ("3:19: reference to undeclared layer 'm' (got 'm')", 3, 19, "m", ())),
     "unclosed block": (
         HEAD + "component c in l {\n  event e\n",
         ("5:1: unexpected end of file inside component 'c'; expected }", 5, 1, None, ("}",))),

@@ -5,11 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftweave import (
+    ArchitectureModel,
+    BasicEvent,
+    Component,
+    ComponentFaultTree,
     FaultTree,
     FTBasicEvent,
     FTExternalEvent,
     FTGate,
+    Gate,
     GateKind,
+    NodeRef,
+    OracleError,
+    OutputFailureMode,
     SynthesisError,
     TopEventRef,
     equivalent,
@@ -17,6 +25,7 @@ from cftweave import (
     synthesize,
     table_of_network,
     table_of_tree,
+    validate,
     weave,
 )
 
@@ -56,6 +65,43 @@ def test_propagation_cycle_detected():
         synthesize(weave(model), "a.loss-of")
     assert str(caught.value) == \
         "propagation cycle: a.loss-of@o -> b.loss-of@o -> a.loss-of@o"
+
+
+def test_gate_cycle_in_an_unvalidated_model():
+    # validate reports this cycle; synthesis must still stop on it
+    cft = ComponentFaultTree(
+        events=(BasicEvent("e"),),
+        gates=(Gate("g1", GateKind.OR, (NodeRef("g2"), NodeRef("e"))),
+               Gate("g2", GateKind.AND, (NodeRef("e"), NodeRef("g1")))),
+        output_fms=(OutputFailureMode("f", None, NodeRef("g1")),))
+    model = ArchitectureModel(layers=("l",), components=(Component("c", "l", cft=cft),))
+    for target in (model, weave(model)):
+        with pytest.raises(SynthesisError) as caught:
+            synthesize(target, "c.f")
+        assert str(caught.value) == "propagation cycle: c:g1 -> c:g2 -> c:g1"
+
+
+def test_port_loop_through_an_injected_provider_failure_mode():
+    # A's output feeds its own provider P, whose output failure mode is
+    # injected back into A's: the model validates, the loop shows only
+    # in the woven network
+    model = parse(
+        "layer l\n\n"
+        "component A in l {\n  out o\n  event a\n  outfm fail@o = a\n}\n\n"
+        "component P in l {\n  in i\n  out o\n  infm fail@i\n"
+        "  outfm fail@o = fail@i\n}\n\n"
+        "connect A.o -> P.i\n\nalfred A -> P\n")
+    assert validate(model).ok
+    woven = weave(model)
+    for top, cycle in (
+            ("A.fail", "A.fail@o -> A:woven-fail-o -> P.fail@o -> A.fail@o"),
+            ("P.fail", "P.fail@o -> A.fail@o -> A:woven-fail-o -> P.fail@o")):
+        with pytest.raises(SynthesisError) as caught:
+            synthesize(woven, top)
+        assert str(caught.value) == "propagation cycle: " + cycle
+        with pytest.raises(OracleError) as caught:
+            table_of_network(woven, top)
+        assert str(caught.value) == "propagation cycle: " + cycle
 
 
 def test_unmatched_failure_mode():
@@ -227,6 +273,33 @@ def shared_dags(draw):
                          for j, i in enumerate(picks))
         pool.append(FTGate(kind, children))
     return FaultTree(root=pool[-1], top=TopEventRef("t", "t"))
+
+
+def reachable(root) -> list:
+    """Every node under *root*, each once, by plain recursion."""
+    found: dict[int, object] = {}
+
+    def visit(node):
+        if id(node) not in found:
+            found[id(node)] = node
+            for child in getattr(node, "children", ()):
+                visit(child)
+
+    visit(root)
+    return list(found.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_dags())
+def test_nodes_lists_each_reachable_node_once_children_first(tree):
+    nodes = tree.nodes()
+    assert len({id(n) for n in nodes}) == len(nodes)
+    assert {id(n) for n in nodes} == {id(n) for n in reachable(tree.root)}
+    position = {id(n): i for i, n in enumerate(nodes)}
+    for node in nodes:
+        for child in getattr(node, "children", ()):
+            assert position[id(child)] < position[id(node)]
+    assert nodes[-1] is tree.root
 
 
 class TestPrefixText:
