@@ -3,12 +3,18 @@
 Cutsets come from top-down product expansion (the classic
 AND-distributes-over-OR walk), folded bottom-up in one loop over the tree's
 children-first node list, each shared node once, so tree depth is not
-limited by the interpreter's recursion limit.  Two report stages exist:
+limited by the interpreter's recursion limit.  A node's products are
+dropped once its last parent is folded, so memory follows the products
+still needed rather than the depth of the tree.  Two report stages exist:
 
 * ``pre``: the expanded products over leaf display names, deduplicated but
   without absorption, with every display-named leaf treated as its own atom.
   This is the list a reviewer compares against the woven structure, where
-  one physical cause may legitimately appear once per dependent.
+  one physical cause may legitimately appear once per dependent.  Each
+  product is built as the sorted tuple of its display names, which is the
+  form the report shows; its identity set is formed once at the end, and
+  products that differ only in which dependent's copy of a cause they hold
+  share one identity-set object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
   tree function over event identities.  The tree's distinct identities are
   numbered once in sorted order and a product is an ``int`` bitmask over
@@ -75,12 +81,28 @@ def _fold(nodes, leaf, gate):
     """The value of the last of *nodes*, a children-first node list.
 
     ``leaf(node)`` gives a leaf's value and ``gate(node, values)`` a gate's
-    from its children's values in child order.
+    from its children's values in child order.  A value is dropped once its
+    last parent is folded, so memory follows the values still needed, not
+    every node's.
     """
+    uses: dict[int, int] = {}  # parents not yet folded, per child
+    for node in nodes:
+        if isinstance(node, FTGate):
+            for child in node.children:
+                uses[id(child)] = uses.get(id(child), 0) + 1
     values: dict[int, object] = {}
     for node in nodes:
-        values[id(node)] = (gate(node, [values[id(child)] for child in node.children])
-                            if isinstance(node, FTGate) else leaf(node))
+        if isinstance(node, FTGate):
+            kids = []
+            for child in node.children:
+                key = id(child)
+                kids.append(values[key])
+                uses[key] -= 1
+                if not uses[key]:
+                    del values[key]
+            values[id(node)] = gate(node, kids)
+        else:
+            values[id(node)] = leaf(node)
     return values[id(node)]
 
 
@@ -92,18 +114,22 @@ def _check_budget(acc: tuple, child: tuple) -> None:
             f"over the budget of {MAX_PRODUCTS}")
 
 
-def _display_products(nodes) -> tuple[frozenset[str], ...]:
-    """Every product over leaf display names, deduplicated, not absorbed."""
+def _display_products(nodes) -> tuple[tuple[str, ...], ...]:
+    """Every product over leaf display names, deduplicated, not absorbed.
+
+    A product is the sorted tuple of its display names, so one set of names
+    has one form and the report needs no second sort per product.
+    """
     def gate(node, kids):
         if node.kind is GateKind.OR:
             return tuple(dict.fromkeys(p for kid in kids for p in kid))
-        acc: tuple[frozenset[str], ...] = (frozenset(),)
+        acc: tuple[tuple[str, ...], ...] = ((),)
         for kid in kids:
             _check_budget(acc, kid)
-            acc = tuple(dict.fromkeys(a | b for a in acc for b in kid))
+            acc = tuple(dict.fromkeys(tuple(sorted({*a, *b})) for a in acc for b in kid))
         return acc
 
-    return _fold(nodes, lambda leaf: (frozenset((leaf.display,)),), gate)
+    return _fold(nodes, lambda leaf: ((leaf.display,),), gate)
 
 
 def _minimise(masks) -> tuple[int, ...]:
@@ -180,9 +206,14 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
 
     if stage == "pre":
-        sets = [CutSet(displays=tuple(sorted(p)),
-                       identities=frozenset(identity_of[d] for d in p))
-                for p in _display_products(nodes)]
+        # Products that name one cause through several dependents' copies
+        # collapse to one identity set; they share one frozenset.
+        shared: dict[frozenset[str], frozenset[str]] = {}
+        sets = []
+        for p in _display_products(nodes):
+            identities = frozenset(map(identity_of.__getitem__, p))
+            sets.append(CutSet(displays=p,
+                               identities=shared.setdefault(identities, identities)))
         return CutSetReport("pre", tuple(sorted(sets, key=_report_key)))
 
     names = sorted(displays_per_identity)

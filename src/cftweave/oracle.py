@@ -106,7 +106,7 @@ def _input_source(model: ArchitectureModel, injections, comp: Component, ifm):
                 f"unmatched failure mode '{ifm.name}' at "
                 f"{conn.from_component}.{conn.from_port}")
         return upstream, match
-    source = injections.get((comp.name, ifm.name))
+    source = injections.get(ifm.name, {}).get(comp.name)
     if source is None:
         return f"ext@{comp.name}.{ifm.name}"
     provider = model.component(source.provider)
@@ -249,7 +249,7 @@ def table_of_network(model: ArchitectureModel | WovenModel,
     network actually reaches.
     """
     if isinstance(model, WovenModel):
-        base, injections = model.model, model.injection_map()
+        base, injections = model.model, model._injections
     else:
         base, injections = model, {}
     if isinstance(top, str):

@@ -253,7 +253,7 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
                     f"'{ifm.name}' at {conn.from_component}.{conn.from_port} "
                     f"(needed by {component.name}.{ifm.port})")
             return enter(upstream, match)
-        source = injections.get((component.name, ifm.name))
+        source = injections.get(ifm.name, {}).get(component.name)
         if source is None:
             return external(component, ifm)
         key = ("injection", component.name, ifm.name)
@@ -341,7 +341,7 @@ def synthesize(woven: WovenModel | ArchitectureModel,
     external events.
     """
     if isinstance(woven, WovenModel):
-        model, injections = woven.model, woven.injection_map()
+        model, injections = woven.model, woven._injections
     else:
         model, injections = woven, {}
     if isinstance(top, str):

@@ -33,6 +33,7 @@ from .model import (
     InputFailureMode,
     NodeRef,
     OutputFailureMode,
+    _index,
 )
 
 
@@ -61,6 +62,16 @@ class WovenModel:
 
     model: ArchitectureModel
     provenance: tuple[ProvenanceEntry, ...] = ()
+    # injected node name -> dependent -> source.  The dependents of one
+    # provider share its node names (``from-B-...``), so keying by name
+    # first needs one inner dict per name and no key tuple per node.
+    _injections: dict[str, dict[str, InjectionSource]] = _index()
+
+    def __post_init__(self):
+        injections: dict[str, dict[str, InjectionSource]] = {}
+        for e in self.provenance:
+            injections.setdefault(e.node, {})[e.component] = e.source
+        object.__setattr__(self, "_injections", injections)
 
     def injection_map(self) -> dict[tuple[str, str], InjectionSource]:
         return {(e.component, e.node): e.source for e in self.provenance}

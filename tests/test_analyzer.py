@@ -156,6 +156,37 @@ def coherent_trees(draw):
     return tree_of(pool[-1])
 
 
+def reference_pre(tree):
+    """Pre report pairs (displays, identities) recomputed over frozensets of
+    display names, with every node's products kept to the end."""
+    products: dict[int, set[frozenset[str]]] = {}
+    for node in tree.nodes():
+        if isinstance(node, FTGate):
+            kids = [products[id(child)] for child in node.children]
+            if node.kind is GateKind.OR:
+                value = set().union(*kids)
+            else:
+                value = {frozenset()}
+                for kid in kids:
+                    value = {a | b for a in value for b in kid}
+        else:
+            value = {frozenset((node.display,))}
+        products[id(node)] = value
+    identity_of = {node.display: node.identity for node in tree.leaves()}
+    pairs = [(tuple(sorted(p)), frozenset(identity_of[d] for d in p))
+             for p in products[id(tree.root)]]
+    return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0]))
+
+
+class TestPreAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coherent_trees())
+    def test_matches_frozenset_expansion(self, tree):
+        report = cutsets(tree, "pre")
+        assert [(cs.displays, cs.identities) for cs in report.cutsets] \
+            == reference_pre(tree)
+
+
 class TestReducedAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(coherent_trees())
@@ -206,6 +237,23 @@ class TestClosedFormFamilies:
         report = cutsets(synthesize(weave(model), top), "reduced")
         assert max(sizes) <= 4 * len(report.cutsets)
 
+    def test_wide_and_pre_shares_identity_sets(self):
+        # 4**6 products name 1,867 distinct identity sets, because each
+        # sensor holds its own copy of the battery's failure modes
+        model, top = genmodels.wide(6, GateKind.AND)
+        tree = synthesize(weave(model), top)
+        tracemalloc.start()
+        try:
+            report = cutsets(tree, "pre")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.cutsets) == 4 ** 6
+        assert len({id(cs.identities) for cs in report.cutsets}) \
+            == len(report.identity_sets()) == 1867
+        # a frozenset of display names per product peaks near 4.8 MB
+        assert peak <= 3_500_000
+
     @pytest.mark.parametrize("n", [1, 50])
     def test_wide_or(self, n):
         model, top = genmodels.wide(n, GateKind.OR)
@@ -247,6 +295,22 @@ class TestLimits:
         assert str(caught.value) == (
             "cutset expansion would form 360000 products at one AND gate, "
             "over the budget of 262144")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_chain_memory_grows_linearly(self, stage):
+        peaks = {}
+        for n in (250, 1000):
+            model, top = genmodels.chain(n)
+            tree = synthesize(weave(model), top)
+            tracemalloc.start()
+            try:
+                cutsets(tree, stage)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # keeping every node's products to the end of the fold grows with
+        # the square of the depth, about 12x to 14x here
+        assert peaks[1000] <= 6 * peaks[250]
 
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")

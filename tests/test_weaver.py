@@ -60,6 +60,15 @@ def test_every_injected_node_has_provenance(fig2, vehicle):
         assert injected - original == set(woven.injection_map())
 
 
+def test_injection_index_is_outside_repr_eq_and_hash(fig2):
+    woven = weave(fig2)
+    assert "_injections" not in repr(woven)
+    rebuilt = type(woven)(woven.model, woven.provenance)
+    assert rebuilt == woven and hash(rebuilt) == hash(woven)
+    woven.injection_map().clear()
+    assert len(woven.injection_map()) == len(woven.provenance) == 3
+
+
 def test_components_without_dependencies_unchanged(fig2):
     woven = weave(fig2)
     assert woven.model.component("CPU").cft == fig2.component("CPU").cft
