@@ -12,7 +12,12 @@ still needed rather than the depth of the tree.  Two report stages exist:
   This is the list a reviewer compares against the woven structure, where
   one physical cause may legitimately appear once per dependent.  Each
   product is built as the sorted tuple of its display names, which is the
-  form the report shows; its identity set is formed once at the end, and
+  form the report shows.  An AND step whose operands share no display name
+  (the woven shape: every dependent has its own copies of its providers'
+  causes) crosses them without deduplication, since such operands cannot
+  form one product twice; other AND steps and every OR gate deduplicate.
+  The report is ordered by two sorts of the display tuples before any
+  cutset is built; each product's identity set is formed once, and
   products that differ only in which dependent's copy of a cause they hold
   share one identity-set object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
@@ -38,6 +43,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import AnalysisError
 from .model import GateKind
@@ -118,15 +124,26 @@ def _display_products(nodes) -> tuple[tuple[str, ...], ...]:
     """Every product over leaf display names, deduplicated, not absorbed.
 
     A product is the sorted tuple of its display names, so one set of names
-    has one form and the report needs no second sort per product.
+    has one form and the report needs no second sort per product.  An AND
+    step whose operands share no display name crosses them without
+    deduplication: distinct products over disjoint names have distinct
+    unions, and no name repeats within one (the rule behind fault-tree
+    modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3), 1996).
     """
     def gate(node, kids):
         if node.kind is GateKind.OR:
             return tuple(dict.fromkeys(p for kid in kids for p in kid))
         acc: tuple[tuple[str, ...], ...] = ((),)
+        support: set[str] = set()  # a superset of the names in acc
         for kid in kids:
             _check_budget(acc, kid)
-            acc = tuple(dict.fromkeys(tuple(sorted({*a, *b})) for a in acc for b in kid))
+            names = set().union(*kid)
+            if support.isdisjoint(names):
+                acc = tuple([tuple(sorted(a + b)) for a in acc for b in kid])
+            else:
+                acc = tuple(dict.fromkeys(tuple(sorted({*a, *b}))
+                                          for a in acc for b in kid))
+            support |= names
         return acc
 
     return _fold(nodes, lambda leaf: ((leaf.display,),), gate)
@@ -181,10 +198,6 @@ def _identity_products(nodes, bit_of: dict[str, int]) -> tuple[int, ...]:
     return _minimise(_fold(nodes, lambda leaf: (bit_of[leaf.identity],), gate))
 
 
-def _report_key(cs: CutSet) -> tuple[int, tuple[str, ...]]:
-    return (len(cs.displays), cs.displays)
-
-
 def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
     """Compute the cutset report for a coherent tree at the given stage."""
     if stage not in STAGES:
@@ -206,15 +219,17 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
 
     if stage == "pre":
-        # Products that name one cause through several dependents' copies
-        # collapse to one identity set; they share one frozenset.
+        # The products are distinct, so two stable sorts give the report
+        # order.  Products that name one cause through several dependents'
+        # copies collapse to one identity set; they share one frozenset.
+        products = sorted(_display_products(nodes))
+        products.sort(key=len)
         shared: dict[frozenset[str], frozenset[str]] = {}
         sets = []
-        for p in _display_products(nodes):
+        for p in products:
             identities = frozenset(map(identity_of.__getitem__, p))
-            sets.append(CutSet(displays=p,
-                               identities=shared.setdefault(identities, identities)))
-        return CutSetReport("pre", tuple(sorted(sets, key=_report_key)))
+            sets.append(CutSet(p, shared.setdefault(identities, identities)))
+        return CutSetReport("pre", tuple(sets))
 
     names = sorted(displays_per_identity)
     bit_of = {name: 1 << i for i, name in enumerate(names)}
@@ -232,7 +247,11 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
             mask ^= low
         sets.append(CutSet(displays=tuple(sorted(display_of[i] for i in members)),
                            identities=frozenset(members)))
-    return CutSetReport("reduced", tuple(sorted(sets, key=_report_key)))
+    # Stable sorts: should one identity's name be another's display, two
+    # cutsets can show alike, and they keep the order they were found in.
+    sets.sort(key=attrgetter("displays"))
+    sets.sort(key=lambda cs: len(cs.displays))
+    return CutSetReport("reduced", tuple(sets))
 
 
 def evaluate(tree: FaultTree, assignment) -> bool:

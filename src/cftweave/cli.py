@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .analyzer import STAGES, cutsets
-from .errors import CftweaveError, ParseError
+from .errors import CftweaveError, ParseError, SynthesisError
 from .model import ArchitectureModel, validate
 from .synthesizer import TopEventRef, synthesize
 from .textfmt import export_dot, parse, serialize
@@ -60,7 +60,7 @@ def _load_valid_model(path: str) -> ArchitectureModel:
 def _parse_top(text: str) -> TopEventRef:
     try:
         return TopEventRef.parse(text)
-    except ValueError as exc:
+    except SynthesisError as exc:
         raise _fail(2, str(exc)) from None
 
 

@@ -50,9 +50,10 @@ class TopEventRef:
 
     @classmethod
     def parse(cls, text: str) -> "TopEventRef":
+        """Read ``<component>.<failure-mode>``; raise SynthesisError otherwise."""
         component, sep, failure_mode = text.partition(".")
         if not sep or not component or not failure_mode:
-            raise ValueError(
+            raise SynthesisError(
                 f"top event must be '<component>.<failure-mode>', got {text!r}")
         return cls(component, failure_mode)
 

@@ -33,6 +33,14 @@ def tree_of(root):
     return FaultTree(root=root, top=TopEventRef("t", "t"))
 
 
+def and_of(*children):
+    return FTGate(GateKind.AND, children)
+
+
+def or_of(*children):
+    return FTGate(GateKind.OR, children)
+
+
 def fig4_tree():
     """Reduced shape of the fig2 system: OR(a, b, AND(e1, e2))."""
     return tree_of(FTGate(GateKind.OR, (
@@ -104,6 +112,11 @@ class TestCutsets:
             keys = [(len(cs.displays), cs.displays) for cs in report.cutsets]
             assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_ordering_puts_size_before_names(self, stage):
+        tree = tree_of(or_of(and_of(leaf("a"), leaf("b")), leaf("c")))
+        assert cutsets(tree, stage).lines() == ("c", "a ∧ b")
+
     def test_deterministic(self, vehicle):
         tree = synthesize(weave(vehicle), "EBC.no-emergency-braking")
         assert cutsets(tree, "pre") == cutsets(tree, "pre")
@@ -142,18 +155,35 @@ def reference_reduced(tree):
     return set(kept), tuple(" ∧ ".join(d) for d in rendered)
 
 
+def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_children=4):
+    """The last node of a DAG of AND/OR gates whose children are drawn from
+    earlier nodes, so subtrees are shared; display names start with
+    *prefix*, and several of them may map to one identity."""
+    pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", f"{prefix}d{k}")
+            for k in range(draw(st.integers(1, max_leaves)))]
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_children))
+        pool.append(FTGate(kind, tuple(pool[i] for i in picks)))
+    return pool[-1]
+
+
 @st.composite
 def coherent_trees(draw):
-    """DAGs of AND/OR gates whose children are drawn from earlier nodes, so
-    subtrees are shared; several display names may map to one identity."""
-    n_identities = draw(st.integers(1, 5))
-    pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", f"d{k}")
-            for k in range(draw(st.integers(1, 6)))]
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))
-        pool.append(FTGate(kind, tuple(pool[i] for i in picks)))
-    return tree_of(pool[-1])
+    """Trees over one DAG of AND/OR gates."""
+    return tree_of(draw_dag(draw, draw(st.integers(1, 5))))
+
+
+@st.composite
+def woven_trees(draw):
+    """An AND whose children each have their own display names but draw
+    identities from one small shared pool, the shape weaving gives a gate
+    over several dependents of one provider."""
+    n_identities = draw(st.integers(1, 4))
+    children = tuple(draw_dag(draw, n_identities, f"c{c}.", max_leaves=3,
+                              max_gates=4, max_children=3)
+                     for c in range(draw(st.integers(1, 4))))
+    return tree_of(FTGate(GateKind.AND, children))
 
 
 def reference_pre(tree):
@@ -178,13 +208,55 @@ def reference_pre(tree):
     return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0]))
 
 
+def pre_pairs(tree):
+    return [(cs.displays, cs.identities) for cs in cutsets(tree, "pre").cutsets]
+
+
+REUSED = or_of(leaf("a"), leaf("b"))
+
+
 class TestPreAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(coherent_trees())
     def test_matches_frozenset_expansion(self, tree):
-        report = cutsets(tree, "pre")
-        assert [(cs.displays, cs.identities) for cs in report.cutsets] \
-            == reference_pre(tree)
+        assert pre_pairs(tree) == reference_pre(tree)
+
+    def test_woven_shape_takes_both_and_steps(self, monkeypatch):
+        # an AND step crosses operands that share no display name without
+        # deduplicating; count the steps of each kind that the trees reach
+        steps = {"disjoint": 0, "overlapping": 0}
+        check_budget = analyzer._check_budget
+
+        def counting(acc, kid):
+            if acc != ((),) and acc and kid:
+                shared = set().union(*acc) & set().union(*kid)
+                steps["overlapping" if shared else "disjoint"] += 1
+            check_budget(acc, kid)
+
+        monkeypatch.setattr(analyzer, "_check_budget", counting)
+
+        @settings(max_examples=300, deadline=None)
+        @given(woven_trees())
+        def check(tree):
+            assert pre_pairs(tree) == reference_pre(tree)
+
+        check()
+        assert steps["disjoint"] > 0 and steps["overlapping"] > 0, steps
+
+    @pytest.mark.parametrize("root", [
+        pytest.param(and_of(or_of(leaf("B.x", "U1.x"), leaf("U1.f")),
+                            or_of(leaf("B.x", "U2.x"), leaf("U2.f")),
+                            or_of(leaf("B.x", "U3.x"), leaf("B.y", "U3.y"))),
+                     id="disjoint-displays-shared-identities"),
+        pytest.param(and_of(or_of(leaf("a"), leaf("b")), or_of(leaf("b"), leaf("c"))),
+                     id="shared-display"),
+        pytest.param(and_of(REUSED, leaf("c"), REUSED), id="node-twice"),
+        pytest.param(and_of(REUSED, FTGate(GateKind.AND, ())), id="empty-product"),
+        pytest.param(and_of(REUSED, FTGate(GateKind.OR, ())), id="no-products"),
+    ])
+    def test_explicit_trees(self, root):
+        tree = tree_of(root)
+        assert pre_pairs(tree) == reference_pre(tree)
 
 
 class TestReducedAgainstReference:

@@ -152,9 +152,12 @@ def test_usage_error_missing_arguments(capsys):
 
 
 def test_usage_error_bad_top(capsys):
-    assert main(["cutsets", VEHICLE, "--top", "nodot"]) == 2
-    _, err = capsys.readouterr()
-    assert "top event" in err
+    for command in ("synthesize", "cutsets"):
+        assert main([command, VEHICLE, "--top", "nodot"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: top event must be '<component>.<failure-mode>', "
+                       "got 'nodot'\n")
 
 
 def test_unknown_top_is_analysis_error(capsys):

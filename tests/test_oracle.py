@@ -17,6 +17,7 @@ from cftweave import (
     NodeRef,
     OracleError,
     OutputFailureMode,
+    SynthesisError,
     TopEventRef,
     cutsets,
     equivalent,
@@ -116,6 +117,13 @@ def test_variables_must_cover_network(fig2):
 def test_unknown_top(fig2):
     with pytest.raises(OracleError, match="unknown top event"):
         table_of_network(fig2, "f2.nope")
+
+
+def test_malformed_top_is_a_synthesis_error(vehicle):
+    with pytest.raises(SynthesisError) as caught:
+        table_of_network(weave(vehicle), "EBC")
+    assert str(caught.value) == (
+        "top event must be '<component>.<failure-mode>', got 'EBC'")
 
 
 def test_table_of_cutsets_against_evaluated_dnf():

@@ -147,6 +147,14 @@ def test_unknown_and_ambiguous_top_events(fig2):
         synthesize(weave(ambiguous), "c.f")
 
 
+@pytest.mark.parametrize("text", ["EBC", ".x", "Y.", ""])
+def test_malformed_top_is_a_synthesis_error(vehicle, text):
+    with pytest.raises(SynthesisError) as caught:
+        synthesize(weave(vehicle), text)
+    assert str(caught.value) == (
+        f"top event must be '<component>.<failure-mode>', got {text!r}")
+
+
 def test_top_accepts_string_or_ref(fig2):
     woven = weave(fig2)
     by_string = synthesize(woven, "f2.loss-of")
