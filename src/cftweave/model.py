@@ -330,12 +330,6 @@ class ArchitectureModel:
         lexicographically smallest member."""
         return self._aliases.get((component, event)) or f"{component}.{event}"
 
-    def identity_map(self) -> dict[tuple[str, str], str]:
-        """Map (component, event) to its event identity."""
-        return {(c.name, e.name): self._identity(c.name, e.name)
-                for c in self.components if c.cft
-                for e in c.cft.events}
-
 
 class Severity(Enum):
     ERROR = "error"
@@ -403,8 +397,16 @@ def _has(ports: tuple[str, ...], name: str) -> bool:
     return i < len(ports) and ports[i] == name
 
 
-def _check_name(add, kind: str, name: str, element: str) -> None:
+def _element(owner: str, name: str, port: str | None = None) -> str:
+    """A finding's element for a name inside component *owner*; built only
+    when a finding is added."""
+    return f"{owner}.{name}@{port}" if port else f"{owner}.{name}"
+
+
+def _check_name(add, kind: str, name: str, owner: str | None = None,
+                port: str | None = None) -> None:
     if not IDENTIFIER_PATTERN.match(name):
+        element = name if owner is None else _element(owner, name, port)
         add(Severity.ERROR, "bad-identifier", element,
             f"{kind} name {name!r} is not a legal identifier")
 
@@ -412,71 +414,69 @@ def _check_name(add, kind: str, name: str, element: str) -> None:
 def _validate_cft(comp: Component, add) -> None:
     cft = comp.cft
     bare: dict[str, str] = {}
+    owner = comp.name
     for event in cft.events:
-        _check_name(add, "event", event.name, f"{comp.name}.{event.name}")
+        _check_name(add, "event", event.name, owner)
         if event.name in bare:
-            add(Severity.ERROR, "duplicate-node", f"{comp.name}.{event.name}",
+            add(Severity.ERROR, "duplicate-node", _element(owner, event.name),
                 f"name already used by a {bare[event.name]}", event, event.name)
         bare[event.name] = "basic event"
     for gate in cft.gates:
-        _check_name(add, "gate", gate.name, f"{comp.name}.{gate.name}")
+        _check_name(add, "gate", gate.name, owner)
         if gate.name in bare:
-            add(Severity.ERROR, "duplicate-node", f"{comp.name}.{gate.name}",
+            add(Severity.ERROR, "duplicate-node", _element(owner, gate.name),
                 f"name already used by a {bare[gate.name]}", gate, gate.name)
         bare[gate.name] = "gate"
 
     seen_in: set[tuple[str, str | None]] = set()
     for ifm in cft.input_fms:
-        element = f"{comp.name}.{ifm.name}" + (f"@{ifm.port}" if ifm.port else "")
-        _check_name(add, "input failure mode", ifm.name, element)
+        _check_name(add, "input failure mode", ifm.name, owner, ifm.port)
         if (ifm.name, ifm.port) in seen_in:
-            add(Severity.ERROR, "duplicate-failure-mode", element,
+            add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ifm.name, ifm.port),
                 "input failure mode declared twice", ifm, ifm.name)
         seen_in.add((ifm.name, ifm.port))
         if ifm.port is None:
             if ifm.name in bare:
-                add(Severity.ERROR, "duplicate-node", f"{comp.name}.{ifm.name}",
+                add(Severity.ERROR, "duplicate-node", _element(owner, ifm.name),
                     f"name already used by a {bare[ifm.name]}", ifm, ifm.name)
             bare[ifm.name] = "port-less input failure mode"
         elif _has(comp.out_ports, ifm.port):
-            add(Severity.ERROR, "wrong-port-direction", element,
+            add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
                 f"input failure mode bound to out-port '{ifm.port}'")
         elif not _has(comp.in_ports, ifm.port):
-            add(Severity.ERROR, "unknown-port", element,
-                f"port '{ifm.port}' is not declared", ifm, f"{comp.name}.{ifm.port}")
+            add(Severity.ERROR, "unknown-port", _element(owner, ifm.name, ifm.port),
+                f"port '{ifm.port}' is not declared", ifm, f"{owner}.{ifm.port}")
 
     seen_out: set[tuple[str, str | None]] = set()
     for ofm in cft.output_fms:
-        element = f"{comp.name}.{ofm.name}" + (f"@{ofm.port}" if ofm.port else "")
-        _check_name(add, "output failure mode", ofm.name, element)
+        _check_name(add, "output failure mode", ofm.name, owner, ofm.port)
         if (ofm.name, ofm.port) in seen_out:
-            add(Severity.ERROR, "duplicate-failure-mode", element,
+            add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ofm.name, ofm.port),
                 "output failure mode declared twice", ofm, ofm.name)
         seen_out.add((ofm.name, ofm.port))
         if ofm.port is not None:
             if _has(comp.in_ports, ofm.port):
-                add(Severity.ERROR, "wrong-port-direction", element,
+                add(Severity.ERROR, "wrong-port-direction",
+                    _element(owner, ofm.name, ofm.port),
                     f"output failure mode bound to in-port '{ofm.port}'")
             elif not _has(comp.out_ports, ofm.port):
-                add(Severity.ERROR, "unknown-port", element,
-                    f"port '{ofm.port}' is not declared", ofm, f"{comp.name}.{ofm.port}")
+                add(Severity.ERROR, "unknown-port", _element(owner, ofm.name, ofm.port),
+                    f"port '{ofm.port}' is not declared", ofm, f"{owner}.{ofm.port}")
 
     for gate in cft.gates:
-        element = f"{comp.name}.{gate.name}"
         if gate.kind is GateKind.NOT and len(gate.inputs) != 1:
-            add(Severity.ERROR, "gate-arity", element,
+            add(Severity.ERROR, "gate-arity", _element(owner, gate.name),
                 f"NOT takes exactly 1 input, got {len(gate.inputs)}")
         elif not gate.inputs:
-            add(Severity.ERROR, "gate-arity", element,
+            add(Severity.ERROR, "gate-arity", _element(owner, gate.name),
                 f"{gate.kind.value} needs at least 1 input")
         for ref in gate.inputs:
             if cft.resolve(ref) is None:
-                add(Severity.ERROR, "unknown-node-ref", element,
+                add(Severity.ERROR, "unknown-node-ref", _element(owner, gate.name),
                     f"input '{ref.render()}' does not resolve", gate, ref.render())
     for ofm in cft.output_fms:
-        element = f"{comp.name}.{ofm.name}" + (f"@{ofm.port}" if ofm.port else "")
         if cft.resolve(ofm.driver) is None:
-            add(Severity.ERROR, "unknown-node-ref", element,
+            add(Severity.ERROR, "unknown-node-ref", _element(owner, ofm.name, ofm.port),
                 f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
     gate_edges = []
@@ -507,14 +507,14 @@ def _check(model: ArchitectureModel, add) -> None:
 
     seen_layers: set[str] = set()
     for layer in model.layers:
-        _check_name(add, "layer", layer, layer)
+        _check_name(add, "layer", layer)
         if layer in seen_layers:
             add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice", None, layer)
         seen_layers.add(layer)
 
     seen_comps: set[str] = set()
     for comp in model.components:
-        _check_name(add, "component", comp.name, comp.name)
+        _check_name(add, "component", comp.name)
         if comp.name in seen_comps:
             add(Severity.ERROR, "duplicate-component", comp.name,
                 "component declared twice", comp, comp.name)
@@ -524,7 +524,7 @@ def _check(model: ArchitectureModel, add) -> None:
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
         counts = Counter(comp.in_ports + comp.out_ports)
         for port in sorted(counts):
-            _check_name(add, "port", port, f"{comp.name}.{port}")
+            _check_name(add, "port", port, comp.name)
             if counts[port] > 1:
                 add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
                     "port name used more than once", comp, port)
@@ -534,30 +534,29 @@ def _check(model: ArchitectureModel, add) -> None:
     seen_conns: set[tuple[str, str, str, str]] = set()
     incoming: Counter = Counter()
     for conn in model.connections:
-        element = conn.render()
         for end, port, ports_ok, ports_wrong, side in (
                 (conn.from_component, conn.from_port, "out_ports", "in_ports", "source"),
                 (conn.to_component, conn.to_port, "in_ports", "out_ports", "target")):
             if not model.has_component(end):
-                add(Severity.ERROR, "unknown-component", element,
+                add(Severity.ERROR, "unknown-component", conn.render(),
                     f"{side} component '{end}' is not declared", conn, end)
                 continue
             comp = model.component(end)
             if _has(getattr(comp, ports_ok), port):
                 continue
             if _has(getattr(comp, ports_wrong), port):
-                add(Severity.ERROR, "wrong-port-direction", element,
+                add(Severity.ERROR, "wrong-port-direction", conn.render(),
                     f"{side} port '{end}.{port}' has the wrong direction")
             else:
-                add(Severity.ERROR, "unknown-port", element,
+                add(Severity.ERROR, "unknown-port", conn.render(),
                     f"{side} port '{end}.{port}' is not declared", conn, f"{end}.{port}")
         if conn.from_component == conn.to_component:
-            add(Severity.ERROR, "self-connection", element,
+            add(Severity.ERROR, "self-connection", conn.render(),
                 "connection endpoints are on the same component")
         key = (conn.from_component, conn.from_port, conn.to_component, conn.to_port)
         if key in seen_conns:
-            add(Severity.ERROR, "duplicate-connection", element,
-                "connection declared twice", conn, element)
+            add(Severity.ERROR, "duplicate-connection", conn.render(),
+                "connection declared twice", conn, conn.render())
         seen_conns.add(key)
         incoming[(conn.to_component, conn.to_port)] += 1
     for (comp_name, port), count in sorted(incoming.items()):
@@ -567,18 +566,17 @@ def _check(model: ArchitectureModel, add) -> None:
 
     seen_deps: set[tuple[str, str]] = set()
     for dep in model.dependencies:
-        element = dep.render()
         for end in (dep.dependent, dep.provider):
             if not model.has_component(end):
-                add(Severity.ERROR, "unknown-component", element,
+                add(Severity.ERROR, "unknown-component", dep.render(),
                     f"component '{end}' is not declared", dep, end)
         if dep.dependent == dep.provider:
-            add(Severity.ERROR, "self-dependency", element,
+            add(Severity.ERROR, "self-dependency", dep.render(),
                 "component depends on itself")
         key = (dep.dependent, dep.provider)
         if key in seen_deps:
-            add(Severity.ERROR, "duplicate-dependency", element,
-                "dependency declared twice", dep, element)
+            add(Severity.ERROR, "duplicate-dependency", dep.render(),
+                "dependency declared twice", dep, dep.render())
         seen_deps.add(key)
     comp_names = [c.name for c in model.components]
     dep_edges = [(d.dependent, d.provider) for d in model.dependencies

@@ -24,6 +24,14 @@ ASCII letters, digits, ``_`` and ``-``; there are no reserved words, the
 grammar is purely positional.  Files are UTF-8; LF endings are emitted and
 CRLF is tolerated on input.
 
+Parsing is one regular-expression match per line: one grammar for top-level
+lines and one for lines inside a component block, each also accepting blank
+and comment-only lines.  A matching line is built straight from the match's
+groups.  A line that does not match goes to a word cursor, which finds the
+first word that breaks the grammar and raises the located
+:class:`~cftweave.errors.ParseError`; the cursor builds nothing, so valid
+documents never reach it.
+
 Serialisation is canonical: layers sorted by name, components by (layer,
 name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
 and name order within a kind, then connections, dependencies and
@@ -34,7 +42,6 @@ valid model, and serialising twice is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -59,13 +66,62 @@ from .model import (
 from .synthesizer import FaultTree, FTExternalEvent, FTGate
 from .weaver import WovenModel
 
-# Group 1: punctuation, group 2: a name (a '-' that starts '->' ends it),
-# group 3: any other character but blanks, which is '#' or an error.
-_TOKEN = re.compile(r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])")
-# The same tokens without groups, for a line that _CLEAN accepts: blanks,
-# name characters and punctuation, with '>' only as part of '->'.
-_WORD = re.compile(r"->|[{}()=,@.]|(?:[A-Za-z0-9_]|-(?!>))+")
-_CLEAN = re.compile(r"[A-Za-z0-9_{}()=,@. \t-]*(?:(?<=-)>[A-Za-z0-9_{}()=,@. \t-]*)*")
+# Only errors read a line word by word, so these two patterns are left to
+# the re module's cache.  Group 1: punctuation, group 2: a name (a '-' that
+# starts '->' ends it), group 3: any other character but blanks, which is
+# '#' or an error.
+_TOKEN = r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])"
+# The same words without groups, for a line whose characters _columns accepts.
+_WORD = r"->|[{}()=,@.]|(?:[A-Za-z0-9_]|-(?!>))+"
+
+# The grammar of one line.  Blanks are spaces and tabs, '#' starts a
+# comment, and trailing '\r's are dropped.  The parser reads each tab as a
+# space before matching, so the patterns hold only spaces, which makes
+# them cheaper to compile and to match.  Two names need a blank between
+# them; a name and punctuation do not.  A name is one run of [\w-], which
+# is [A-Za-z0-9_-] under re.ASCII.  In a matching line no name is followed
+# by '>', so none holds the '-' of a '->', and each is the word _WORD
+# reads.  (One character class also keeps the matcher's stack flat on a
+# gate with many inputs.)  Each blank run sits between classes it cannot
+# overlap, so a line that does not match fails in time linear in its
+# length.
+_NAME_TEXT = r"[\w-]+"
+_NAME = "(" + _NAME_TEXT + ")"
+# A node reference, name[@port]: with groups, and as one ungrouped run.
+_REF = _NAME + r"(?: *@ *" + _NAME + r")?"
+_REF_TEXT = _NAME_TEXT + r"(?: *@ *" + _NAME_TEXT + r")?"
+
+
+def _line(*statements: str) -> re.Pattern:
+    """A line holding one of *statements*, or none.  A line, its tabs read
+    as spaces, matches exactly when the cursor accepts it in the same
+    context."""
+    return re.compile(r" *(?:(?:" + "|".join(statements)
+                      + r") *)?(?:#.*)?\r*", re.ASCII)
+
+
+# Groups: 1 layer; 2-3 component, layer; 4-7 connect; 8-9 alfred;
+# 10-13 common-cause.  A match's lastindex names its statement.
+_TOP_LINE = _line(
+    r"layer +" + _NAME,
+    r"component +" + _NAME + r" +in +" + _NAME + r" *\{",
+    r"connect +" + _NAME + r" *\. *" + _NAME + r" *-> *" + _NAME + r" *\. *" + _NAME,
+    r"alfred +" + _NAME + r" *-> *" + _NAME,
+    r"common-cause +" + _NAME + r" *\. *" + _NAME + r" *= *" + _NAME + r" *\. *" + _NAME,
+)
+# Groups: 1 in; 2 out; 3 event; 4-6 gate name, kind, inputs; 7-8 infm;
+# 9-12 outfm name, port, driver name, driver port; 13 '}'.
+_BODY_LINE = _line(
+    r"in +" + _NAME,
+    r"out +" + _NAME,
+    r"event +" + _NAME,
+    r"gate +" + _NAME + r" *= *(AND|OR|NOT) *\( *("
+    + _REF_TEXT + r"(?: *, *" + _REF_TEXT + r")*) *\)",
+    r"infm +" + _REF,
+    r"outfm +" + _REF + r" *= *" + _REF,
+    r"(\})",
+)
+
 # A word is punctuation or a name; None ends a line's words.
 _NOT_IDENT = frozenset(("->", "{", "}", "(", ")", "=", ",", "@", ".", None))
 _GATE_KINDS = {k.value: k for k in GateKind}
@@ -89,12 +145,14 @@ _REJECTED = {
 }
 
 
+# tuple.__new__ skips the named tuple's Python-level __new__
 _new_tuple = tuple.__new__
 
 
 class _Token(NamedTuple):
     """A word an error may point at, by line and index among the line's
-    words; its column is found only when the error is raised."""
+    words (the keyword is 0); its column is found only when the error is
+    raised."""
 
     value: str
     line: int
@@ -107,7 +165,7 @@ def _columns(text: str, line: int) -> list[int]:
     Raises the located error at the first character no word can hold.
     """
     columns: list[int] = []
-    for m in _TOKEN.finditer(text):
+    for m in re.finditer(_TOKEN, text):
         if m.lastindex == 3:
             value = m[0]
             if value == "#":
@@ -119,7 +177,8 @@ def _columns(text: str, line: int) -> list[int]:
 
 
 class _Cursor:
-    """Word cursor for one line; *words* ends with a ``None`` sentinel."""
+    """Word cursor for one line that the grammar rejects; it only finds
+    where and why.  *words* ends with a ``None`` sentinel."""
 
     def __init__(self, words: list, line: int, text: str):
         self.words = words
@@ -140,19 +199,10 @@ class _Cursor:
             self.fail_at(self.pos, "expected " + (what or f"'{punct}'"), (punct,))
         self.pos += 1
 
-    def take_ident(self, what: str) -> str:
-        pos = self.pos
-        word = self.words[pos]
-        if word in _NOT_IDENT:
-            self.fail_at(pos, f"expected {what}", ("identifier",))
-        self.pos = pos + 1
-        return word
-
-    def take_name(self, what: str) -> _Token:
-        """An identifier, kept with its position for later errors."""
-        word = self.take_ident(what)
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        return _new_tuple(_Token, (word, self.line, self.pos - 1))
+    def take_ident(self, what: str) -> None:
+        if self.words[self.pos] in _NOT_IDENT:
+            self.fail_at(self.pos, f"expected {what}", ("identifier",))
+        self.pos += 1
 
     def take_keyword(self, word: str) -> None:
         if self.words[self.pos] != word:
@@ -169,30 +219,108 @@ class _Cursor:
         if self.words[self.pos] is not None:
             self.fail_at(self.pos, "expected end of line", ("end of line",))
 
-    def qualified(self, what: str) -> tuple[str, str]:
-        first = self.take_ident(what)
+    def qualified(self, what: str) -> None:
+        self.take_ident(what)
         self.take(".", f"'.' in {what}")
-        return first, self.take_ident(what)
+        self.take_ident(what)
 
-    def node_ref(self) -> NodeRef:
-        name = self.take_ident("node reference")
+    def node_ref(self) -> None:
+        self.take_ident("node reference")
         if self.accept("@"):
-            return NodeRef(name, self.take_ident("port name"))
-        return NodeRef(name)
+            self.take_ident("port name")
 
 
-@dataclass
+def _top_statement(cur: _Cursor) -> None:
+    """Check one top-level declaration; raises at its first error."""
+    word = cur.words[0]
+    if word not in _TOP_KEYWORDS:
+        cur.fail_at(0, "expected a declaration", _TOP_KEYWORDS)
+    cur.pos = 1
+    if word == "layer":
+        cur.take_ident("layer name")
+    elif word == "component":
+        cur.take_ident("component name")
+        cur.take_keyword("in")
+        cur.take_ident("layer name")
+        cur.take("{")
+    elif word == "connect":
+        cur.qualified("source port")
+        cur.take("->")
+        cur.qualified("target port")
+    elif word == "alfred":
+        cur.take_ident("dependent component")
+        cur.take("->")
+        cur.take_ident("provider component")
+    else:  # common-cause
+        cur.qualified("event reference")
+        cur.take("=")
+        cur.qualified("event reference")
+    cur.end()
+
+
+def _body_statement(cur: _Cursor) -> None:
+    """Check one declaration inside a component block; raises at its
+    first error."""
+    word = cur.words[0]
+    cur.pos = 1
+    if word not in _BODY_KEYWORDS:
+        cur.fail_at(0, "expected a component declaration", _BODY_KEYWORDS)
+    if word in ("in", "out"):
+        cur.take_ident("port name")
+    elif word == "event":
+        cur.take_ident("event name")
+    elif word == "gate":
+        cur.take_ident("gate name")
+        cur.take("=")
+        cur.take_ident("gate kind")
+        if cur.words[cur.pos - 1] not in _GATE_KINDS:
+            cur.fail_at(cur.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
+        cur.take("(")
+        cur.node_ref()
+        while cur.accept(","):
+            cur.node_ref()
+        cur.take(")")
+    elif word in ("infm", "outfm"):
+        cur.take_ident("failure mode name")
+        if cur.accept("@"):
+            cur.take_ident("port name")
+        if word == "outfm":
+            cur.take("=")
+            cur.node_ref()
+    cur.end()
+
+
+def _check_line(raw: str, line: int, in_block: bool) -> None:
+    """Raise the located error if the cursor rejects the line."""
+    raw = raw.rstrip("\r")
+    _columns(raw, line)  # raises at the first character no word can hold
+    words = re.findall(_WORD, raw.split("#", 1)[0])
+    if words:
+        words.append(None)
+        cur = _Cursor(words, line, raw)
+        if in_block:
+            _body_statement(cur)
+        else:
+            _top_statement(cur)
+
+
 class _Block:
-    """A component block: its name and layer tokens and its declarations."""
+    """A component block: its name and layer tokens and its declarations.
 
-    name: _Token
-    layer: _Token
-    in_ports: list[_Token] = field(default_factory=list)
-    out_ports: list[_Token] = field(default_factory=list)
-    events: list[BasicEvent] = field(default_factory=list)
-    gates: list[Gate] = field(default_factory=list)
-    infms: list[InputFailureMode] = field(default_factory=list)
-    outfms: list[OutputFailureMode] = field(default_factory=list)
+    A plain class: a dataclass here would cost about 1 ms of every import."""
+
+    __slots__ = ("name", "layer", "in_ports", "out_ports", "events", "gates", "infms",
+                 "outfms")
+
+    def __init__(self, name: _Token, layer: _Token):
+        self.name = name
+        self.layer = layer
+        self.in_ports: list[_Token] = []
+        self.out_ports: list[_Token] = []
+        self.events: list[BasicEvent] = []
+        self.gates: list[Gate] = []
+        self.infms: list[InputFailureMode] = []
+        self.outfms: list[OutputFailureMode] = []
 
 
 class _Parser:
@@ -209,25 +337,28 @@ class _Parser:
         self.findings: list[Finding] = []
 
     def parse(self) -> ArchitectureModel:
-        current: _Block | None = None
+        block: _Block | None = None
+        top_line = _TOP_LINE.fullmatch
+        body_line = _BODY_LINE.fullmatch
         for lineno, raw in enumerate(self.lines, start=1):
-            raw = raw.rstrip("\r")
-            code = raw.split("#", 1)[0]
-            if not _CLEAN.fullmatch(code):
-                _columns(raw, lineno)  # raises at the first bad character
-            words = _WORD.findall(code)
-            if not words:
+            m = (top_line if block is None else body_line)(raw.replace("\t", " "))
+            if m is None:
+                _check_line(raw, lineno, block is not None)
+                raise AssertionError(f"line {lineno}: the grammar rejects a line the "
+                                     "cursor accepts")
+            i = m.lastindex
+            if i is None:  # blank or comment
                 continue
-            words.append(None)
-            cur = _Cursor(words, lineno, raw)
-            if current is None:
-                current = self._top_statement(cur)
-            elif not self._body_statement(cur, current):
-                self._close(current)
-                current = None
-        if current is not None:
+            if block is None:
+                block = self._add_top(m, i, lineno)
+            elif i == 13:  # '}'
+                self._close(block)
+                block = None
+            else:
+                self._add_body(m, i, lineno, block)
+        if block is not None:
             raise ParseError(
-                f"unexpected end of file inside component '{current.name.value}'",
+                f"unexpected end of file inside component '{block.name.value}'",
                 len(self.lines), 1, expected=("}",))
         if not self.layers:
             raise ParseError("no layer declared", 1, 1, expected=("layer",))
@@ -288,104 +419,56 @@ class _Parser:
             kind="input" if isinstance(about, InputFailureMode) else "output")
         raise ParseError(message, tok.line, self._column(tok), token=tok.value)
 
-    def _top_statement(self, cur: _Cursor) -> _Block | None:
-        word = cur.words[0]
-        if word not in _TOP_KEYWORDS:
-            cur.fail_at(0, "expected a declaration", _TOP_KEYWORDS)
-        cur.pos = 1
-        if word == "layer":
-            name = cur.take_name("layer name")
-            cur.end()
-            self.layers.append(name)
+    def _add_top(self, m: re.Match, i: int, line: int) -> _Block | None:
+        """Build a top-level declaration from its match; *i* is the match's
+        lastindex.  Returns the block a ``component`` line opens."""
+        if i == 1:
+            self.layers.append(_new_tuple(_Token, (m[1], line, 1)))
             return None
-        if word == "component":
-            name = cur.take_name("component name")
-            cur.take_keyword("in")
-            layer = cur.take_name("layer name")
-            cur.take("{")
-            cur.end()
-            return _Block(name, layer)
-        keyword = _new_tuple(_Token, (word, cur.line, 0))
-        if word == "connect":
-            from_comp, from_port = cur.qualified("source port")
-            cur.take("->")
-            to_comp, to_port = cur.qualified("target port")
-            cur.end()
-            conn = PortConnection(from_comp, from_port, to_comp, to_port)
+        if i == 3:
+            return _Block(_new_tuple(_Token, (m[2], line, 1)),
+                          _new_tuple(_Token, (m[3], line, 3)))
+        if i == 7:
+            conn = PortConnection(m[4], m[5], m[6], m[7])
             self.connections.append(conn)
-            self.declared.append((conn, keyword, None))
-        elif word == "alfred":
-            dependent = cur.take_ident("dependent component")
-            cur.take("->")
-            provider = cur.take_ident("provider component")
-            cur.end()
-            dep = AlfredDependency(dependent, provider)
+            self.declared.append((conn, _new_tuple(_Token, ("connect", line, 0)), None))
+        elif i == 9:
+            dep = AlfredDependency(m[8], m[9])
             self.dependencies.append(dep)
-            self.declared.append((dep, keyword, None))
-        else:  # common-cause
-            a_comp, a_event = cur.qualified("event reference")
-            cur.take("=")
-            b_comp, b_event = cur.qualified("event reference")
-            cur.end()
-            self.aliases.append((EventRef(a_comp, a_event), EventRef(b_comp, b_event),
-                                 keyword))
+            self.declared.append((dep, _new_tuple(_Token, ("alfred", line, 0)), None))
+        else:
+            self.aliases.append((EventRef(m[10], m[11]), EventRef(m[12], m[13]),
+                                 _new_tuple(_Token, ("common-cause", line, 0))))
         return None
 
-    def _body_statement(self, cur: _Cursor, block: _Block) -> bool:
-        """Parse one declaration inside a component block.
-
-        Returns False when the block was closed by '}'.
-        """
-        word = cur.words[0]
-        cur.pos = 1
-        if word == "}":
-            cur.end()
-            return False
-        if word not in _BODY_KEYWORDS:
-            cur.fail_at(0, "expected a component declaration", _BODY_KEYWORDS)
-        if word == "in":
-            block.in_ports.append(cur.take_name("port name"))
-            cur.end()
-            return True
-        if word == "out":
-            block.out_ports.append(cur.take_name("port name"))
-            cur.end()
-            return True
-        if word == "event":
-            name = cur.take_name("event name")
-            cur.end()
-            node = BasicEvent(name.value)
+    def _add_body(self, m: re.Match, i: int, line: int, block: _Block) -> None:
+        """Build a declaration inside *block* from its match; *i* is the
+        match's lastindex."""
+        if i == 1:
+            block.in_ports.append(_new_tuple(_Token, (m[1], line, 1)))
+            return
+        if i == 2:
+            block.out_ports.append(_new_tuple(_Token, (m[2], line, 1)))
+            return
+        if i == 3:
+            name = m[3]
+            node = BasicEvent(name)
             block.events.append(node)
-        elif word == "gate":
-            name = cur.take_name("gate name")
-            cur.take("=")
-            kind = _GATE_KINDS.get(cur.take_ident("gate kind"))
-            if kind is None:
-                cur.fail_at(cur.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
-            cur.take("(")
-            refs = [cur.node_ref()]
-            while cur.accept(","):
-                refs.append(cur.node_ref())
-            cur.take(")")
-            cur.end()
-            node = Gate(name.value, kind, tuple(refs))
+        elif i == 6:
+            name = m[4]
+            inputs = m[6].replace(" ", "").split(",")
+            refs = tuple([NodeRef(*ref.split("@")) for ref in inputs])
+            node = Gate(name, _GATE_KINDS[m[5]], refs)
             block.gates.append(node)
-        elif word == "infm":
-            name = cur.take_name("failure mode name")
-            port = cur.take_ident("port name") if cur.accept("@") else None
-            cur.end()
-            node = InputFailureMode(name.value, port)
+        elif i <= 8:
+            name = m[7]
+            node = InputFailureMode(name, m[8])
             block.infms.append(node)
-        else:  # outfm
-            name = cur.take_name("failure mode name")
-            port = cur.take_ident("port name") if cur.accept("@") else None
-            cur.take("=")
-            driver = cur.node_ref()
-            cur.end()
-            node = OutputFailureMode(name.value, port, driver)
+        else:
+            name = m[9]
+            node = OutputFailureMode(name, m[10], NodeRef(m[11], m[12]))
             block.outfms.append(node)
-        self.declared.append((node, name, block))
-        return True
+        self.declared.append((node, _new_tuple(_Token, (name, line, 1)), block))
 
     def _close(self, block: _Block) -> None:
         cft = None
@@ -402,7 +485,6 @@ class _Parser:
         )
         self.components.append(comp)
         self.declared.append((comp, block.name, block))
-
 
 def parse(text: str) -> ArchitectureModel:
     """Parse a model document.

@@ -73,9 +73,6 @@ class WovenModel:
             injections.setdefault(e.node, {})[e.component] = e.source
         object.__setattr__(self, "_injections", injections)
 
-    def injection_map(self) -> dict[tuple[str, str], InjectionSource]:
-        return {(e.component, e.node): e.source for e in self.provenance}
-
     def sidecar_lines(self) -> tuple[str, ...]:
         """Tab-separated provenance rows: injected-node, provider, dependent."""
         rows = ["injected-node\tprovider\tdependent"]

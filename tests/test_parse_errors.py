@@ -15,15 +15,19 @@ from hypothesis import strategies as st
 
 from cftweave import (
     CftweaveError,
+    GateKind,
     ParseError,
     TopEventRef,
     cutsets,
+    fixture_names,
+    fixture_text,
     parse,
     serialize,
     synthesize,
     validate,
     weave,
 )
+from cftweave import textfmt
 
 import genmodels
 
@@ -400,3 +404,69 @@ def test_handed_report_has_errors_and_warnings(text):
     model = parse(text)
     assert validate(model).findings
     assert validate(model) == validate(dataclasses.replace(model))
+
+
+# Pieces of single lines: keywords of both contexts, gate kinds, names with
+# '-', punctuation, '>' alone, blanks, comments and a carriage return.
+LINE_PIECES = (*TOP, *BODY, "AND", "OR", "NOT", "XOR", "a", "b-c", "x_1", "9", "-",
+               "--", "a-", "-b", "->", "{", "(", ")", "=", ",", "@", ".", ">",
+               " ", " ", "\t", "# c -> {", "#", "\r")
+# Valid statements of each context, as words to join with drawn blanks.
+STATEMENTS = {
+    False: (("layer", "l"), ("component", "c", "in", "l", "{"),
+            ("connect", "a", ".", "o", "->", "b-c", ".", "i"), ("alfred", "a-", "->", "b"),
+            ("common-cause", "a", ".", "e", "=", "b", ".", "e")),
+    True: (("in", "p"), ("out", "p"), ("event", "e"), ("}",),
+           ("gate", "g", "=", "OR", "(", "e", ",", "f", "@", "p", ")"),
+           ("gate", "g", "=", "NOT", "(", "e", ")"), ("infm", "f", "@", "p"), ("infm", "f"),
+           ("outfm", "o", "=", "g"), ("outfm", "o", "@", "q", "=", "f", "@", "p")),
+}
+
+
+@st.composite
+def lines(draw):
+    """One line over the grammar's alphabet: a valid statement of either
+    context with drawn blanks and trailer, or a soup of pieces."""
+    if draw(st.booleans()):
+        words = draw(st.sampled_from(STATEMENTS[draw(st.booleans())]))
+        blanks = st.sampled_from(("", "", " ", "\t", " \t"))
+        text = draw(blanks) + "".join(w + draw(blanks) for w in words)
+        return text + draw(st.sampled_from(("", "# note", "\r", "\r\r", "#\r x\r", " $")))
+    return "".join(draw(st.lists(st.sampled_from(LINE_PIECES), max_size=12)))
+
+
+def cursor_accepts(line, in_block):
+    try:
+        textfmt._check_line(line, 1, in_block)
+    except ParseError:
+        return False
+    return True
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lines())
+def test_grammar_matches_exactly_the_lines_the_cursor_accepts(line):
+    # parse reads each tab as a space before matching
+    spaced = line.replace("\t", " ")
+    for in_block, grammar in ((False, textfmt._TOP_LINE), (True, textfmt._BODY_LINE)):
+        assert (grammar.fullmatch(spaced) is not None) == cursor_accepts(line, in_block)
+
+
+class _NoCursor:
+    def __init__(self, *args):
+        raise AssertionError("a valid document reached the cursor")
+
+
+def test_valid_documents_never_reach_the_cursor(monkeypatch, fig2, vehicle):
+    monkeypatch.setattr(textfmt, "_Cursor", _NoCursor)
+    texts = [fixture_text(name) for name in fixture_names()]
+    families = [genmodels.wide(n, kind)[0] for n in (1, 50) for kind in GateKind]
+    families += [genmodels.chain(30)[0], genmodels.lattice(8)[0],
+                 genmodels.alfred_chain(20)]
+    texts += [serialize(model) for model in families]
+    texts += [serialize(genmodels.random_model(seed, allow_not=seed % 2 == 0)[0])
+              for seed in range(200)]
+    for text in texts:
+        for variant in (text, text.replace("\n", "\r\n"), text.replace(" ", " \t")):
+            assert serialize(parse(variant)) == serialize(parse(text))
+    assert parse(texts[0]) == fig2 and parse(texts[1]) == vehicle

@@ -242,7 +242,8 @@ def test_leaf_soundness_on_sample():
     for seed in range(40):
         model, tops = genmodels.random_model(seed)
         woven = weave(model)
-        known_identities = set(model.identity_map().values())
+        known_identities = {model._identity(c.name, e.name)
+                            for c in model.components if c.cft for e in c.cft.events}
         connected = {(c.to_component, c.to_port) for c in model.connections}
         for top in tops:
             tree = synthesize(woven, top)
