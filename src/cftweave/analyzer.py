@@ -1,11 +1,11 @@
 """Qualitative fault-tree analysis: cutsets and Boolean reduction.
 
 Cutsets come from top-down product expansion (the classic
-AND-distributes-over-OR walk), folded bottom-up in one loop over the tree's
-children-first node list, each shared node once, so tree depth is not
-limited by the interpreter's recursion limit.  A node's products are
-dropped once its last parent is folded, so memory follows the products
-still needed rather than the depth of the tree.  Two report stages exist:
+AND-distributes-over-OR walk), folded bottom-up by the tree's children-first
+fold, each shared gate once, so tree depth is not limited by the
+interpreter's recursion limit.  A gate's products are dropped once its last
+parent is folded, so memory follows the products still needed rather than
+the depth of the tree.  Two report stages exist:
 
 * ``pre``: the expanded products over leaf display names, deduplicated but
   without absorption, with every display-named leaf treated as its own atom.
@@ -83,35 +83,6 @@ class CutSetReport:
         return {cs.identities for cs in self.cutsets}
 
 
-def _fold(nodes, leaf, gate):
-    """The value of the last of *nodes*, a children-first node list.
-
-    ``leaf(node)`` gives a leaf's value and ``gate(node, values)`` a gate's
-    from its children's values in child order.  A value is dropped once its
-    last parent is folded, so memory follows the values still needed, not
-    every node's.
-    """
-    uses: dict[int, int] = {}  # parents not yet folded, per child
-    for node in nodes:
-        if isinstance(node, FTGate):
-            for child in node.children:
-                uses[id(child)] = uses.get(id(child), 0) + 1
-    values: dict[int, object] = {}
-    for node in nodes:
-        if isinstance(node, FTGate):
-            kids = []
-            for child in node.children:
-                key = id(child)
-                kids.append(values[key])
-                uses[key] -= 1
-                if not uses[key]:
-                    del values[key]
-            values[id(node)] = gate(node, kids)
-        else:
-            values[id(node)] = leaf(node)
-    return values[id(node)]
-
-
 def _check_budget(acc: tuple, child: tuple) -> None:
     count = len(acc) * len(child)
     if count > MAX_PRODUCTS:
@@ -120,7 +91,7 @@ def _check_budget(acc: tuple, child: tuple) -> None:
             f"over the budget of {MAX_PRODUCTS}")
 
 
-def _display_products(nodes) -> tuple[tuple[str, ...], ...]:
+def _display_products(tree: FaultTree) -> tuple[tuple[str, ...], ...]:
     """Every product over leaf display names, deduplicated, not absorbed.
 
     A product is the sorted tuple of its display names, so one set of names
@@ -146,7 +117,7 @@ def _display_products(nodes) -> tuple[tuple[str, ...], ...]:
             support |= names
         return acc
 
-    return _fold(nodes, lambda leaf: ((leaf.display,),), gate)
+    return tree._fold(lambda leaf: ((leaf.display,),), gate)
 
 
 def _minimise(masks) -> tuple[int, ...]:
@@ -184,7 +155,7 @@ def _minimise(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _identity_products(nodes, bit_of: dict[str, int]) -> tuple[int, ...]:
+def _identity_products(tree: FaultTree, bit_of: dict[str, int]) -> tuple[int, ...]:
     """The minimal products over leaf identities, as bitmasks."""
     def gate(node, kids):
         if node.kind is GateKind.OR:
@@ -195,7 +166,7 @@ def _identity_products(nodes, bit_of: dict[str, int]) -> tuple[int, ...]:
             acc = _minimise([a | b for a in acc for b in kid])
         return acc
 
-    return _minimise(_fold(nodes, lambda leaf: (bit_of[leaf.identity],), gate))
+    return _minimise(tree._fold(lambda leaf: (bit_of[leaf.identity],), gate))
 
 
 def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
@@ -204,8 +175,7 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         raise AnalysisError(f"unknown stage '{stage}', expected one of {STAGES}")
     if tree.root is None:
         raise AnalysisError("empty tree")
-    nodes = tree.nodes()
-    if any(isinstance(node, FTGate) and node.kind is GateKind.NOT for node in nodes):
+    if any(isinstance(node, FTGate) and node.kind is GateKind.NOT for node in tree.nodes()):
         raise AnalysisError("non-coherent tree: cutset semantics undefined")
 
     identity_of: dict[str, str] = {}
@@ -222,7 +192,7 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         # The products are distinct, so two stable sorts give the report
         # order.  Products that name one cause through several dependents'
         # copies collapse to one identity set; they share one frozenset.
-        products = sorted(_display_products(nodes))
+        products = sorted(_display_products(tree))
         products.sort(key=len)
         shared: dict[frozenset[str], frozenset[str]] = {}
         sets = []
@@ -239,7 +209,7 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
                   for ident, ds in displays_per_identity.items()}
 
     sets = []
-    for mask in _identity_products(nodes, bit_of):
+    for mask in _identity_products(tree, bit_of):
         members = []
         while mask:
             low = mask & -mask
@@ -273,4 +243,4 @@ def evaluate(tree: FaultTree, assignment) -> bool:
             return any(values)
         return not values[0]
 
-    return _fold(tree.nodes(), lambda leaf: bool(assignment[leaf.identity]), gate)
+    return tree._fold(lambda leaf: bool(assignment[leaf.identity]), gate)

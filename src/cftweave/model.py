@@ -141,12 +141,6 @@ class ComponentFaultTree:
     def event(self, name: str) -> BasicEvent | None:
         return self._nodes.get(("event", name, None))
 
-    def gate(self, name: str) -> Gate | None:
-        return self._nodes.get(("gate", name, None))
-
-    def input_fm(self, name: str, port: str | None) -> InputFailureMode | None:
-        return self._nodes.get(("in", name, port))
-
     def output_fm(self, name: str, port: str | None) -> OutputFailureMode | None:
         return self._nodes.get(("out", name, port))
 

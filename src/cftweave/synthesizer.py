@@ -15,18 +15,19 @@ Resolution is one explicit-stack walk whose frames are gates and output
 failure modes, so propagation depth is not bounded by the interpreter's
 recursion limit.  Repeated references to one output failure mode resolve to
 one shared subgraph, so the result is a DAG.  A :class:`FaultTree` lists its
-unique nodes once, children first, when it is built; every later pass (the
-text rendering, the cutset folds, the oracle's evaluator) is a plain loop
-over that list.  The canonical text rendering still writes a shared subtree
-out at every occurrence, so its length can grow exponentially with depth,
-but it renders each shared subtree once, so its time is linear in the
-unique nodes plus the bytes written.  Child order follows the model's
-canonical order, so output is byte-stable.
+unique nodes once, children first, when it is built; the text rendering
+and the cutset folds are one fold over that list, and the oracle's
+evaluator is its own loop over it.  The canonical text rendering still
+writes a shared subtree out at every occurrence, so its length can grow
+exponentially with depth, but it renders each shared gate once, so its
+time is linear in the unique nodes plus the bytes written.  Child order
+follows the model's canonical order, so output is byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import ModelError, SynthesisError
 from .model import (
@@ -124,43 +125,59 @@ class FaultTree:
     def leaf_identities(self) -> tuple[str, ...]:
         return tuple(sorted({leaf.identity for leaf in self.leaves()}))
 
+    def _fold(self, leaf, gate):
+        """The root's value, folded children first over :meth:`nodes`.
+
+        ``leaf(node)`` gives a leaf's value at each use and ``gate(node,
+        values)`` a gate's from its children's values in child order.  A
+        gate's value is dropped once its last parent is folded, so memory
+        follows the values still needed, not every node's.  Gates compare
+        by identity, so they key the dicts themselves.
+        """
+        root = self.root
+        if not isinstance(root, FTGate):
+            return leaf(root)
+        gates = [node for node in self._nodes if isinstance(node, FTGate)]
+        uses: dict[FTGate, int] = {}  # parents not yet folded, per gate
+        for node in gates:
+            for child in node.children:
+                if isinstance(child, FTGate):
+                    uses[child] = uses.get(child, 0) + 1
+        values: dict[FTGate, object] = {}
+        for node in gates:
+            kids = []
+            for child in node.children:
+                if isinstance(child, FTGate):
+                    left = uses[child] - 1
+                    if left:
+                        uses[child] = left
+                        kids.append(values[child])
+                    else:
+                        kids.append(values.pop(child))
+                else:
+                    kids.append(leaf(child))
+            values[node] = gate(node, kids)
+        return values[root]
+
     def to_prefix_text(self) -> str:
         """Canonical nested-prefix rendering, e.g. ``OR(AND(x,y),z)``.
 
         Shared subtrees are written out at every occurrence, but each gate
-        is rendered once: its text is built from its children's, which come
-        before it in :meth:`nodes`, and kept until the last reference to it.
+        is rendered once, from its children's texts.
         """
-        if not isinstance(self.root, FTGate):
-            return self.root.display
-        gates = [node for node in self._nodes if isinstance(node, FTGate)]
-        uses: dict[int, int] = {}
-        for node in gates:
-            for child in node.children:
-                if isinstance(child, FTGate):
-                    uses[id(child)] = uses.get(id(child), 0) + 1
-        texts: dict[int, str] = {}
-        for node in gates:
+        def gate(node, texts):
             # one join builds the text, so no second copy of it is made
             parts = [node.kind.value + "("]
-            for child in node.children:
-                if isinstance(child, FTGate):
-                    key = id(child)
-                    left = uses[key] - 1
-                    if left:
-                        uses[key] = left
-                        parts.append(texts[key])
-                    else:
-                        parts.append(texts.pop(key))
-                else:
-                    parts.append(child.display)
+            for text in texts:
+                parts.append(text)
                 parts.append(",")
-            if node.children:
+            if texts:
                 parts[-1] = ")"
             else:
                 parts.append(")")
-            texts[id(node)] = "".join(parts)
-        return texts[id(self.root)]
+            return "".join(parts)
+
+        return self._fold(attrgetter("display"), gate)
 
 
 def _fallback_display(dependent: str, source) -> str:

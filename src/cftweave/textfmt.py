@@ -24,13 +24,14 @@ ASCII letters, digits, ``_`` and ``-``; there are no reserved words, the
 grammar is purely positional.  Files are UTF-8; LF endings are emitted and
 CRLF is tolerated on input.
 
-Parsing is one regular-expression match per line: one grammar for top-level
-lines and one for lines inside a component block, each also accepting blank
-and comment-only lines.  A matching line is built straight from the match's
-groups.  A line that does not match goes to a word cursor, which finds the
-first word that breaks the grammar and raises the located
-:class:`~cftweave.errors.ParseError`; the cursor builds nothing, so valid
-documents never reach it.
+The grammar is stated once, as one statement table per context (top level
+and inside a component block).  Parsing is one regular-expression match per
+line against a pattern built from its context's table, which also accepts
+blank and comment-only lines.  A matching line is built straight from the
+match's groups.  A line that does not match goes to a word cursor, which
+reads the same table to find the first word that breaks the grammar and
+raises the located :class:`~cftweave.errors.ParseError`; the cursor builds
+nothing, so valid documents never reach it.
 
 Serialisation is canonical: layers sorted by name, components by (layer,
 name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
@@ -74,59 +75,91 @@ _TOKEN = r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])"
 # The same words without groups, for a line whose characters _columns accepts.
 _WORD = r"->|[{}()=,@.]|(?:[A-Za-z0-9_]|-(?!>))+"
 
-# The grammar of one line.  Blanks are spaces and tabs, '#' starts a
-# comment, and trailing '\r's are dropped.  The parser reads each tab as a
-# space before matching, so the patterns hold only spaces, which makes
-# them cheaper to compile and to match.  Two names need a blank between
-# them; a name and punctuation do not.  A name is one run of [\w-], which
-# is [A-Za-z0-9_-] under re.ASCII.  In a matching line no name is followed
-# by '>', so none holds the '-' of a '->', and each is the word _WORD
-# reads.  (One character class also keeps the matcher's stack flat on a
-# gate with many inputs.)  Each blank run sits between classes it cannot
-# overlap, so a line that does not match fails in time linear in its
-# length.
+# The grammar, stated once: per context, each statement's keyword and its
+# items after the keyword.  An item is a literal word or punctuation mark,
+# or a (kind, what) pair: a name, a qualified ``name.name``, a node
+# reference ``name[@port]``, a gate kind, or a comma-separated list of node
+# references.  *what* names the item in the cursor's messages.  The line
+# patterns and the error cursor are both built from these tables.
+_TOP = {
+    "layer": (("name", "layer name"),),
+    "component": (("name", "component name"), "in", ("name", "layer name"), "{"),
+    "connect": (("qualified", "source port"), "->", ("qualified", "target port")),
+    "alfred": (("name", "dependent component"), "->", ("name", "provider component")),
+    "common-cause": (("qualified", "event reference"), "=", ("qualified", "event reference")),
+}
+_BODY = {
+    "in": (("name", "port name"),),
+    "out": (("name", "port name"),),
+    "event": (("name", "event name"),),
+    "gate": (("name", "gate name"), "=", ("kind", "gate kind"), "(",
+             ("refs", "node reference"), ")"),
+    "infm": (("ref", "failure mode name"),),
+    "outfm": (("ref", "failure mode name"), "=", ("ref", "node reference")),
+    "}": (),
+}
+_GATE_KINDS = {k.value: k for k in GateKind}
+
+# Each line is matched with its tabs read as spaces, so the patterns hold
+# only spaces, which makes them cheaper to compile and to match.  Blanks
+# may surround every item; two words (keywords, names, gate kinds) need one
+# between them.  A name is one run of [\w-], which is [A-Za-z0-9_-] under
+# re.ASCII.  In a matching line no name is followed by '>', so none holds
+# the '-' of a '->', and each is the word _WORD reads.  (One character class
+# also keeps the matcher's stack flat on a gate with many inputs.)  Each
+# blank run sits between classes it cannot overlap, so a line that does not
+# match fails in time linear in its length.
 _NAME_TEXT = r"[\w-]+"
 _NAME = "(" + _NAME_TEXT + ")"
-# A node reference, name[@port]: with groups, and as one ungrouped run.
-_REF = _NAME + r"(?: *@ *" + _NAME + r")?"
 _REF_TEXT = _NAME_TEXT + r"(?: *@ *" + _NAME_TEXT + r")?"
+# each item kind's pattern and its number of groups
+_ITEMS = {
+    "name": (_NAME, 1),
+    "qualified": (_NAME + r" *\. *" + _NAME, 2),
+    "ref": (_NAME + r"(?: *@ *" + _NAME + r")?", 2),
+    "kind": ("(" + "|".join(_GATE_KINDS) + ")", 1),
+    "refs": ("(" + _REF_TEXT + r"(?: *, *" + _REF_TEXT + r")*)", 1),
+}
 
 
-def _line(*statements: str) -> re.Pattern:
-    """A line holding one of *statements*, or none.  A line, its tabs read
-    as spaces, matches exactly when the cursor accepts it in the same
-    context."""
-    return re.compile(r" *(?:(?:" + "|".join(statements)
-                      + r") *)?(?:#.*)?\r*", re.ASCII)
+def _is_word(item) -> bool:
+    return isinstance(item, tuple) or re.fullmatch(_NAME_TEXT, item) is not None
 
 
-# Groups: 1 layer; 2-3 component, layer; 4-7 connect; 8-9 alfred;
-# 10-13 common-cause.  A match's lastindex names its statement.
-_TOP_LINE = _line(
-    r"layer +" + _NAME,
-    r"component +" + _NAME + r" +in +" + _NAME + r" *\{",
-    r"connect +" + _NAME + r" *\. *" + _NAME + r" *-> *" + _NAME + r" *\. *" + _NAME,
-    r"alfred +" + _NAME + r" *-> *" + _NAME,
-    r"common-cause +" + _NAME + r" *\. *" + _NAME + r" *= *" + _NAME + r" *\. *" + _NAME,
-)
-# Groups: 1 in; 2 out; 3 event; 4-6 gate name, kind, inputs; 7-8 infm;
-# 9-12 outfm name, port, driver name, driver port; 13 '}'.
-_BODY_LINE = _line(
-    r"in +" + _NAME,
-    r"out +" + _NAME,
-    r"event +" + _NAME,
-    r"gate +" + _NAME + r" *= *(AND|OR|NOT) *\( *("
-    + _REF_TEXT + r"(?: *, *" + _REF_TEXT + r")*) *\)",
-    r"infm +" + _REF,
-    r"outfm +" + _REF + r" *= *" + _REF,
-    r"(\})",
-)
+def _pattern(item) -> tuple[str, int]:
+    """An item's pattern text and its number of groups."""
+    if isinstance(item, tuple):
+        return _ITEMS[item[0]]
+    return re.escape(item).replace("\\-", "-"), 0  # '-' is literal outside a class
+
+
+def _line(table: dict) -> tuple[re.Pattern, tuple]:
+    """The pattern of a line holding one of *table*'s statements, or none,
+    then blanks, a comment and carriage returns; and, indexed by each group
+    a match's lastindex can be, the statement's keyword and first group.  A
+    statement without groups captures its keyword.  A line, its tabs read as
+    spaces, matches exactly when the cursor accepts it in the same context."""
+    statements = []
+    groups: list = [None]
+    for keyword, items in table.items():
+        text, count = _pattern(keyword)
+        for last, item in zip((keyword, *items), items):
+            pattern, n = _pattern(item)
+            text += (" +" if _is_word(last) and _is_word(item) else " *") + pattern
+            count += n
+        if not count:
+            text, count = "(" + text + ")", 1
+        groups += [(keyword, len(groups))] * count
+        statements.append(text)
+    return (re.compile(r" *(?:(?:" + "|".join(statements) + r") *)?(?:#.*)?\r*", re.ASCII),
+            tuple(groups))
+
+
+_TOP_LINE, _TOP_GROUPS = _line(_TOP)
+_BODY_LINE, _BODY_GROUPS = _line(_BODY)
 
 # A word is punctuation or a name; None ends a line's words.
 _NOT_IDENT = frozenset(("->", "{", "}", "(", ")", "=", ",", "@", ".", None))
-_GATE_KINDS = {k.value: k for k in GateKind}
-_TOP_KEYWORDS = ("layer", "component", "connect", "alfred", "common-cause")
-_BODY_KEYWORDS = ("in", "out", "event", "gate", "infm", "outfm", "}")
 
 # The validate findings that parse rejects, as the parser words them.
 _REJECTED = {
@@ -204,90 +237,39 @@ class _Cursor:
             self.fail_at(self.pos, f"expected {what}", ("identifier",))
         self.pos += 1
 
-    def take_keyword(self, word: str) -> None:
-        if self.words[self.pos] != word:
-            self.fail_at(self.pos, f"expected '{word}'", (word,))
-        self.pos += 1
-
     def accept(self, punct: str) -> bool:
         if self.words[self.pos] == punct:
             self.pos += 1
             return True
         return False
 
-    def end(self) -> None:
+    def statement(self, table: dict, unknown: str) -> None:
+        """Check the line as one statement of *table*, a context's grammar;
+        raises at the first error, with *unknown* for an unknown keyword."""
+        word = self.words[0]
+        if word not in table:
+            self.fail_at(0, unknown, tuple(table))
+        self.pos = 1
+        for item in table[word]:
+            if not isinstance(item, tuple):
+                self.take(item)
+                continue
+            kind, what = item
+            self.take_ident(what)
+            if kind == "qualified":
+                self.take(".", f"'.' in {what}")
+                self.take_ident(what)
+            elif kind == "kind" and self.words[self.pos - 1] not in _GATE_KINDS:
+                self.fail_at(self.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
+            elif kind in ("ref", "refs"):
+                while True:
+                    if self.accept("@"):
+                        self.take_ident("port name")
+                    if kind == "ref" or not self.accept(","):
+                        break
+                    self.take_ident(what)
         if self.words[self.pos] is not None:
             self.fail_at(self.pos, "expected end of line", ("end of line",))
-
-    def qualified(self, what: str) -> None:
-        self.take_ident(what)
-        self.take(".", f"'.' in {what}")
-        self.take_ident(what)
-
-    def node_ref(self) -> None:
-        self.take_ident("node reference")
-        if self.accept("@"):
-            self.take_ident("port name")
-
-
-def _top_statement(cur: _Cursor) -> None:
-    """Check one top-level declaration; raises at its first error."""
-    word = cur.words[0]
-    if word not in _TOP_KEYWORDS:
-        cur.fail_at(0, "expected a declaration", _TOP_KEYWORDS)
-    cur.pos = 1
-    if word == "layer":
-        cur.take_ident("layer name")
-    elif word == "component":
-        cur.take_ident("component name")
-        cur.take_keyword("in")
-        cur.take_ident("layer name")
-        cur.take("{")
-    elif word == "connect":
-        cur.qualified("source port")
-        cur.take("->")
-        cur.qualified("target port")
-    elif word == "alfred":
-        cur.take_ident("dependent component")
-        cur.take("->")
-        cur.take_ident("provider component")
-    else:  # common-cause
-        cur.qualified("event reference")
-        cur.take("=")
-        cur.qualified("event reference")
-    cur.end()
-
-
-def _body_statement(cur: _Cursor) -> None:
-    """Check one declaration inside a component block; raises at its
-    first error."""
-    word = cur.words[0]
-    cur.pos = 1
-    if word not in _BODY_KEYWORDS:
-        cur.fail_at(0, "expected a component declaration", _BODY_KEYWORDS)
-    if word in ("in", "out"):
-        cur.take_ident("port name")
-    elif word == "event":
-        cur.take_ident("event name")
-    elif word == "gate":
-        cur.take_ident("gate name")
-        cur.take("=")
-        cur.take_ident("gate kind")
-        if cur.words[cur.pos - 1] not in _GATE_KINDS:
-            cur.fail_at(cur.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
-        cur.take("(")
-        cur.node_ref()
-        while cur.accept(","):
-            cur.node_ref()
-        cur.take(")")
-    elif word in ("infm", "outfm"):
-        cur.take_ident("failure mode name")
-        if cur.accept("@"):
-            cur.take_ident("port name")
-        if word == "outfm":
-            cur.take("=")
-            cur.node_ref()
-    cur.end()
 
 
 def _check_line(raw: str, line: int, in_block: bool) -> None:
@@ -297,11 +279,10 @@ def _check_line(raw: str, line: int, in_block: bool) -> None:
     words = re.findall(_WORD, raw.split("#", 1)[0])
     if words:
         words.append(None)
-        cur = _Cursor(words, line, raw)
         if in_block:
-            _body_statement(cur)
+            _Cursor(words, line, raw).statement(_BODY, "expected a component declaration")
         else:
-            _top_statement(cur)
+            _Cursor(words, line, raw).statement(_TOP, "expected a declaration")
 
 
 class _Block:
@@ -338,8 +319,8 @@ class _Parser:
 
     def parse(self) -> ArchitectureModel:
         block: _Block | None = None
-        top_line = _TOP_LINE.fullmatch
-        body_line = _BODY_LINE.fullmatch
+        top_line, top_groups = _TOP_LINE.fullmatch, _TOP_GROUPS
+        body_line, body_groups = _BODY_LINE.fullmatch, _BODY_GROUPS
         for lineno, raw in enumerate(self.lines, start=1):
             m = (top_line if block is None else body_line)(raw.replace("\t", " "))
             if m is None:
@@ -350,12 +331,15 @@ class _Parser:
             if i is None:  # blank or comment
                 continue
             if block is None:
-                block = self._add_top(m, i, lineno)
-            elif i == 13:  # '}'
+                keyword, g = top_groups[i]
+                block = self._add_top(m, keyword, g, lineno)
+                continue
+            keyword, g = body_groups[i]
+            if keyword == "}":
                 self._close(block)
                 block = None
             else:
-                self._add_body(m, i, lineno, block)
+                self._add_body(m, keyword, g, lineno, block)
         if block is not None:
             raise ParseError(
                 f"unexpected end of file inside component '{block.name.value}'",
@@ -419,55 +403,50 @@ class _Parser:
             kind="input" if isinstance(about, InputFailureMode) else "output")
         raise ParseError(message, tok.line, self._column(tok), token=tok.value)
 
-    def _add_top(self, m: re.Match, i: int, line: int) -> _Block | None:
-        """Build a top-level declaration from its match; *i* is the match's
-        lastindex.  Returns the block a ``component`` line opens."""
-        if i == 1:
-            self.layers.append(_new_tuple(_Token, (m[1], line, 1)))
+    def _add_top(self, m: re.Match, keyword: str, g: int, line: int) -> _Block | None:
+        """Build a top-level declaration from its match, whose groups start
+        at *g*.  Returns the block a ``component`` line opens."""
+        if keyword == "component":
+            return _Block(_new_tuple(_Token, (m[g], line, 1)),
+                          _new_tuple(_Token, (m[g + 1], line, 3)))
+        if keyword == "layer":
+            self.layers.append(_new_tuple(_Token, (m[g], line, 1)))
             return None
-        if i == 3:
-            return _Block(_new_tuple(_Token, (m[2], line, 1)),
-                          _new_tuple(_Token, (m[3], line, 3)))
-        if i == 7:
-            conn = PortConnection(m[4], m[5], m[6], m[7])
-            self.connections.append(conn)
-            self.declared.append((conn, _new_tuple(_Token, ("connect", line, 0)), None))
-        elif i == 9:
-            dep = AlfredDependency(m[8], m[9])
-            self.dependencies.append(dep)
-            self.declared.append((dep, _new_tuple(_Token, ("alfred", line, 0)), None))
+        if keyword == "common-cause":
+            self.aliases.append((EventRef(m[g], m[g + 1]), EventRef(m[g + 2], m[g + 3]),
+                                 _new_tuple(_Token, (keyword, line, 0))))
+            return None
+        if keyword == "connect":
+            decl = PortConnection(m[g], m[g + 1], m[g + 2], m[g + 3])
+            self.connections.append(decl)
         else:
-            self.aliases.append((EventRef(m[10], m[11]), EventRef(m[12], m[13]),
-                                 _new_tuple(_Token, ("common-cause", line, 0))))
+            decl = AlfredDependency(m[g], m[g + 1])
+            self.dependencies.append(decl)
+        self.declared.append((decl, _new_tuple(_Token, (keyword, line, 0)), None))
         return None
 
-    def _add_body(self, m: re.Match, i: int, line: int, block: _Block) -> None:
-        """Build a declaration inside *block* from its match; *i* is the
-        match's lastindex."""
-        if i == 1:
-            block.in_ports.append(_new_tuple(_Token, (m[1], line, 1)))
-            return
-        if i == 2:
-            block.out_ports.append(_new_tuple(_Token, (m[2], line, 1)))
-            return
-        if i == 3:
-            name = m[3]
+    def _add_body(self, m: re.Match, keyword: str, g: int, line: int, block: _Block) -> None:
+        """Build a declaration inside *block* from its match, whose groups
+        start at *g*."""
+        name = m[g]
+        if keyword == "event":
             node = BasicEvent(name)
             block.events.append(node)
-        elif i == 6:
-            name = m[4]
-            inputs = m[6].replace(" ", "").split(",")
+        elif keyword == "gate":
+            inputs = m[g + 2].replace(" ", "").split(",")
             refs = tuple([NodeRef(*ref.split("@")) for ref in inputs])
-            node = Gate(name, _GATE_KINDS[m[5]], refs)
+            node = Gate(name, _GATE_KINDS[m[g + 1]], refs)
             block.gates.append(node)
-        elif i <= 8:
-            name = m[7]
-            node = InputFailureMode(name, m[8])
+        elif keyword == "infm":
+            node = InputFailureMode(name, m[g + 1])
             block.infms.append(node)
-        else:
-            name = m[9]
-            node = OutputFailureMode(name, m[10], NodeRef(m[11], m[12]))
+        elif keyword == "outfm":
+            node = OutputFailureMode(name, m[g + 1], NodeRef(m[g + 2], m[g + 3]))
             block.outfms.append(node)
+        else:
+            ports = block.in_ports if keyword == "in" else block.out_ports
+            ports.append(_new_tuple(_Token, (name, line, 1)))
+            return
         self.declared.append((node, _new_tuple(_Token, (name, line, 1)), block))
 
     def _close(self, block: _Block) -> None:

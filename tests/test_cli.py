@@ -6,7 +6,8 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from cftweave import CftweaveError, parse, serialize, validate
+from cftweave import (CftweaveError, InputFailureMode, NodeRef, cutsets, parse, serialize,
+                      synthesize, validate, weave)
 from cftweave.cli import main
 
 import genmodels
@@ -50,6 +51,34 @@ def test_cutsets_reduced_vehicle(capsys):
     assert out == VEHICLE_REDUCED
 
 
+# Two reduced cutsets that show alike.  V.b and W.c reach U through ports
+# and share the common-cause identity U.a, which, seen under two displays,
+# shows as itself; P's event a, injected into U by the alfred edge, has the
+# display U.a.  U's own event a feeds nothing.
+SHOW_ALIKE = (
+    "layer hw\nlayer sw\n\n"
+    "component P in hw {\n  event a\n}\n\n"
+    "component U in sw {\n  in i\n  event a\n  gate t = OR(f@i)\n  infm f@i\n"
+    "  outfm top = t\n}\n\n"
+    "component V in sw {\n  in i\n  out o\n  event b\n  gate g = OR(b, f@i)\n"
+    "  infm f@i\n  outfm f@o = g\n}\n\n"
+    "component W in sw {\n  out o\n  event c\n  outfm f@o = c\n}\n\n"
+    "connect V.o -> U.i\nconnect W.o -> V.i\nalfred U -> P\n"
+    "common-cause U.a = V.b\ncommon-cause U.a = W.c\n")
+
+
+def test_reduced_cutsets_that_show_alike_keep_their_order(tmp_path, capsys):
+    tree = synthesize(weave(parse(SHOW_ALIKE)), "U.top")
+    report = cutsets(tree, "reduced")
+    assert [(cs.displays, cs.identities) for cs in report.cutsets] == [
+        (("U.a",), frozenset({"P.a"})), (("U.a",), frozenset({"U.a"}))]
+    path = tmp_path / "alike.alfred"
+    path.write_text(SHOW_ALIKE, encoding="utf-8")
+    assert main(["cutsets", str(path), "--top", "U.top"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("U.a\nU.a\n", "")
+
+
 def test_cutsets_pre_tsv(capsys):
     assert main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking",
                  "--stage", "pre", "--format", "tsv"]) == 0
@@ -78,7 +107,8 @@ def test_weave_writes_model_and_sidecar(tmp_path, capsys):
     woven_text = target.read_text(encoding="utf-8")
     model = parse(woven_text)
     assert validate(model).ok
-    assert model.component("f1").cft.input_fm("from-CPU-loss-of", None) is not None
+    injected = model.component("f1").cft.resolve(NodeRef("from-CPU-loss-of"))
+    assert isinstance(injected, InputFailureMode)
     sidecar = (tmp_path / "woven.alfred.provenance.tsv").read_text(encoding="utf-8")
     assert sidecar.splitlines()[0] == "injected-node\tprovider\tdependent"
     assert len(sidecar.splitlines()) == 4

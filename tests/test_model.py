@@ -276,10 +276,10 @@ class TestIndexes:
             for name in names:
                 assert cft.event(name) is next(
                     (e for e in cft.events if e.name == name), None)
-                assert cft.gate(name) is next(
+                assert cft._nodes.get(("gate", name, None)) is next(
                     (g for g in cft.gates if g.name == name), None)
                 for port in (None, "i", "o"):
-                    assert cft.input_fm(name, port) is next(
+                    assert cft._nodes.get(("in", name, port)) is next(
                         (i for i in cft.input_fms if (i.name, i.port) == (name, port)), None)
                     assert cft.output_fm(name, port) is next(
                         (o for o in cft.output_fms if (o.name, o.port) == (name, port)), None)
@@ -287,9 +287,9 @@ class TestIndexes:
                     assert cft.resolve(ref) is scan_resolve(cft, ref)
         small = model.component("d").cft
         assert isinstance(small.resolve(NodeRef("e")), BasicEvent)
-        assert small.gate("e").kind is GateKind.AND
-        assert small.input_fm("g", None) is small.input_fms[0]
-        assert small.input_fm("x", "i") is small.input_fms[1]
+        assert small._nodes["gate", "e", None].kind is GateKind.AND
+        assert small._nodes["in", "g", None] is small.input_fms[0]
+        assert small.resolve(NodeRef("x", "i")) is small.input_fms[1]
 
         cft = model.component("a").cft
         assert isinstance(cft.resolve(NodeRef("e")), BasicEvent)

@@ -262,6 +262,55 @@ SYNTAX = {
     "missing ')'": (
         HEAD + component("c", "gate g = OR(e e)"),
         ("4:17: expected ')' (got 'e'); expected )", 4, 17, "e", (")",))),
+    # one case per message the cursor builds from a statement's items
+    "missing 'in'": (
+        HEAD + "component c on l {\n}\n",
+        ("3:13: expected 'in' (got 'on'); expected in", 3, 13, "on", ("in",))),
+    "missing '->'": (
+        HEAD + "connect a.o = b.i\n",
+        ("3:13: expected '->' (got '='); expected ->", 3, 13, "=", ("->",))),
+    "missing '('": (
+        HEAD + component("c", "event e", "gate g = OR e)"),
+        ("5:15: expected '(' (got 'e'); expected (", 5, 15, "e", ("(",))),
+    "missing component name": (
+        HEAD + "component { in l\n",
+        ("3:11: expected component name (got '{'); expected identifier", 3, 11, "{",
+         ("identifier",))),
+    "missing source port": (
+        HEAD + "connect .o -> b.i\n",
+        ("3:9: expected source port (got '.'); expected identifier", 3, 9, ".",
+         ("identifier",))),
+    "missing target port": (
+        HEAD + "connect a.o -> b.\n",
+        ("3:18: expected target port; expected identifier", 3, 18, None, ("identifier",))),
+    "missing dependent component": (
+        HEAD + "alfred -> b\n",
+        ("3:8: expected dependent component (got '->'); expected identifier", 3, 8, "->",
+         ("identifier",))),
+    "missing provider component": (
+        HEAD + "alfred a -> {\n",
+        ("3:13: expected provider component (got '{'); expected identifier", 3, 13, "{",
+         ("identifier",))),
+    "missing event reference": (
+        HEAD + "common-cause a.e = .e\n",
+        ("3:20: expected event reference (got '.'); expected identifier", 3, 20, ".",
+         ("identifier",))),
+    "missing event name": (
+        HEAD + component("c", "event @"),
+        ("4:9: expected event name (got '@'); expected identifier", 4, 9, "@",
+         ("identifier",))),
+    "missing gate name": (
+        HEAD + component("c", "gate = OR(e)"),
+        ("4:8: expected gate name (got '='); expected identifier", 4, 8, "=",
+         ("identifier",))),
+    "missing gate kind": (
+        HEAD + component("c", "gate g = (e)"),
+        ("4:12: expected gate kind (got '('); expected identifier", 4, 12, "(",
+         ("identifier",))),
+    "missing failure mode name": (
+        HEAD + component("c", "outfm = e"),
+        ("4:9: expected failure mode name (got '='); expected identifier", 4, 9, "=",
+         ("identifier",))),
     "common-cause self-alias, spaced": (
         HEAD + component("c", "event e") + "common-cause  c.e = c.e\n",
         ("7:1: common-cause aliases an event to itself (got 'c.e')", 7, 1, "c.e", ())),
@@ -421,6 +470,13 @@ STATEMENTS = {
            ("gate", "g", "=", "NOT", "(", "e", ")"), ("infm", "f", "@", "p"), ("infm", "f"),
            ("outfm", "o", "=", "g"), ("outfm", "o", "@", "q", "=", "f", "@", "p")),
 }
+
+
+
+def test_statements_cover_every_keyword():
+    assert TOP == tuple(textfmt._TOP) and BODY == tuple(textfmt._BODY)
+    for in_block, table in ((False, textfmt._TOP), (True, textfmt._BODY)):
+        assert {words[0] for words in STATEMENTS[in_block]} == set(table)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from cftweave import (
     ArchitectureModel,
     Component,
     GateKind,
+    InputFailureMode,
     NodeRef,
     WeaveError,
     cutsets,
@@ -26,13 +27,13 @@ def test_fig2_supplement_structure(fig2):
     woven = weave(fig2)
     f1 = woven.model.component("f1")
     ofm = f1.cft.output_fm("loss-of", "p3")
-    gate = f1.cft.gate(ofm.driver.name)
+    gate = f1.cft.resolve(ofm.driver)
     assert gate.kind is GateKind.OR
     assert gate.inputs == (NodeRef("and1"),
                            NodeRef("from-CPU-loss-of"),
                            NodeRef("from-RAM-loss-of"))
-    assert f1.cft.input_fm("from-CPU-loss-of", None) is not None
-    assert f1.cft.input_fm("from-RAM-loss-of", None) is not None
+    for name in ("from-CPU-loss-of", "from-RAM-loss-of"):
+        assert isinstance(f1.cft.resolve(NodeRef(name)), InputFailureMode)
 
 
 def test_fig2_provenance_rows(fig2):
@@ -122,14 +123,14 @@ def test_injection_shared_across_output_fms():
     injected = [i for i in app.cft.input_fms if i.port is None]
     assert len(injected) == 1
     for name in ("down", "slow"):
-        gate = app.cft.gate(app.cft.output_fm(name, None).driver.name)
+        gate = app.cft.resolve(app.cft.output_fm(name, None).driver)
         assert NodeRef(injected[0].name) in gate.inputs
 
 
 def test_all_provider_failure_modes_injected(vehicle):
     woven = weave(vehicle)
     u1 = woven.model.component("U1")
-    gate = u1.cft.gate(u1.cft.output_fm("no-obstacle-detected", "det").driver.name)
+    gate = u1.cft.resolve(u1.cft.output_fm("no-obstacle-detected", "det").driver)
     assert gate.inputs == (NodeRef("False-negative"),
                            NodeRef("from-B-Battery-omission"),
                            NodeRef("from-B-Battery-too-low"))
@@ -207,5 +208,5 @@ def test_deep_reversed_alfred_chain():
         [f"C{k:05d}" for k in range(n - 2, -1, -1)]
     assert woven.provenance[0].source.provider == f"C{n - 1:05d}"
     first = woven.model.component("C00000")
-    gate = first.cft.gate(first.cft.output_fm("fail", None).driver.name)
+    gate = first.cft.resolve(first.cft.output_fm("fail", None).driver)
     assert gate.inputs == (NodeRef("e"), NodeRef("from-C00001-fail"))
