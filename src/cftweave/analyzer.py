@@ -29,6 +29,9 @@ the depth of the tree.  Two report stages exist:
   is minimised once more.  Minimisation checks each product only against
   smaller kept ones, found through an index keyed by lowest set bit, so the
   cost follows the minimal cutsets rather than every display-level product.
+  The report is ordered by one sort on size, display names and identities,
+  so two cutsets that show alike (one identity's name can be another's
+  display) keep one order, whatever order minimisation found them in.
 
 Each AND gate may form at most :data:`MAX_PRODUCTS` products from two
 operands, in either stage; a larger cross product raises
@@ -43,7 +46,6 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import AnalysisError
 from .model import GateKind
@@ -208,20 +210,17 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
     display_of = {ident: (next(iter(ds)) if len(ds) == 1 else ident)
                   for ident, ds in displays_per_identity.items()}
 
-    sets = []
+    rows = []  # (size, displays, sorted identities) of each cutset
     for mask in _identity_products(tree, bit_of):
-        members = []
+        members = []  # in bit order, which is sorted
         while mask:
             low = mask & -mask
             members.append(names[low.bit_length() - 1])
             mask ^= low
-        sets.append(CutSet(displays=tuple(sorted(display_of[i] for i in members)),
-                           identities=frozenset(members)))
-    # Stable sorts: should one identity's name be another's display, two
-    # cutsets can show alike, and they keep the order they were found in.
-    sets.sort(key=attrgetter("displays"))
-    sets.sort(key=lambda cs: len(cs.displays))
-    return CutSetReport("reduced", tuple(sets))
+        rows.append((len(members), tuple(sorted(display_of[i] for i in members)), members))
+    rows.sort()
+    return CutSetReport("reduced", tuple(CutSet(displays, frozenset(members))
+                                         for _, displays, members in rows))
 
 
 def evaluate(tree: FaultTree, assignment) -> bool:

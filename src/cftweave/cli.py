@@ -37,8 +37,6 @@ def _fail(code: int, message: str) -> _Failure:
 def _load_model(path: str) -> ArchitectureModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _fail(1, str(exc)) from None
     except UnicodeDecodeError as exc:
         raise _fail(1, f"{path}: {exc}") from None
     try:
@@ -170,10 +168,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _Failure as failure:
         return failure.code
-    except CftweaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CftweaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -354,9 +354,6 @@ class ValidationReport:
     def errors(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity is Severity.ERROR)
 
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity is Severity.WARNING)
-
     def render_lines(self) -> tuple[str, ...]:
         return tuple(f.render() for f in self.findings)
 
@@ -407,20 +404,21 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
 
 def _validate_cft(comp: Component, add) -> None:
     cft = comp.cft
-    bare: dict[str, str] = {}
     owner = comp.name
+    bare: dict[str, str] = {}  # what each name in the bare-name namespace is
+
+    def claim(node, what: str) -> None:
+        if node.name in bare:
+            add(Severity.ERROR, "duplicate-node", _element(owner, node.name),
+                f"name already used by a {bare[node.name]}", node, node.name)
+        bare[node.name] = what
+
     for event in cft.events:
         _check_name(add, "event", event.name, owner)
-        if event.name in bare:
-            add(Severity.ERROR, "duplicate-node", _element(owner, event.name),
-                f"name already used by a {bare[event.name]}", event, event.name)
-        bare[event.name] = "basic event"
+        claim(event, "basic event")
     for gate in cft.gates:
         _check_name(add, "gate", gate.name, owner)
-        if gate.name in bare:
-            add(Severity.ERROR, "duplicate-node", _element(owner, gate.name),
-                f"name already used by a {bare[gate.name]}", gate, gate.name)
-        bare[gate.name] = "gate"
+        claim(gate, "gate")
 
     seen_in: set[tuple[str, str | None]] = set()
     for ifm in cft.input_fms:
@@ -430,10 +428,7 @@ def _validate_cft(comp: Component, add) -> None:
                 "input failure mode declared twice", ifm, ifm.name)
         seen_in.add((ifm.name, ifm.port))
         if ifm.port is None:
-            if ifm.name in bare:
-                add(Severity.ERROR, "duplicate-node", _element(owner, ifm.name),
-                    f"name already used by a {bare[ifm.name]}", ifm, ifm.name)
-            bare[ifm.name] = "port-less input failure mode"
+            claim(ifm, "port-less input failure mode")
         elif _has(comp.out_ports, ifm.port):
             add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
                 f"input failure mode bound to out-port '{ifm.port}'")
@@ -457,6 +452,7 @@ def _validate_cft(comp: Component, add) -> None:
                 add(Severity.ERROR, "unknown-port", _element(owner, ofm.name, ofm.port),
                     f"port '{ofm.port}' is not declared", ofm, f"{owner}.{ofm.port}")
 
+    gate_edges = []
     for gate in cft.gates:
         if gate.kind is GateKind.NOT and len(gate.inputs) != 1:
             add(Severity.ERROR, "gate-arity", _element(owner, gate.name),
@@ -465,22 +461,18 @@ def _validate_cft(comp: Component, add) -> None:
             add(Severity.ERROR, "gate-arity", _element(owner, gate.name),
                 f"{gate.kind.value} needs at least 1 input")
         for ref in gate.inputs:
-            if cft.resolve(ref) is None:
+            target = cft.resolve(ref)
+            if target is None:
                 add(Severity.ERROR, "unknown-node-ref", _element(owner, gate.name),
                     f"input '{ref.render()}' does not resolve", gate, ref.render())
+            elif isinstance(target, Gate):
+                gate_edges.append((gate.name, target.name))
     for ofm in cft.output_fms:
         if cft.resolve(ofm.driver) is None:
             add(Severity.ERROR, "unknown-node-ref", _element(owner, ofm.name, ofm.port),
                 f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
-    gate_edges = []
-    gate_names = [g.name for g in cft.gates]
-    for gate in cft.gates:
-        for ref in gate.inputs:
-            target = cft.resolve(ref)
-            if isinstance(target, Gate):
-                gate_edges.append((gate.name, target.name))
-    cyclic = _leftover_cycle_members(gate_names, gate_edges)
+    cyclic = _leftover_cycle_members([g.name for g in cft.gates], gate_edges)
     if cyclic:
         add(Severity.ERROR, "cft-cycle", comp.name,
             "gates form a cycle: " + ", ".join(cyclic))
@@ -591,10 +583,9 @@ def _check(model: ArchitectureModel, add) -> None:
                 add(Severity.ERROR, "unknown-event", ref.render(),
                     "event is not declared", cc, ref.render())
 
-    connected = {(c.to_component, c.to_port) for c in model.connections}
     for comp in model.components:
         for port in comp.in_ports:
-            if (comp.name, port) not in connected:
+            if (comp.name, port) not in model._connections_into:
                 add(Severity.WARNING, "unconnected-in-port", f"{comp.name}.{port}",
                     "in-port has no incoming connection")
     for provider in sorted({d.provider for d in model.dependencies}):

@@ -67,13 +67,11 @@ from .model import (
 from .synthesizer import FaultTree, FTExternalEvent, FTGate
 from .weaver import WovenModel
 
-# Only errors read a line word by word, so these two patterns are left to
-# the re module's cache.  Group 1: punctuation, group 2: a name (a '-' that
-# starts '->' ends it), group 3: any other character but blanks, which is
-# '#' or an error.
+# Only errors read a line word by word, so this pattern is left to the re
+# module's cache.  Group 1: punctuation, group 2: a name (a '-' that starts
+# '->' ends it), group 3: any other character but blanks, which is '#' or an
+# error.
 _TOKEN = r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])"
-# The same words without groups, for a line whose characters _columns accepts.
-_WORD = r"->|[{}()=,@.]|(?:[A-Za-z0-9_]|-(?!>))+"
 
 # The grammar, stated once: per context, each statement's keyword and its
 # items after the keyword.  An item is a literal word or punctuation mark,
@@ -105,7 +103,7 @@ _GATE_KINDS = {k.value: k for k in GateKind}
 # may surround every item; two words (keywords, names, gate kinds) need one
 # between them.  A name is one run of [\w-], which is [A-Za-z0-9_-] under
 # re.ASCII.  In a matching line no name is followed by '>', so none holds
-# the '-' of a '->', and each is the word _WORD reads.  (One character class
+# the '-' of a '->', and each is the word _TOKEN reads.  (One character class
 # also keeps the matcher's stack flat on a gate with many inputs.)  Each
 # blank run sits between classes it cannot overlap, so a line that does not
 # match fails in time linear in its length.
@@ -192,11 +190,12 @@ class _Token(NamedTuple):
     index: int
 
 
-def _columns(text: str, line: int) -> list[int]:
-    """The column of each word of a line, up to a comment.
+def _words(text: str, line: int) -> tuple[list, list[int]]:
+    """The words of a line, up to a comment, and the column of each.
 
     Raises the located error at the first character no word can hold.
     """
+    words: list = []
     columns: list[int] = []
     for m in re.finditer(_TOKEN, text):
         if m.lastindex == 3:
@@ -205,27 +204,30 @@ def _columns(text: str, line: int) -> list[int]:
                 break
             raise ParseError(f"unexpected character {value!r}", line, m.start() + 1,
                              token=value)
+        words.append(m[0])
         columns.append(m.start() + 1)
-    return columns
+    return words, columns
 
 
 class _Cursor:
     """Word cursor for one line that the grammar rejects; it only finds
-    where and why.  *words* ends with a ``None`` sentinel."""
+    where and why.  *words* ends with a ``None`` sentinel, which stands
+    just past the line's *end* column."""
 
-    def __init__(self, words: list, line: int, text: str):
+    def __init__(self, words: list, columns: list[int], line: int, end: int):
         self.words = words
+        self.columns = columns
         self.line = line
-        self.text = text
+        self.end = end
         self.pos = 0
 
     def fail_at(self, index: int, message: str, expected: tuple[str, ...]):
         """Raise at the word at *index*, or just past the line's end."""
         word = self.words[index]
         if word is None:
-            raise ParseError(message, self.line, len(self.text) + 1, expected=expected)
-        raise ParseError(message, self.line, _columns(self.text, self.line)[index],
-                         token=word, expected=expected)
+            raise ParseError(message, self.line, self.end, expected=expected)
+        raise ParseError(message, self.line, self.columns[index], token=word,
+                         expected=expected)
 
     def take(self, punct: str, what: str | None = None) -> None:
         if self.words[self.pos] != punct:
@@ -275,14 +277,14 @@ class _Cursor:
 def _check_line(raw: str, line: int, in_block: bool) -> None:
     """Raise the located error if the cursor rejects the line."""
     raw = raw.rstrip("\r")
-    _columns(raw, line)  # raises at the first character no word can hold
-    words = re.findall(_WORD, raw.split("#", 1)[0])
+    words, columns = _words(raw, line)  # raises at a character no word can hold
     if words:
         words.append(None)
+        cursor = _Cursor(words, columns, line, len(raw) + 1)
         if in_block:
-            _Cursor(words, line, raw).statement(_BODY, "expected a component declaration")
+            cursor.statement(_BODY, "expected a component declaration")
         else:
-            _Cursor(words, line, raw).statement(_TOP, "expected a declaration")
+            cursor.statement(_TOP, "expected a declaration")
 
 
 class _Block:
@@ -372,7 +374,7 @@ class _Parser:
 
     def _column(self, tok: _Token) -> int:
         """A kept token's column, from its line scanned again."""
-        return _columns(self.lines[tok.line - 1].rstrip("\r"), tok.line)[tok.index]
+        return _words(self.lines[tok.line - 1].rstrip("\r"), tok.line)[1][tok.index]
 
     def _reject(self, severity, code, element, message, about=None, name=None) -> None:
         """The sink given to the shared checks: keeps each finding whose code
@@ -532,46 +534,36 @@ def _quote(text: str) -> str:
 def _model_dot(model: ArchitectureModel) -> str:
     lines = ["digraph model {", "  rankdir=LR;"]
     for comp in model.components:
-        lines.append(f"  subgraph {_quote('cluster_' + comp.name)} {{")
-        lines.append(f"    label={_quote(f'{comp.name} ({comp.layer})')};")
-        lines.append(f"    {_quote(comp.name)} [shape=box];")
-        for port in comp.in_ports + comp.out_ports:
-            lines.append(f"    {_quote(f'{comp.name}.port.{port}')} "
-                         f"[label={_quote(port)}, shape=ellipse];")
-        if comp.cft is not None:
-            def node_id(ref: NodeRef) -> str:
-                return f"{comp.name}.node.{ref.render()}"
-
-            for event in comp.cft.events:
-                lines.append(f"    {_quote(f'{comp.name}.node.{event.name}')} "
-                             f"[label={_quote(event.name)}, shape=circle];")
-            for gate in comp.cft.gates:
-                lines.append(f"    {_quote(f'{comp.name}.node.{gate.name}')} "
-                             f"[label={_quote(gate.kind.value)}, shape=invhouse];")
-            for ifm in comp.cft.input_fms:
-                ref = NodeRef(ifm.name, ifm.port)
-                lines.append(f"    {_quote(node_id(ref))} "
-                             f"[label={_quote(ref.render())}, shape=invtriangle];")
-            for ofm in comp.cft.output_fms:
-                oid = f"{comp.name}.outfm.{NodeRef(ofm.name, ofm.port).render()}"
-                lines.append(f"    {_quote(oid)} "
-                             f"[label={_quote(NodeRef(ofm.name, ofm.port).render())}, "
-                             f"shape=triangle];")
-            for gate in comp.cft.gates:
-                for ref in gate.inputs:
-                    lines.append(f"    {_quote(node_id(ref))} -> "
-                                 f"{_quote(f'{comp.name}.node.{gate.name}')};")
-            for ifm in comp.cft.input_fms:
+        name = comp.name
+        lines += [f"  subgraph {_quote('cluster_' + name)} {{",
+                  f"    label={_quote(f'{name} ({comp.layer})')};",
+                  f"    {_quote(name)} [shape=box];"]
+        port, node = f"{name}.port.", f"{name}.node."
+        nodes = [(port + p, p, "ellipse") for p in comp.in_ports + comp.out_ports]
+        edges = []
+        cft = comp.cft
+        if cft is not None:
+            nodes += [(node + e.name, e.name, "circle") for e in cft.events]
+            for gate in cft.gates:
+                gid = node + gate.name
+                nodes.append((gid, gate.kind.value, "invhouse"))
+                edges += [(node + ref.render(), gid) for ref in gate.inputs]
+            for ifm in cft.input_fms:
+                label = NodeRef(ifm.name, ifm.port).render()
+                iid = node + label
+                nodes.append((iid, label, "invtriangle"))
                 if ifm.port is not None:
-                    ref = NodeRef(ifm.name, ifm.port)
-                    lines.append(f"    {_quote(f'{comp.name}.port.{ifm.port}')} -> "
-                                 f"{_quote(node_id(ref))};")
-            for ofm in comp.cft.output_fms:
-                oid = f"{comp.name}.outfm.{NodeRef(ofm.name, ofm.port).render()}"
-                lines.append(f"    {_quote(node_id(ofm.driver))} -> {_quote(oid)};")
+                    edges.append((port + ifm.port, iid))
+            for ofm in cft.output_fms:
+                label = NodeRef(ofm.name, ofm.port).render()
+                oid = f"{name}.outfm.{label}"
+                nodes.append((oid, label, "triangle"))
+                edges.append((node + ofm.driver.render(), oid))
                 if ofm.port is not None:
-                    lines.append(f"    {_quote(oid)} -> "
-                                 f"{_quote(f'{comp.name}.port.{ofm.port}')};")
+                    edges.append((oid, port + ofm.port))
+        lines += [f"    {_quote(i)} [label={_quote(label)}, shape={shape}];"
+                  for i, label, shape in nodes]
+        lines += [f"    {_quote(a)} -> {_quote(b)};" for a, b in edges]
         lines.append("  }")
     for conn in model.connections:
         lines.append(f"  {_quote(f'{conn.from_component}.port.{conn.from_port}')} -> "
@@ -623,8 +615,10 @@ def _tree_dot(tree: FaultTree) -> str:
 def export_dot(obj) -> str:
     """Render a model or a synthesised fault tree as a Graphviz digraph.
 
-    Cross-layer dependency edges are dashed; external-event leaves are
-    triangles.  Output ordering is deterministic.
+    A model has one cluster per component, labelled with its layer, that
+    lists the component's nodes and then its edges; port connections join
+    the clusters and cross-layer dependency edges are dashed.  In a fault
+    tree, external-event leaves are triangles.  Output order is deterministic.
     """
     if isinstance(obj, FaultTree):
         return _tree_dot(obj)

@@ -83,6 +83,13 @@ class TestCutsets:
         with pytest.raises(AnalysisError, match="empty tree"):
             evaluate(empty, {})
 
+    def test_display_with_two_identities_rejected(self):
+        tree = tree_of(or_of(leaf("a", "same"), leaf("b", "same")))
+        for stage in STAGES:
+            with pytest.raises(AnalysisError) as caught:
+                cutsets(tree, stage)
+            assert str(caught.value) == "display name 'same' maps to several identities"
+
     def test_fig2_reduced(self, fig2):
         tree = synthesize(weave(fig2), "f2.loss-of")
         report = cutsets(tree, "reduced")

@@ -155,8 +155,17 @@ def test_export_dot(capsys):
 
 def test_missing_file(capsys):
     assert main(["validate", "no-such-file.alfred"]) == 1
-    _, err = capsys.readouterr()
-    assert "error:" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'no-such-file.alfred'\n"
+
+
+def test_output_into_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "model.dot"
+    assert main(["export-dot", FIG2, "-o", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_file_not_utf8(tmp_path, capsys):

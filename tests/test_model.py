@@ -79,6 +79,13 @@ class TestValidate:
                                   components=(Component("c", "l", cft=cft),))
         assert "gate-arity" in codes(validate(model))
 
+    def test_gate_without_inputs(self):
+        cft = ComponentFaultTree(gates=(Gate("g", GateKind.AND, ()),))
+        model = ArchitectureModel(layers=("l",),
+                                  components=(Component("c", "l", cft=cft),))
+        assert validate(model).render_lines() == (
+            "error[gate-arity] c.g: AND needs at least 1 input",)
+
     def test_cft_gate_cycle(self):
         cft = ComponentFaultTree(
             gates=(Gate("g1", GateKind.OR, (NodeRef("g2"),)),
@@ -150,7 +157,16 @@ class TestValidate:
         )
         report = validate(model)
         assert report.ok
-        assert [(f.code, f.element) for f in report.warnings()] == [("provider-no-cft", "hw")]
+        assert [(f.code, f.element) for f in report.findings
+                if f.severity is Severity.WARNING] == [("provider-no-cft", "hw")]
+
+    def test_common_cause_on_undeclared_component(self):
+        cft = ComponentFaultTree(events=(BasicEvent("e"),))
+        model = ArchitectureModel(
+            layers=("l",), components=(Component("c", "l", cft=cft),),
+            common_causes=(CommonCause(EventRef("c", "e"), EventRef("ghost", "e")),))
+        assert validate(model).render_lines() == (
+            "error[unknown-event] ghost.e: component 'ghost' is not declared",)
 
     def test_bad_identifier(self):
         model = ArchitectureModel(layers=("l",), components=(Component("a.b", "l"),))

@@ -19,6 +19,7 @@ from cftweave import (
     OutputFailureMode,
     SynthesisError,
     TopEventRef,
+    TruthTable,
     cutsets,
     equivalent,
     parse,
@@ -117,6 +118,37 @@ def test_variables_must_cover_network(fig2):
 def test_unknown_top(fig2):
     with pytest.raises(OracleError, match="unknown top event"):
         table_of_network(fig2, "f2.nope")
+
+
+def test_top_event_errors():
+    model = parse(
+        "layer l\n\ncomponent c in l {\n  in i\n}\n\n"
+        "component d in l {\n  out o1\n  out o2\n  event e\n"
+        "  outfm f@o1 = e\n  outfm f@o2 = e\n}\n")
+    for top, message in (("ghost.f", "unknown top event component 'ghost'"),
+                         ("c.f", "component 'c' has no fault tree"),
+                         ("d.f", "ambiguous top event 'd.f'")):
+        with pytest.raises(OracleError) as caught:
+            table_of_network(model, top)
+        assert str(caught.value) == message
+
+
+def test_unmatched_failure_mode():
+    model = parse(
+        "layer l\n\n"
+        "component up in l {\n  out o\n  event e\n  outfm late@o = e\n}\n\n"
+        "component down in l {\n  in i\n  infm loss-of@i\n"
+        "  outfm loss-of = loss-of@i\n}\n\n"
+        "connect up.o -> down.i\n")
+    with pytest.raises(OracleError) as caught:
+        table_of_network(model, "down.loss-of")
+    assert str(caught.value) == "unmatched failure mode 'loss-of' at up.o"
+
+
+def test_truth_table_over_the_identity_budget():
+    with pytest.raises(OracleError) as caught:
+        TruthTable(tuple(f"v{i:02d}" for i in range(25)), 0)
+    assert str(caught.value) == "identity budget exceeded: 25 > 24"
 
 
 def test_malformed_top_is_a_synthesis_error(vehicle):

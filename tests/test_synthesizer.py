@@ -15,11 +15,15 @@ from cftweave import (
     FTGate,
     Gate,
     GateKind,
+    InjectionSource,
+    InputFailureMode,
     NodeRef,
     OracleError,
     OutputFailureMode,
+    ProvenanceEntry,
     SynthesisError,
     TopEventRef,
+    WovenModel,
     equivalent,
     parse,
     synthesize,
@@ -115,6 +119,33 @@ def test_unmatched_failure_mode():
         synthesize(weave(model), "down.loss-of")
 
 
+@pytest.mark.parametrize("kind, synthesis_message", [
+    ("basic-event", "stale provenance: provider event 'P.gone' is missing"),
+    ("output-fm", "stale provenance: provider failure mode 'P.gone' is missing"),
+])
+def test_stale_provenance(kind, synthesis_message):
+    model = parse("layer l\n\ncomponent P in l {\n  event x\n}\n\n"
+                  "component D in l {\n  infm n\n  outfm f = n\n}\n")
+    woven = WovenModel(model, (ProvenanceEntry("D", "n", InjectionSource("P", kind, "gone")),))
+    with pytest.raises(SynthesisError) as caught:
+        synthesize(woven, "D.f")
+    assert str(caught.value) == synthesis_message
+    with pytest.raises(OracleError) as caught:
+        table_of_network(woven, "D.f")
+    assert str(caught.value) == "stale provenance: 'P.gone' missing"
+
+
+def test_unresolved_node_reference_in_an_unvalidated_model():
+    cft = ComponentFaultTree(output_fms=(OutputFailureMode("f", None, NodeRef("ghost")),))
+    model = ArchitectureModel(layers=("l",), components=(Component("c", "l", cft=cft),))
+    with pytest.raises(SynthesisError) as caught:
+        synthesize(model, "c.f")
+    assert str(caught.value) == "unresolved node reference 'ghost' in component 'c'"
+    with pytest.raises(OracleError) as caught:
+        table_of_network(model, "c.f")
+    assert str(caught.value) == "unresolved node reference 'ghost' in 'c'"
+
+
 def test_unconnected_input_becomes_external():
     model = parse(
         "layer l\n\ncomponent c in l {\n  in i\n  infm loss-of@i\n"
@@ -199,6 +230,26 @@ def test_display_collision_falls_back_to_provider_qualification():
     tree = synthesize(weave(model), "D.out")
     displays = {leaf.display: leaf.identity for leaf in tree.leaves()}
     assert displays == {"D.own": "D.own", "D.P1.fail": "P1.e", "D.P2.fail": "P2.e"}
+
+
+def test_display_names_ambiguous_after_qualification():
+    # n1 stands for P's event x and n2 for P's failure mode x, driven by
+    # event y: both leaves show as D.x, and both fall back to D.P.x
+    provider = Component("P", "l", cft=ComponentFaultTree(
+        events=(BasicEvent("x"), BasicEvent("y")),
+        output_fms=(OutputFailureMode("x", None, NodeRef("y")),)))
+    dependent = Component("D", "l", cft=ComponentFaultTree(
+        gates=(Gate("g", GateKind.OR, (NodeRef("n1"), NodeRef("n2"))),),
+        input_fms=(InputFailureMode("n1"), InputFailureMode("n2")),
+        output_fms=(OutputFailureMode("f", None, NodeRef("g")),)))
+    woven = WovenModel(
+        ArchitectureModel(layers=("l",), components=(provider, dependent)),
+        (ProvenanceEntry("D", "n1", InjectionSource("P", "basic-event", "x")),
+         ProvenanceEntry("D", "n2", InjectionSource("P", "output-fm", "x"))))
+    with pytest.raises(SynthesisError) as caught:
+        synthesize(woven, "D.f")
+    assert str(caught.value) == \
+        "display names remain ambiguous after qualification: D.P.x"
 
 
 def test_deterministic(fig2):

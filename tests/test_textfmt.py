@@ -216,6 +216,70 @@ class TestDot:
             dot = export_dot(model)
             assert dot.count("{") == dot.count("}")
 
+    def test_every_model_line_shape(self):
+        # a cluster without a fault tree, every node and edge kind, a
+        # connection and a dashed dependency
+        model = parse(
+            "layer hw\nlayer sw\n\n"
+            "component B in hw {\n  event low\n  outfm drain = low\n}\n\n"
+            "component H in hw {\n  in p\n}\n\n"
+            "component S in sw {\n  out o\n  event f\n  outfm loss@o = f\n}\n\n"
+            "component T in sw {\n  in i\n  out o\n  event e\n"
+            "  gate g = AND(loss@i, e, x)\n  infm loss@i\n  infm x\n"
+            "  outfm loss@o = g\n}\n\n"
+            "connect S.o -> T.i\nalfred S -> B\n")
+        assert export_dot(model) == "\n".join([
+            'digraph model {',
+            '  rankdir=LR;',
+            '  subgraph "cluster_B" {',
+            '    label="B (hw)";',
+            '    "B" [shape=box];',
+            '    "B.node.low" [label="low", shape=circle];',
+            '    "B.outfm.drain" [label="drain", shape=triangle];',
+            '    "B.node.low" -> "B.outfm.drain";',
+            '  }',
+            '  subgraph "cluster_H" {',
+            '    label="H (hw)";',
+            '    "H" [shape=box];',
+            '    "H.port.p" [label="p", shape=ellipse];',
+            '  }',
+            '  subgraph "cluster_S" {',
+            '    label="S (sw)";',
+            '    "S" [shape=box];',
+            '    "S.port.o" [label="o", shape=ellipse];',
+            '    "S.node.f" [label="f", shape=circle];',
+            '    "S.outfm.loss@o" [label="loss@o", shape=triangle];',
+            '    "S.node.f" -> "S.outfm.loss@o";',
+            '    "S.outfm.loss@o" -> "S.port.o";',
+            '  }',
+            '  subgraph "cluster_T" {',
+            '    label="T (sw)";',
+            '    "T" [shape=box];',
+            '    "T.port.i" [label="i", shape=ellipse];',
+            '    "T.port.o" [label="o", shape=ellipse];',
+            '    "T.node.e" [label="e", shape=circle];',
+            '    "T.node.g" [label="AND", shape=invhouse];',
+            '    "T.node.loss@i" [label="loss@i", shape=invtriangle];',
+            '    "T.node.x" [label="x", shape=invtriangle];',
+            '    "T.outfm.loss@o" [label="loss@o", shape=triangle];',
+            '    "T.node.loss@i" -> "T.node.g";',
+            '    "T.node.e" -> "T.node.g";',
+            '    "T.node.x" -> "T.node.g";',
+            '    "T.port.i" -> "T.node.loss@i";',
+            '    "T.node.g" -> "T.outfm.loss@o";',
+            '    "T.outfm.loss@o" -> "T.port.o";',
+            '  }',
+            '  "S.port.o" -> "T.port.i";',
+            '  "S" -> "B" [style=dashed];',
+            '}']) + "\n"
+
+    def test_woven_model_exports_its_model(self, fig2):
+        woven = weave(fig2)
+        dot = export_dot(woven)
+        assert dot == export_dot(woven.model) != export_dot(fig2)
+        assert '"f1.node.from-CPU-loss-of" [label="from-CPU-loss-of", shape=invtriangle];' \
+            in dot
+
     def test_tree_has_single_root(self, fig2):
         tree = synthesize(weave(fig2), "f2.loss-of")
         dot = export_dot(tree)

@@ -5,10 +5,13 @@ import pytest
 from cftweave import (
     AlfredDependency,
     ArchitectureModel,
+    BasicEvent,
     Component,
+    ComponentFaultTree,
     GateKind,
     InputFailureMode,
     NodeRef,
+    OutputFailureMode,
     WeaveError,
     cutsets,
     equivalent,
@@ -147,6 +150,28 @@ def test_injected_name_collision_gets_suffix():
     woven = weave(model)
     (entry,) = woven.provenance
     assert entry.node == "from-hw-burn-2"
+
+
+def test_injected_name_taken_twice_gets_the_next_suffix():
+    model = parse(
+        "layer l\n\n"
+        "component app in l {\n"
+        "  event crash\n  event from-hw-burn\n  event from-hw-burn-2\n"
+        "  outfm down = crash\n}\n\n"
+        "component hw in l {\n  event burn\n}\n\n"
+        "alfred app -> hw\n")
+    (entry,) = weave(model).provenance
+    assert entry.node == "from-hw-burn-3"
+
+
+def test_undeclared_provider_is_an_error():
+    cft = ComponentFaultTree(events=(BasicEvent("e"),),
+                             output_fms=(OutputFailureMode("f", None, NodeRef("e")),))
+    model = ArchitectureModel(layers=("l",), components=(Component("d", "l", cft=cft),),
+                              dependencies=(AlfredDependency("d", "ghost"),))
+    with pytest.raises(WeaveError) as caught:
+        weave(model)
+    assert str(caught.value) == "dependency provider 'ghost' is not declared"
 
 
 def test_conservativeness_pointwise(fig2):
