@@ -5,7 +5,11 @@ AND-distributes-over-OR walk), folded bottom-up by the tree's children-first
 fold, each shared gate once, so tree depth is not limited by the
 interpreter's recursion limit.  A gate's products are dropped once its last
 parent is folded, so memory follows the products still needed rather than
-the depth of the tree.  Two report stages exist:
+the depth of the tree.  An OR gate keeps its products as the keys of a dict,
+in first-seen order; when its first child is a gate folded there for the
+last time, it extends that child's dict in place instead of copying it, so
+a long OR chain fills one dict and costs time linear in its length.  Two
+report stages exist:
 
 * ``pre``: the expanded products over leaf display names, deduplicated but
   without absorption, with every display-named leaf treated as its own atom.
@@ -16,10 +20,11 @@ the depth of the tree.  Two report stages exist:
   (the woven shape: every dependent has its own copies of its providers'
   causes) crosses them without deduplication, since such operands cannot
   form one product twice; other AND steps and every OR gate deduplicate.
-  The report is ordered by two sorts of the display tuples before any
-  cutset is built; each product's identity set is formed once, and
-  products that differ only in which dependent's copy of a cause they hold
-  share one identity-set object.
+  The report is ordered by two sorts of the display tuples, and that is
+  all it holds until its cutsets are read: :meth:`CutSetReport.lines` costs
+  what the lines cost.  Identity sets are formed on the first read of
+  :attr:`CutSetReport.cutsets`, and products that differ only in which
+  dependent's copy of a cause they hold share one identity-set object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
   tree function over event identities.  The tree's distinct identities are
   numbered once in sorted order and a product is an ``int`` bitmask over
@@ -31,7 +36,9 @@ the depth of the tree.  Two report stages exist:
   cost follows the minimal cutsets rather than every display-level product.
   The report is ordered by one sort on size, display names and identities,
   so two cutsets that show alike (one identity's name can be another's
-  display) keep one order, whatever order minimisation found them in.
+  display) keep one order, whatever order minimisation found them in.  For
+  the same reason the report keeps each row's sorted identities: its
+  displays cannot always be mapped back to them.
 
 Each AND gate may form at most :data:`MAX_PRODUCTS` products from two
 operands, in either stage; a larger cross product raises
@@ -45,7 +52,10 @@ here.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import chain
 
 from .errors import AnalysisError
 from .model import GateKind
@@ -68,24 +78,48 @@ class CutSet:
         return " ∧ ".join(self.displays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CutSetReport:
-    """Cutsets ordered by ascending cardinality, then lexicographically."""
+    """Cutsets ordered by ascending cardinality, then lexicographically.
+
+    The report holds each cutset's display names in report order, and a
+    function that forms their identity sets in the same order.  The
+    :class:`CutSet` tuple is built on the first read of :attr:`cutsets`,
+    so :meth:`lines` and :meth:`display_sets` build no cutset and no
+    identity set.  Equality, hash and repr are those of ``(stage,
+    cutsets)``.
+    """
 
     stage: str
-    cutsets: tuple[CutSet, ...]
+    _displays: tuple[tuple[str, ...], ...]
+    _identities: Callable[[], Iterator[frozenset[str]]]
+
+    @cached_property
+    def cutsets(self) -> tuple[CutSet, ...]:
+        return tuple(map(CutSet, self._displays, self._identities()))
 
     def lines(self) -> tuple[str, ...]:
-        return tuple(cs.render() for cs in self.cutsets)
+        return tuple(map(" ∧ ".join, self._displays))
 
     def display_sets(self) -> set[frozenset[str]]:
-        return {frozenset(cs.displays) for cs in self.cutsets}
+        return set(map(frozenset, self._displays))
 
     def identity_sets(self) -> set[frozenset[str]]:
-        return {cs.identities for cs in self.cutsets}
+        return set(self._identities())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.stage, self.cutsets) == (other.stage, other.cutsets)
+
+    def __hash__(self):
+        return hash((self.stage, self.cutsets))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(stage={self.stage!r}, cutsets={self.cutsets!r})"
 
 
-def _check_budget(acc: tuple, child: tuple) -> None:
+def _check_budget(acc: Collection, child: Collection) -> None:
     count = len(acc) * len(child)
     if count > MAX_PRODUCTS:
         raise AnalysisError(
@@ -93,7 +127,22 @@ def _check_budget(acc: tuple, child: tuple) -> None:
             f"over the budget of {MAX_PRODUCTS}")
 
 
-def _display_products(tree: FaultTree) -> tuple[tuple[str, ...], ...]:
+def _union(kids, owned: bool) -> dict:
+    """An OR gate's products: its children's, deduplicated, in first-seen
+    order, as the keys of a dict.
+
+    When the first child's dict is *owned* (no other parent still needs
+    it), it is extended in place, so a long OR chain hands one dict up
+    instead of copying everything below each gate.
+    """
+    if owned and isinstance(kids[0], dict):
+        acc = kids[0]
+        acc.update(dict.fromkeys(chain.from_iterable(kids[1:])))
+        return acc
+    return dict.fromkeys(chain.from_iterable(kids))
+
+
+def _display_products(tree: FaultTree) -> Collection[tuple[str, ...]]:
     """Every product over leaf display names, deduplicated, not absorbed.
 
     A product is the sorted tuple of its display names, so one set of names
@@ -103,9 +152,9 @@ def _display_products(tree: FaultTree) -> tuple[tuple[str, ...], ...]:
     unions, and no name repeats within one (the rule behind fault-tree
     modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3), 1996).
     """
-    def gate(node, kids):
+    def gate(node, kids, owned):
         if node.kind is GateKind.OR:
-            return tuple(dict.fromkeys(p for kid in kids for p in kid))
+            return _union(kids, owned)
         acc: tuple[tuple[str, ...], ...] = ((),)
         support: set[str] = set()  # a superset of the names in acc
         for kid in kids:
@@ -159,9 +208,9 @@ def _minimise(masks) -> tuple[int, ...]:
 
 def _identity_products(tree: FaultTree, bit_of: dict[str, int]) -> tuple[int, ...]:
     """The minimal products over leaf identities, as bitmasks."""
-    def gate(node, kids):
+    def gate(node, kids, owned):
         if node.kind is GateKind.OR:
-            return tuple(dict.fromkeys(m for kid in kids for m in kid))
+            return _union(kids, owned)
         acc: tuple[int, ...] = (0,)
         for kid in kids:
             _check_budget(acc, kid)
@@ -169,6 +218,16 @@ def _identity_products(tree: FaultTree, bit_of: dict[str, int]) -> tuple[int, ..
         return acc
 
     return _minimise(tree._fold(lambda leaf: (bit_of[leaf.identity],), gate))
+
+
+def _shared_identity_sets(products, identity_of: dict[str, str]):
+    """Each product's identity set, in order.  Products that name one cause
+    through several dependents' copies collapse to one identity set; they
+    share one frozenset."""
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    for p in products:
+        identities = frozenset(map(identity_of.__getitem__, p))
+        yield shared.setdefault(identities, identities)
 
 
 def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
@@ -191,17 +250,12 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
 
     if stage == "pre":
-        # The products are distinct, so two stable sorts give the report
-        # order.  Products that name one cause through several dependents'
-        # copies collapse to one identity set; they share one frozenset.
+        # The products are distinct, so two stable sorts give the report order.
         products = sorted(_display_products(tree))
         products.sort(key=len)
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        sets = []
-        for p in products:
-            identities = frozenset(map(identity_of.__getitem__, p))
-            sets.append(CutSet(p, shared.setdefault(identities, identities)))
-        return CutSetReport("pre", tuple(sets))
+        displays = tuple(products)
+        return CutSetReport("pre", displays,
+                            partial(_shared_identity_sets, displays, identity_of))
 
     names = sorted(displays_per_identity)
     bit_of = {name: 1 << i for i, name in enumerate(names)}
@@ -219,8 +273,8 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
             mask ^= low
         rows.append((len(members), tuple(sorted(display_of[i] for i in members)), members))
     rows.sort()
-    return CutSetReport("reduced", tuple(CutSet(displays, frozenset(members))
-                                         for _, displays, members in rows))
+    return CutSetReport("reduced", tuple([displays for _, displays, _ in rows]),
+                        partial(map, frozenset, [members for _, _, members in rows]))
 
 
 def evaluate(tree: FaultTree, assignment) -> bool:
@@ -235,7 +289,7 @@ def evaluate(tree: FaultTree, assignment) -> bool:
     if missing:
         raise AnalysisError("assignment missing identities: " + ", ".join(missing))
 
-    def gate(node, values) -> bool:
+    def gate(node, values, _owned) -> bool:
         if node.kind is GateKind.AND:
             return all(values)
         if node.kind is GateKind.OR:

@@ -104,7 +104,7 @@ def _cmd_cutsets(args) -> int:
     tree = synthesize(weave(model), _parse_top(args.top))
     report = cutsets(tree, args.stage)
     if args.format == "tsv":
-        lines = ["\t".join(cs.displays) for cs in report.cutsets]
+        lines = list(map("\t".join, report._displays))
     else:
         lines = list(report.lines())
     _emit("".join(line + "\n" for line in lines), args.output)

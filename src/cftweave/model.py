@@ -368,7 +368,8 @@ def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
         if a in out and b in indeg and b not in out[a]:
             out[a].add(b)
             indeg[b] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
+    # a name declared twice is one node: it is taken from ready once
+    ready = [n for n in out if indeg[n] == 0]
     done = 0
     while ready:
         n = ready.pop()
@@ -377,7 +378,7 @@ def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
-    if done == len(set(nodes)):
+    if done == len(out):
         return ()
     return tuple(sorted(n for n in indeg if indeg[n] > 0))
 

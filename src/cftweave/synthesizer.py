@@ -129,10 +129,13 @@ class FaultTree:
         """The root's value, folded children first over :meth:`nodes`.
 
         ``leaf(node)`` gives a leaf's value at each use and ``gate(node,
-        values)`` a gate's from its children's values in child order.  A
-        gate's value is dropped once its last parent is folded, so memory
-        follows the values still needed, not every node's.  Gates compare
-        by identity, so they key the dicts themselves.
+        values, owned)`` a gate's from its children's values in child order.
+        A gate's value is dropped once its last parent is folded, so memory
+        follows the values still needed, not every node's.  *owned* says
+        that the first child is a gate folded here for the last time, so
+        its value is no longer held anywhere else and *gate* may take it
+        over and change it in place.  Gates compare by identity, so they
+        key the dicts themselves.
         """
         root = self.root
         if not isinstance(root, FTGate):
@@ -146,6 +149,7 @@ class FaultTree:
         values: dict[FTGate, object] = {}
         for node in gates:
             kids = []
+            owned = False
             for child in node.children:
                 if isinstance(child, FTGate):
                     left = uses[child] - 1
@@ -153,10 +157,11 @@ class FaultTree:
                         uses[child] = left
                         kids.append(values[child])
                     else:
+                        owned = owned or not kids
                         kids.append(values.pop(child))
                 else:
                     kids.append(leaf(child))
-            values[node] = gate(node, kids)
+            values[node] = gate(node, kids, owned)
         return values[root]
 
     def to_prefix_text(self) -> str:
@@ -165,7 +170,7 @@ class FaultTree:
         Shared subtrees are written out at every occurrence, but each gate
         is rendered once, from its children's texts.
         """
-        def gate(node, texts):
+        def gate(node, texts, _owned):
             # one join builds the text, so no second copy of it is made
             parts = [node.kind.value + "("]
             for text in texts:

@@ -1,5 +1,6 @@
 """Cutset extraction, reduction and pointwise evaluation."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cftweave import (
     AnalysisError,
+    CutSet,
     FaultTree,
     FTBasicEvent,
     FTGate,
@@ -143,6 +145,90 @@ class TestCutsets:
                            if not any(o < s for o in collapsed)}
                 red = cutsets(tree, "reduced")
                 assert red.identity_sets() == minimal, f"seed={seed}"
+
+    def test_or_extends_a_first_child_only_at_its_last_use(self):
+        # the inner OR's first child is used again by the AND, so the OR
+        # must copy its products rather than extend them
+        root = and_of(or_of(REUSED, leaf("c")), REUSED)
+        tree = tree_of(root)
+        assert pre_pairs(tree) == reference_pre(tree)
+        assert cutsets(tree, "reduced").lines() == ("a", "b")
+
+
+# The vehicle's reports at EBC.no-emergency-braking, as (displays, sorted
+# identities) per cutset in report order, recorded when the report was a
+# frozen dataclass of (stage, cutsets).
+VEHICLE_REPORTS = {
+    "pre": [
+        (("E.Speed-too-low",), ("E.Speed-too-low",)),
+        (("EBC.HW-defect_PartCount",), ("M.HW-defect_PartCount",)),
+        (("EBC.Loss-of-power",), ("M.Loss-of-power",)),
+        (("U1.Battery-omission", "U2.Battery-omission"), ("B.Battery-omission",)),
+        (("U1.Battery-omission", "U2.Battery-too-low"),
+         ("B.Battery-omission", "B.Battery-too-low")),
+        (("U1.Battery-omission", "U2.False-negative"),
+         ("B.Battery-omission", "U2.False-negative")),
+        (("U1.Battery-too-low", "U2.Battery-omission"),
+         ("B.Battery-omission", "B.Battery-too-low")),
+        (("U1.Battery-too-low", "U2.Battery-too-low"), ("B.Battery-too-low",)),
+        (("U1.Battery-too-low", "U2.False-negative"),
+         ("B.Battery-too-low", "U2.False-negative")),
+        (("U1.False-negative", "U2.Battery-omission"),
+         ("B.Battery-omission", "U1.False-negative")),
+        (("U1.False-negative", "U2.Battery-too-low"),
+         ("B.Battery-too-low", "U1.False-negative")),
+        (("U1.False-negative", "U2.False-negative"),
+         ("U1.False-negative", "U2.False-negative")),
+    ],
+    "reduced": [
+        (("B.Battery-omission",), ("B.Battery-omission",)),
+        (("B.Battery-too-low",), ("B.Battery-too-low",)),
+        (("E.Speed-too-low",), ("E.Speed-too-low",)),
+        (("EBC.HW-defect_PartCount",), ("M.HW-defect_PartCount",)),
+        (("EBC.Loss-of-power",), ("M.Loss-of-power",)),
+        (("U1.False-negative", "U2.False-negative"),
+         ("U1.False-negative", "U2.False-negative")),
+    ],
+}
+
+# The report class as a frozen dataclass of (stage, cutsets), whose
+# equality, hash and repr the report keeps.  A frozenset's repr follows the
+# string hash seed, so the recorded values are the contents above and the
+# repr and hash are compared with this class's over the same cutsets.
+DataclassReport = dataclasses.make_dataclass(
+    "CutSetReport", [("stage", str), ("cutsets", tuple)], frozen=True)
+
+
+class TestReport:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_eq_hash_and_repr_of_stage_and_cutsets(self, stage, vehicle):
+        tree = synthesize(weave(vehicle), "EBC.no-emergency-braking")
+        report = cutsets(tree, stage)
+        assert [(cs.displays, tuple(sorted(cs.identities)))
+                for cs in report.cutsets] == VEHICLE_REPORTS[stage]
+        assert all(type(cs) is CutSet for cs in report.cutsets)
+        same = DataclassReport(stage, report.cutsets)
+        assert repr(report) == repr(same)
+        assert hash(report) == hash(same)
+        again = cutsets(tree, stage)
+        assert report == again and hash(report) == hash(again)
+        assert report != cutsets(tree, STAGES[STAGES.index(stage) - 1])
+        assert report != report.cutsets
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.stage = "other"
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_lines_build_no_cutset(self, stage, vehicle):
+        tree = synthesize(weave(vehicle), "EBC.no-emergency-braking")
+        report = cutsets(tree, stage)
+        lines = report.lines()
+        displays = report.display_sets()
+        identities = report.identity_sets()
+        assert "cutsets" not in vars(report)
+        assert lines == tuple(cs.render() for cs in report.cutsets)
+        assert displays == {frozenset(cs.displays) for cs in report.cutsets}
+        assert identities == {cs.identities for cs in report.cutsets}
+        assert report.cutsets is report.cutsets
 
 
 def reference_reduced(tree):
@@ -390,6 +476,33 @@ class TestLimits:
         # keeping every node's products to the end of the fold grows with
         # the square of the depth, about 12x to 14x here
         assert peaks[1000] <= 6 * peaks[250]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_chain_or_gates_fill_one_product_dict(self, stage, monkeypatch):
+        # every OR gate's first child is the gate below it, folded there for
+        # the last time, so each stage extends the dict the bottom OR made
+        # instead of copying every product below it
+        n = 300
+        model, top = genmodels.chain(n)
+        tree = synthesize(weave(model), top)
+        values = []
+        fold = FaultTree._fold
+
+        def recording(self, leaf, gate):
+            def recorded(node, kids, owned):
+                values.append(gate(node, kids, owned))
+                return values[-1]
+            return fold(self, leaf, recorded)
+
+        monkeypatch.setattr(FaultTree, "_fold", recording)
+        report = cutsets(tree, stage)
+        # stage 0 is one OR, every later stage adds two
+        assert len(values) == 2 * n - 1
+        assert all(value is values[0] for value in values)
+        # n events and two battery failure modes; pre names the battery's
+        # copy in each stage
+        products = 3 * n if stage == "pre" else n + 2
+        assert len(values[0]) == len(report.lines()) == products
 
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")

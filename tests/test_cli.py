@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from cftweave import (CftweaveError, InputFailureMode, NodeRef, cutsets, parse, serialize,
                       synthesize, validate, weave)
+from cftweave import analyzer
 from cftweave.cli import main
 
 import genmodels
@@ -49,6 +50,20 @@ def test_cutsets_reduced_vehicle(capsys):
                  "--stage", "reduced"]) == 0
     out, _ = capsys.readouterr()
     assert out == VEHICLE_REDUCED
+
+
+def test_cutsets_command_builds_no_cutset_object(monkeypatch, capsys):
+    # both formats print display names only, so no CutSet is needed
+    def refuse(*args):
+        raise AssertionError("a CutSet was built")
+
+    monkeypatch.setattr(analyzer, "CutSet", refuse)
+    for stage in ("pre", "reduced"):
+        for fmt in ("text", "tsv"):
+            assert main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking",
+                         "--stage", stage, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and VEHICLE_REDUCED.replace(" ∧ ", "\t") in out
 
 
 # Two reduced cutsets that show alike.  V.b and W.c reach U through ports
@@ -267,7 +282,9 @@ def test_synthesize_deep_chain(tmp_path, capsys):
 
 
 def test_cutsets_deep_chain(tmp_path, capsys):
-    n = 1000
+    # each OR gate takes over its first child's products, so neither stage
+    # copies everything below each stage of the chain
+    n = 10000
     path, top = chain_file(tmp_path, n), f"C{n - 1}.fail"
     assert main(["cutsets", path, "--top", top, "--stage", "pre"]) == 0
     out, err = capsys.readouterr()

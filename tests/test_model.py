@@ -95,6 +95,37 @@ class TestValidate:
                                   components=(Component("c", "l", cft=cft),))
         assert "cft-cycle" in codes(validate(model))
 
+    def test_cft_gate_cycle_next_to_a_duplicate_gate(self):
+        # g is declared twice; it is one node to the cycle check, so h and
+        # k still form a cycle (only object-API models reach this: parse
+        # rejects the duplicate first)
+        cft = ComponentFaultTree(
+            events=(BasicEvent("e"),),
+            gates=(Gate("g", GateKind.OR, (NodeRef("e"),)),
+                   Gate("g", GateKind.OR, (NodeRef("h"),)),
+                   Gate("h", GateKind.OR, (NodeRef("k"),)),
+                   Gate("k", GateKind.OR, (NodeRef("h"),))),
+        )
+        model = ArchitectureModel(layers=("l",),
+                                  components=(Component("c", "l", cft=cft),))
+        assert validate(model).render_lines() == (
+            "error[duplicate-node] c.g: name already used by a gate",
+            "error[cft-cycle] c: gates form a cycle: h, k")
+
+    def test_dependency_cycle_next_to_a_duplicate_component(self):
+        model = ArchitectureModel(
+            layers=("l",),
+            components=(Component("x", "l"), Component("x", "l"),
+                        Component("y", "l"), Component("z", "l")),
+            dependencies=(AlfredDependency("x", "y"), AlfredDependency("y", "z"),
+                          AlfredDependency("z", "y")),
+        )
+        assert validate(model).render_lines() == (
+            "error[duplicate-component] x: component declared twice",
+            "error[dependency-cycle] model: components in dependency cycle: y, z",
+            "warning[provider-no-cft] y: dependency provider has no fault tree",
+            "warning[provider-no-cft] z: dependency provider has no fault tree")
+
     def test_port_collision(self):
         model = ArchitectureModel(
             layers=("l",),
