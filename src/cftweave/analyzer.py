@@ -74,9 +74,6 @@ class CutSet:
     displays: tuple[str, ...]
     identities: frozenset[str]
 
-    def render(self) -> str:
-        return " ∧ ".join(self.displays)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CutSetReport:

@@ -22,25 +22,17 @@ from .textfmt import export_dot, parse, serialize
 from .weaver import weave
 
 
-class _Failure(Exception):
-    """Abort the command with an exit code; message already printed."""
-
-    def __init__(self, code: int):
-        self.code = code
-
-
-def _fail(code: int, message: str) -> _Failure:
+def _fail(code: int, message: str) -> SystemExit:
+    """Print *message* as an error; return the exit for the caller to raise."""
     print(f"error: {message}", file=sys.stderr)
-    return _Failure(code)
+    return SystemExit(code)
 
 
 def _load_model(path: str) -> ArchitectureModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _fail(1, f"{path}: {exc}") from None
-    try:
-        return parse(text)
     except ParseError as exc:
         raise _fail(1, f"{path}:{exc}") from None
 
@@ -162,12 +154,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
-    except _Failure as failure:
-        return failure.code
     except (CftweaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

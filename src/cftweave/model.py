@@ -30,9 +30,12 @@ from enum import Enum
 
 from .errors import ModelError
 
+# A legal name's characters besides '-'; the text format's patterns use them too.
+_NAME_CHARS = "A-Za-z0-9_"
+
 #: Legal name: ASCII letters, digits, ``_`` and ``-``.  ``.`` is reserved as
 #: the qualifier separator in rendered names (``U1.False-negative``).
-IDENTIFIER_PATTERN = re.compile(r"[A-Za-z0-9_-]+\Z")
+IDENTIFIER_PATTERN = re.compile("[" + _NAME_CHARS + r"-]+\Z")
 
 
 class GateKind(Enum):

@@ -138,11 +138,11 @@ def _resolve_network(model: ArchitectureModel, injections,
     leaves: dict[str, FTBasicEvent] = {}
     # each node as it is finished, so children come before their parents
     nodes: list = []
-    done: dict[tuple, object] = {}
+    done: dict[str, object] = {}
     # names of the frames being walked, in stack order
     visiting: dict[str, None] = {}
-    # (memo key, owner, gate or output failure mode, references left,
-    # child nodes so far) of each frame being walked
+    # (name, owner, gate or output failure mode, references left, child
+    # nodes so far) of each frame being walked
     stack: list[tuple] = []
 
     def leaf(identity: str) -> FTBasicEvent:
@@ -159,26 +159,24 @@ def _resolve_network(model: ArchitectureModel, injections,
         """The finished node of a gate or output failure mode, or None
         after pushing a frame for it."""
         if isinstance(item, Gate):
-            key = ("gate", component.name, item.name)
             frame = f"{component.name}:{item.name}"
             refs = item.inputs
         else:
-            key = ("ofm", component.name, item.name, item.port)
             frame = f"{component.name}.{item.name}" + (f"@{item.port}" if item.port else "")
             refs = (item.driver,)
-        if key in done:
-            return done[key]
+        if frame in done:
+            return done[frame]
         if frame in visiting:
             frames = list(visiting)
             cycle = frames[frames.index(frame):] + [frame]
             raise OracleError("propagation cycle: " + " -> ".join(cycle))
         visiting[frame] = None
-        stack.append((key, component, item, iter(refs), []))
+        stack.append((frame, component, item, iter(refs), []))
         return None
 
     enter(comp, ofm)
     while True:
-        key, component, item, refs, children = stack[-1]
+        frame, component, item, refs, children = stack[-1]
         for ref in refs:
             target = component.cft.resolve(ref)
             if target is None:
@@ -202,7 +200,7 @@ def _resolve_network(model: ArchitectureModel, injections,
                 nodes.append(node)
             else:
                 node = children[0]
-            done[key] = node
+            done[frame] = node
             if not stack:
                 return nodes, set(leaves)
             stack[-1][4].append(node)
@@ -248,14 +246,12 @@ def table_of_network(model: ArchitectureModel | WovenModel,
     may be passed so several tables line up; it must cover every atom the
     network actually reaches.
     """
-    if isinstance(model, WovenModel):
-        base, injections = model.model, model._injections
-    else:
-        base, injections = model, {}
+    if not isinstance(model, WovenModel):
+        model = WovenModel(model)
     if isinstance(top, str):
         top = TopEventRef.parse(top)
-    comp, ofm = _find_top(base, top)
-    nodes, needed = _resolve_network(base, injections, comp, ofm)
+    comp, ofm = _find_top(model.model, top)
+    nodes, needed = _resolve_network(model.model, model._injections, comp, ofm)
     return _table(nodes, needed, variables)
 
 

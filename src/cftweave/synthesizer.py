@@ -201,17 +201,18 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
     """The tree node of one output failure mode, and the wrapped leaves.
 
     One explicit-stack walk follows gates, port connections and injection
-    provenance; gates and output failure modes are its frames.  Each gate,
-    output failure mode, event, external input and injection is expanded
-    once and shared.  A wrapped leaf is an injected reference that came out
-    as a single leaf; it is listed with its provider-qualified fallback
-    display, used if two identities would otherwise share one display name.
+    provenance; gates and output failure modes are its frames, and the memo
+    keys each by the name the cycle check uses.  Each gate, output failure
+    mode, event, external input and injection is expanded once and shared.
+    A wrapped leaf is an injected reference that came out as a single leaf;
+    it is listed with its provider-qualified fallback display, used if two
+    identities would otherwise share one display name.
     """
-    memo: dict[tuple, object] = {}
+    memo: dict[str | tuple, object] = {}
     # names of the frames being expanded, in stack order
     visiting: dict[str, None] = {}
     wrapped: list[tuple[object, str]] = []
-    # (memo key, owner, gate or output failure mode, references left, child
+    # (name, owner, gate or output failure mode, references left, child
     # nodes so far, injection the result stands for) of each frame
     stack: list[tuple] = []
 
@@ -245,21 +246,19 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
         """The finished node of a gate or output failure mode, or None
         after pushing a frame for it."""
         if isinstance(item, Gate):
-            key = ("gate", component.name, item.name)
             frame = f"{component.name}:{item.name}"
             refs = item.inputs
         else:
-            key = ("ofm", component.name, item.name, item.port)
             frame = f"{component.name}.{item.name}" + (f"@{item.port}" if item.port else "")
             refs = (item.driver,)
-        if key in memo:
-            return memo[key] if injection is None else inject(injection, memo[key])
+        if frame in memo:
+            return memo[frame] if injection is None else inject(injection, memo[frame])
         if frame in visiting:
             frames = list(visiting)
             cycle = frames[frames.index(frame):] + [frame]
             raise SynthesisError("propagation cycle: " + " -> ".join(cycle))
         visiting[frame] = None
-        stack.append((key, component, item, iter(refs), [], injection))
+        stack.append((frame, component, item, iter(refs), [], injection))
         return None
 
     def input_fm(component: Component, ifm: InputFailureMode):
@@ -300,7 +299,7 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
 
     enter(comp, ofm)
     while True:
-        key, component, item, refs, children, injection = stack[-1]
+        frame, component, item, refs, children, injection = stack[-1]
         for ref in refs:
             target = component.cft.resolve(ref)
             if target is None:
@@ -320,7 +319,7 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
             visiting.popitem()
             node = (FTGate(item.kind, tuple(children)) if isinstance(item, Gate)
                     else children[0])
-            memo[key] = node
+            memo[frame] = node
             if injection is not None:
                 node = inject(injection, node)
             if not stack:
@@ -363,10 +362,9 @@ def synthesize(woven: WovenModel | ArchitectureModel,
     accepted for convenience and treats its port-less input failure modes as
     external events.
     """
-    if isinstance(woven, WovenModel):
-        model, injections = woven.model, woven._injections
-    else:
-        model, injections = woven, {}
+    if not isinstance(woven, WovenModel):
+        woven = WovenModel(woven)
+    model = woven.model
     if isinstance(top, str):
         top = TopEventRef.parse(top)
 
@@ -384,7 +382,7 @@ def synthesize(woven: WovenModel | ArchitectureModel,
         raise SynthesisError(
             f"ambiguous top event '{top.render()}': declared on ports {ports}")
 
-    root, wrapped = _expand(model, injections, comp, matches[0])
+    root, wrapped = _expand(model, woven._injections, comp, matches[0])
     tree = FaultTree(root=root, top=top)
     _resolve_display_collisions(tree, wrapped)
     return tree

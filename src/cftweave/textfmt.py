@@ -28,10 +28,10 @@ The grammar is stated once, as one statement table per context (top level
 and inside a component block).  Parsing is one regular-expression match per
 line against a pattern built from its context's table, which also accepts
 blank and comment-only lines.  A matching line is built straight from the
-match's groups.  A line that does not match goes to a word cursor, which
-reads the same table to find the first word that breaks the grammar and
-raises the located :class:`~cftweave.errors.ParseError`; the cursor builds
-nothing, so valid documents never reach it.
+match's groups, whose spans give each name its column.  A line that does
+not match goes to a word cursor, which reads the same table to find the
+first word that breaks the grammar and raises the located
+:class:`~cftweave.errors.ParseError`; valid documents never reach it.
 
 Serialisation is canonical: layers sorted by name, components by (layer,
 name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
@@ -62,6 +62,7 @@ from .model import (
     OutputFailureMode,
     PortConnection,
     ValidationReport,
+    _NAME_CHARS,
     _check,
 )
 from .synthesizer import FaultTree, FTExternalEvent, FTGate
@@ -71,7 +72,7 @@ from .weaver import WovenModel
 # module's cache.  Group 1: punctuation, group 2: a name (a '-' that starts
 # '->' ends it), group 3: any other character but blanks, which is '#' or an
 # error.
-_TOKEN = r"(->|[{}()=,@.])|((?:[A-Za-z0-9_]|-(?!>))+)|([^ \t])"
+_TOKEN = r"(->|[{}()=,@.])|((?:[" + _NAME_CHARS + r"]|-(?!>))+)|([^ \t])"
 
 # The grammar, stated once: per context, each statement's keyword and its
 # items after the keyword.  An item is a literal word or punctuation mark,
@@ -101,13 +102,13 @@ _GATE_KINDS = {k.value: k for k in GateKind}
 # Each line is matched with its tabs read as spaces, so the patterns hold
 # only spaces, which makes them cheaper to compile and to match.  Blanks
 # may surround every item; two words (keywords, names, gate kinds) need one
-# between them.  A name is one run of [\w-], which is [A-Za-z0-9_-] under
-# re.ASCII.  In a matching line no name is followed by '>', so none holds
-# the '-' of a '->', and each is the word _TOKEN reads.  (One character class
+# between them.  A name is one run of the name characters and '-'.  In a
+# matching line no name is followed by '>', so none holds the '-' of a
+# '->', and each is the word _TOKEN reads.  (One character class
 # also keeps the matcher's stack flat on a gate with many inputs.)  Each
 # blank run sits between classes it cannot overlap, so a line that does not
 # match fails in time linear in its length.
-_NAME_TEXT = r"[\w-]+"
+_NAME_TEXT = "[" + _NAME_CHARS + "-]+"
 _NAME = "(" + _NAME_TEXT + ")"
 _REF_TEXT = _NAME_TEXT + r"(?: *@ *" + _NAME_TEXT + r")?"
 # each item kind's pattern and its number of groups
@@ -181,13 +182,11 @@ _new_tuple = tuple.__new__
 
 
 class _Token(NamedTuple):
-    """A word an error may point at, by line and index among the line's
-    words (the keyword is 0); its column is found only when the error is
-    raised."""
+    """A word an error may point at, with its line and column."""
 
     value: str
     line: int
-    index: int
+    column: int
 
 
 def _words(text: str, line: int) -> tuple[list, list[int]]:
@@ -362,19 +361,15 @@ class _Parser:
         for a, b, tok in self.aliases:
             if a == b:
                 raise ParseError("common-cause aliases an event to itself",
-                                 tok.line, self._column(tok), token=a.render())
+                                 tok.line, tok.column, token=a.render())
             if frozenset((a, b)) in seen:
                 raise ParseError(
                     f"duplicate declaration of common-cause {a.render()} = {b.render()}",
-                    tok.line, self._column(tok), token=tok.value)
+                    tok.line, tok.column, token=tok.value)
             seen.add(frozenset((a, b)))
         # No finding was rejected, so these are all of validate's findings.
         object.__setattr__(model, "_report", ValidationReport(tuple(self.findings)))
         return model
-
-    def _column(self, tok: _Token) -> int:
-        """A kept token's column, from its line scanned again."""
-        return _words(self.lines[tok.line - 1].rstrip("\r"), tok.line)[1][tok.index]
 
     def _reject(self, severity, code, element, message, about=None, name=None) -> None:
         """The sink given to the shared checks: keeps each finding whose code
@@ -403,20 +398,22 @@ class _Parser:
         message = template.format(
             name=name, owner=block and block.name.value,
             kind="input" if isinstance(about, InputFailureMode) else "output")
-        raise ParseError(message, tok.line, self._column(tok), token=tok.value)
+        raise ParseError(message, tok.line, tok.column, token=tok.value)
 
     def _add_top(self, m: re.Match, keyword: str, g: int, line: int) -> _Block | None:
         """Build a top-level declaration from its match, whose groups start
         at *g*.  Returns the block a ``component`` line opens."""
         if keyword == "component":
-            return _Block(_new_tuple(_Token, (m[g], line, 1)),
-                          _new_tuple(_Token, (m[g + 1], line, 3)))
+            return _Block(_new_tuple(_Token, (m[g], line, m.start(g) + 1)),
+                          _new_tuple(_Token, (m[g + 1], line, m.start(g + 1) + 1)))
         if keyword == "layer":
-            self.layers.append(_new_tuple(_Token, (m[g], line, 1)))
+            self.layers.append(_new_tuple(_Token, (m[g], line, m.start(g) + 1)))
             return None
+        # the keyword is the line's first word
+        s = m.string
+        tok = _new_tuple(_Token, (keyword, line, len(s) - len(s.lstrip()) + 1))
         if keyword == "common-cause":
-            self.aliases.append((EventRef(m[g], m[g + 1]), EventRef(m[g + 2], m[g + 3]),
-                                 _new_tuple(_Token, (keyword, line, 0))))
+            self.aliases.append((EventRef(m[g], m[g + 1]), EventRef(m[g + 2], m[g + 3]), tok))
             return None
         if keyword == "connect":
             decl = PortConnection(m[g], m[g + 1], m[g + 2], m[g + 3])
@@ -424,13 +421,14 @@ class _Parser:
         else:
             decl = AlfredDependency(m[g], m[g + 1])
             self.dependencies.append(decl)
-        self.declared.append((decl, _new_tuple(_Token, (keyword, line, 0)), None))
+        self.declared.append((decl, tok, None))
         return None
 
     def _add_body(self, m: re.Match, keyword: str, g: int, line: int, block: _Block) -> None:
         """Build a declaration inside *block* from its match, whose groups
         start at *g*."""
         name = m[g]
+        tok = _new_tuple(_Token, (name, line, m.start(g) + 1))
         if keyword == "event":
             node = BasicEvent(name)
             block.events.append(node)
@@ -447,9 +445,9 @@ class _Parser:
             block.outfms.append(node)
         else:
             ports = block.in_ports if keyword == "in" else block.out_ports
-            ports.append(_new_tuple(_Token, (name, line, 1)))
+            ports.append(tok)
             return
-        self.declared.append((node, _new_tuple(_Token, (name, line, 1)), block))
+        self.declared.append((node, tok, block))
 
     def _close(self, block: _Block) -> None:
         cft = None

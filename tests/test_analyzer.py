@@ -225,7 +225,7 @@ class TestReport:
         displays = report.display_sets()
         identities = report.identity_sets()
         assert "cutsets" not in vars(report)
-        assert lines == tuple(cs.render() for cs in report.cutsets)
+        assert lines == tuple(" ∧ ".join(cs.displays) for cs in report.cutsets)
         assert displays == {frozenset(cs.displays) for cs in report.cutsets}
         assert identities == {cs.identities for cs in report.cutsets}
         assert report.cutsets is report.cutsets

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -253,6 +256,28 @@ def test_byte_determinism(capsys):
     main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking", "--stage", "pre"])
     second, _ = capsys.readouterr()
     assert first == second
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    alike = tmp_path / "alike.alfred"
+    alike.write_text(SHOW_ALIKE, encoding="utf-8")
+    runs = []
+    for path, top in ((FIG2, "f2.loss-of"), (VEHICLE, "EBC.no-emergency-braking"),
+                      (str(alike), "U.top")):
+        runs += [["validate", path], ["weave", path], ["export-dot", path],
+                 ["synthesize", path, "--top", top], ["synthesize", path, "--top", top, "--dot"]]
+        runs += [["cutsets", path, "--top", top, "--stage", stage, "--format", fmt]
+                 for stage in analyzer.STAGES for fmt in ("text", "tsv")]
+    src = str(REPO_FIXTURES.parent.parent)
+    for argv in runs:
+        # one process per hash seed, the two side by side
+        procs = [subprocess.Popen([sys.executable, "-m", "cftweave.cli", *argv],
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for seed in ("0", "1")]
+        results = [(*proc.communicate(), proc.returncode) for proc in procs]
+        assert results[0] == results[1], argv
+        assert results[0][2] == 0, argv
 
 
 def chain_file(tmp_path, n):

@@ -8,6 +8,7 @@ all pinned; for syntax errors every field is pinned on its own.
 
 import dataclasses
 import re
+import string
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from cftweave import (
     weave,
 )
 from cftweave import textfmt
+from cftweave.model import IDENTIFIER_PATTERN
 
 import genmodels
 
@@ -161,6 +163,26 @@ def test_declaration_error(case):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == expected
+
+
+def spread(text):
+    """*text* with every line indented by a tab and spaces, and every blank
+    between words doubled."""
+    return "\n".join("\t  " + line.replace(" ", "  ") if line else line
+                     for line in text.split("\n"))
+
+
+@pytest.mark.parametrize("case", sorted(set(REJECTED) - {"empty document", "comments only"}))
+def test_declaration_error_column_under_blanks(case):
+    text, expected = REJECTED[case]
+    with pytest.raises(ParseError) as err:
+        parse(spread(text))
+    e = err.value
+    assert str(e).split(": ", 1)[1] == expected.split(": ", 1)[1]
+    line = spread(text).split("\n")[e.line - 1]
+    # a self-alias names the event twice, so it points at the keyword
+    word = "common-cause" if case == "common-cause self-alias" else e.token
+    assert line[e.column - 1:].startswith(word)
 
 
 
@@ -506,6 +528,18 @@ def test_grammar_matches_exactly_the_lines_the_cursor_accepts(line):
     spaced = line.replace("\t", " ")
     for in_block, grammar in ((False, textfmt._TOP_LINE), (True, textfmt._BODY_LINE)):
         assert (grammar.fullmatch(spaced) is not None) == cursor_accepts(line, in_block)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(string.ascii_letters + string.digits + "_-.@>{=,$ä", max_size=8))
+def test_parse_accepts_exactly_the_legal_names(name):
+    try:
+        parse(f"layer {name}\n")
+    except ParseError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (IDENTIFIER_PATTERN.match(name) is not None)
 
 
 class _NoCursor:
