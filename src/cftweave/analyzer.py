@@ -20,11 +20,17 @@ report stages exist:
   (the woven shape: every dependent has its own copies of its providers'
   causes) crosses them without deduplication, since such operands cannot
   form one product twice; other AND steps and every OR gate deduplicate.
-  The report is ordered by two sorts of the display tuples, and that is
-  all it holds until its cutsets are read: :meth:`CutSetReport.lines` costs
-  what the lines cost.  Identity sets are formed on the first read of
-  :attr:`CutSetReport.cutsets`, and products that differ only in which
-  dependent's copy of a cause they hold share one identity-set object.
+  Copies are named after their dependent (``S3.Battery-omission``), so
+  such operands' names usually fall in ranges that do not interleave: a
+  step whose operand's names all follow the names so far concatenates
+  each pair of tuples in that order, with no sort per product, and
+  crosses the operand's products in sorted order.  The report
+  is ordered by two sorts of the display tuples, which then mostly meet
+  runs already in order, and that is all it holds until its cutsets are
+  read: :meth:`CutSetReport.lines` costs what the lines cost.  Identity
+  sets are formed on the first read of :attr:`CutSetReport.cutsets`, and
+  products that differ only in which dependent's copy of a cause they hold
+  share one identity-set object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
   tree function over event identities.  The tree's distinct identities are
   numbered once in sorted order and a product is an ``int`` bitmask over
@@ -147,21 +153,34 @@ def _display_products(tree: FaultTree) -> Collection[tuple[str, ...]]:
     step whose operands share no display name crosses them without
     deduplication: distinct products over disjoint names have distinct
     unions, and no name repeats within one (the rule behind fault-tree
-    modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3), 1996).
+    modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3), 1996).  When
+    the operand's names also all follow the names so far, each product is
+    the concatenation of two sorted tuples in that order and needs no sort;
+    the operand's products are sorted once instead, so the cross product
+    comes out nearly in report order.  Other disjoint operands sort per
+    product.
     """
     def gate(node, kids, owned):
         if node.kind is GateKind.OR:
             return _union(kids, owned)
         acc: tuple[tuple[str, ...], ...] = ((),)
         support: set[str] = set()  # a superset of the names in acc
+        high = ""  # support's greatest name, once it has one
         for kid in kids:
             _check_budget(acc, kid)
             names = set().union(*kid)
-            if support.isdisjoint(names):
-                acc = tuple([tuple(sorted(a + b)) for a in acc for b in kid])
-            else:
+            if not names:  # no products, or only the empty one
+                acc = acc if kid else ()
+                continue
+            if not support.isdisjoint(names):
                 acc = tuple(dict.fromkeys(tuple(sorted({*a, *b}))
                                           for a in acc for b in kid))
+            elif not support or min(names) > high:
+                ordered = sorted(kid)  # once, not once per product of acc
+                acc = tuple([a + b for a in acc for b in ordered])
+            else:
+                acc = tuple([tuple(sorted(a + b)) for a in acc for b in kid])
+            high = max(high, max(names))
             support |= names
         return acc
 

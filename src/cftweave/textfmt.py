@@ -354,7 +354,7 @@ class _Parser:
             dependencies=tuple(self.dependencies),
             common_causes=tuple(CommonCause(a, b) for a, b, _ in self.aliases),
         )
-        _check(model, self._reject)
+        _check(model, self._reject, check_names=False)
         # Canonical construction erases self-aliases and repeated pairs, so
         # these two are checked here, on the declarations.
         seen: set[frozenset[EventRef]] = set()

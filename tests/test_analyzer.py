@@ -271,11 +271,12 @@ def coherent_trees(draw):
 def woven_trees(draw):
     """An AND whose children each have their own display names but draw
     identities from one small shared pool, the shape weaving gives a gate
-    over several dependents of one provider."""
+    over several dependents of one provider.  The children's names need not
+    ascend in child order, as ``S10.f`` falls between ``S1.f`` and ``S2.f``."""
     n_identities = draw(st.integers(1, 4))
     children = tuple(draw_dag(draw, n_identities, f"c{c}.", max_leaves=3,
                               max_gates=4, max_children=3)
-                     for c in range(draw(st.integers(1, 4))))
+                     for c in draw(st.permutations(range(draw(st.integers(1, 4))))))
     return tree_of(FTGate(GateKind.AND, children))
 
 
@@ -307,6 +308,21 @@ def pre_pairs(tree):
 
 REUSED = or_of(leaf("a"), leaf("b"))
 
+# Two AND operands with disjoint display names, by the order of the second
+# operand's names against the first's; products of several names and the
+# empty product take part.
+ORDERED_PAIRS = {
+    "above": (or_of(leaf("a"), and_of(leaf("b"), leaf("c"))),
+              or_of(and_of(leaf("d"), leaf("f")), leaf("e"), and_of())),
+    "below": (or_of(leaf("d"), and_of(leaf("e"), leaf("f"))),
+              or_of(and_of(leaf("a"), leaf("c")), leaf("b"), and_of())),
+    "interleaved": (or_of(leaf("a"), and_of(leaf("c"), leaf("e"))),
+                    or_of(and_of(leaf("b"), leaf("f")), leaf("d"))),
+}
+
+# Operands with no products, and with only the empty product.
+EMPTY_OPERANDS = {"no-products": or_of(), "empty-product": and_of()}
+
 
 class TestPreAgainstReference:
     @settings(max_examples=300, deadline=None)
@@ -316,14 +332,24 @@ class TestPreAgainstReference:
 
     def test_woven_shape_takes_both_and_steps(self, monkeypatch):
         # an AND step crosses operands that share no display name without
-        # deduplicating; count the steps of each kind that the trees reach
-        steps = {"disjoint": 0, "overlapping": 0}
+        # deduplicating, and concatenates their products only when the
+        # operand's names all follow the names so far ("above"); operands
+        # whose names all precede them ("below") or interleave with them
+        # sort each product.  Count the steps of each kind the trees reach.
+        steps = {"above": 0, "below": 0, "interleaved": 0, "overlapping": 0}
         check_budget = analyzer._check_budget
 
         def counting(acc, kid):
-            if acc != ((),) and acc and kid:
-                shared = set().union(*acc) & set().union(*kid)
-                steps["overlapping" if shared else "disjoint"] += 1
+            support, names = set().union(*acc), set().union(*kid)
+            if support and names:
+                if support & names:
+                    steps["overlapping"] += 1
+                elif min(names) > max(support):
+                    steps["above"] += 1
+                elif max(names) < min(support):
+                    steps["below"] += 1
+                else:
+                    steps["interleaved"] += 1
             check_budget(acc, kid)
 
         monkeypatch.setattr(analyzer, "_check_budget", counting)
@@ -334,7 +360,7 @@ class TestPreAgainstReference:
             assert pre_pairs(tree) == reference_pre(tree)
 
         check()
-        assert steps["disjoint"] > 0 and steps["overlapping"] > 0, steps
+        assert all(steps.values()), steps
 
     @pytest.mark.parametrize("root", [
         pytest.param(and_of(or_of(leaf("B.x", "U1.x"), leaf("U1.f")),
@@ -346,6 +372,12 @@ class TestPreAgainstReference:
         pytest.param(and_of(REUSED, leaf("c"), REUSED), id="node-twice"),
         pytest.param(and_of(REUSED, FTGate(GateKind.AND, ())), id="empty-product"),
         pytest.param(and_of(REUSED, FTGate(GateKind.OR, ())), id="no-products"),
+        *(pytest.param(and_of(*pair), id=order) for order, pair in ORDERED_PAIRS.items()),
+        *(pytest.param(and_of(*operands), id=f"{order}-{empty}-{where}")
+          for order, (x, y) in ORDERED_PAIRS.items()
+          for empty, e in EMPTY_OPERANDS.items()
+          for where, operands in (("first", (e, x, y)), ("between", (x, e, y)),
+                                  ("last", (x, y, e)))),
     ])
     def test_explicit_trees(self, root):
         tree = tree_of(root)
@@ -418,6 +450,24 @@ class TestClosedFormFamilies:
             == len(report.identity_sets()) == 1867
         # a frozenset of display names per product peaks near 4.8 MB
         assert peak <= 3_500_000
+
+    def test_wide_and_pre_sorts_once_per_operand(self, monkeypatch):
+        # each sensor's names follow the sensors' before it, so every AND step
+        # concatenates its products; the root sorts them once more.  Sorting
+        # each product instead would call sorted 87,381 times here.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "sorted", counting, raising=False)
+        model, top = genmodels.wide(8, GateKind.AND)
+        tree = synthesize(weave(model), top)
+        operands = sum(len(node.children) for node in tree.nodes()
+                       if isinstance(node, FTGate) and node.kind is GateKind.AND)
+        assert len(cutsets(tree, "pre").lines()) == 4 ** 8
+        assert len(calls) <= operands + 1
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_wide_or(self, n):

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cftweave import (
     AlfredDependency,
@@ -20,6 +22,8 @@ from cftweave import (
     OutputFailureMode,
     PortConnection,
     Severity,
+    fixture_names,
+    fixture_text,
     parse,
     serialize,
     validate,
@@ -200,8 +204,26 @@ class TestValidate:
             "error[unknown-event] ghost.e: component 'ghost' is not declared",)
 
     def test_bad_identifier(self):
-        model = ArchitectureModel(layers=("l",), components=(Component("a.b", "l"),))
-        assert "bad-identifier" in codes(validate(model))
+        # the object API admits any string, so validate checks every kind of
+        # name; parse's grammar admits legal names only
+        cft = ComponentFaultTree(
+            events=(BasicEvent("e.1"),),
+            gates=(Gate("g 1", GateKind.OR, (NodeRef("e.1"),)),),
+            input_fms=(InputFailureMode("i@1", "p.1"),),
+            output_fms=(OutputFailureMode("", "o", NodeRef("g 1")),))
+        model = ArchitectureModel(layers=("l.1",), components=(
+            Component("a.b", "l.1", in_ports=("p.1",), out_ports=("o",), cft=cft),))
+        assert [line for line in validate(model).render_lines()
+                if "[bad-identifier]" in line] == [
+            "error[bad-identifier] l.1: layer name 'l.1' is not a legal identifier",
+            "error[bad-identifier] a.b: component name 'a.b' is not a legal identifier",
+            "error[bad-identifier] a.b.p.1: port name 'p.1' is not a legal identifier",
+            "error[bad-identifier] a.b.e.1: event name 'e.1' is not a legal identifier",
+            "error[bad-identifier] a.b.g 1: gate name 'g 1' is not a legal identifier",
+            "error[bad-identifier] a.b.i@1@p.1: "
+            "input failure mode name 'i@1' is not a legal identifier",
+            "error[bad-identifier] a.b.@o: output failure mode name '' is not a legal identifier",
+        ]
 
     def test_duplicate_component(self):
         model = ArchitectureModel(
@@ -433,6 +455,25 @@ class TestIndexes:
         assert dataclasses.replace(parsed)._report is None
         assert ArchitectureModel(layers=parsed.layers, components=parsed.components,
                                  connections=parsed.connections)._report is None
+
+
+def assert_parse_report_is_fresh(text):
+    # parse skips the legal-name pattern, whose names its grammar already
+    # admitted; a replace copy is checked afresh, names included
+    parsed = parse(text)
+    assert validate(dataclasses.replace(parsed)) == parsed._report
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_parse_report_matches_a_fresh_validate(name):
+    assert_parse_report_is_fresh(fixture_text(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_parse_report_matches_a_fresh_validate_on_random_models(seed):
+    assert_parse_report_is_fresh(
+        serialize(genmodels.random_model(seed, allow_not=seed % 2 == 0)[0]))
 
 
 class _CountingName(str):
