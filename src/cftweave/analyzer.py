@@ -256,14 +256,18 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         raise AnalysisError("non-coherent tree: cutset semantics undefined")
 
     identity_of: dict[str, str] = {}
-    displays_per_identity: dict[str, set[str]] = {}
+    # An identity seen under one display keeps it; one seen under several
+    # (a collapsed common cause) falls back to the identity itself.  The
+    # first display is kept, and a second one replaces it by the identity.
+    display_of: dict[str, str] = {}
     for leaf in tree.leaves():
-        known = identity_of.get(leaf.display)
-        if known is not None and known != leaf.identity:
-            raise AnalysisError(
-                f"display name '{leaf.display}' maps to several identities")
-        identity_of[leaf.display] = leaf.identity
-        displays_per_identity.setdefault(leaf.identity, set()).add(leaf.display)
+        display, identity = leaf.display, leaf.identity
+        known = identity_of.get(display)
+        if known is not None and known != identity:
+            raise AnalysisError(f"display name '{display}' maps to several identities")
+        identity_of[display] = identity
+        if display_of.setdefault(identity, display) != display:
+            display_of[identity] = identity
 
     if stage == "pre":
         # The products are distinct, so two stable sorts give the report order.
@@ -273,12 +277,8 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         return CutSetReport("pre", displays,
                             partial(_shared_identity_sets, displays, identity_of))
 
-    names = sorted(displays_per_identity)
+    names = sorted(display_of)
     bit_of = {name: 1 << i for i, name in enumerate(names)}
-    # An identity seen under one display keeps it; one seen under several
-    # (a collapsed common cause) falls back to the identity itself.
-    display_of = {ident: (next(iter(ds)) if len(ds) == 1 else ident)
-                  for ident, ds in displays_per_identity.items()}
 
     rows = []  # (size, displays, sorted identities) of each cutset
     for mask in _identity_products(tree, bit_of):

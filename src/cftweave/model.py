@@ -406,7 +406,7 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
             f"{kind} name {name!r} is not a legal identifier")
 
 
-def _validate_cft(comp: Component, add, check_name) -> None:
+def _validate_cft(comp: Component, add, check_names: bool) -> None:
     cft = comp.cft
     owner = comp.name
     bare: dict[str, str] = {}  # what each name in the bare-name namespace is
@@ -418,15 +418,18 @@ def _validate_cft(comp: Component, add, check_name) -> None:
         bare[node.name] = what
 
     for event in cft.events:
-        check_name(add, "event", event.name, owner)
+        if check_names:
+            _check_name(add, "event", event.name, owner)
         claim(event, "basic event")
     for gate in cft.gates:
-        check_name(add, "gate", gate.name, owner)
+        if check_names:
+            _check_name(add, "gate", gate.name, owner)
         claim(gate, "gate")
 
     seen_in: set[tuple[str, str | None]] = set()
     for ifm in cft.input_fms:
-        check_name(add, "input failure mode", ifm.name, owner, ifm.port)
+        if check_names:
+            _check_name(add, "input failure mode", ifm.name, owner, ifm.port)
         if (ifm.name, ifm.port) in seen_in:
             add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ifm.name, ifm.port),
                 "input failure mode declared twice", ifm, ifm.name)
@@ -442,7 +445,8 @@ def _validate_cft(comp: Component, add, check_name) -> None:
 
     seen_out: set[tuple[str, str | None]] = set()
     for ofm in cft.output_fms:
-        check_name(add, "output failure mode", ofm.name, owner, ofm.port)
+        if check_names:
+            _check_name(add, "output failure mode", ofm.name, owner, ofm.port)
         if (ofm.name, ofm.port) in seen_out:
             add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ofm.name, ofm.port),
                 "output failure mode declared twice", ofm, ofm.name)
@@ -492,7 +496,6 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
     A false *check_names* skips the legal-name pattern, for a model whose
     names the text grammar already admitted.
     """
-    check_name = _check_name if check_names else lambda *args: None
     if not model.layers:
         add(Severity.ERROR, "no-layers", "model", "no layers declared")
     if not model.components:
@@ -500,14 +503,16 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
 
     seen_layers: set[str] = set()
     for layer in model.layers:
-        check_name(add, "layer", layer)
+        if check_names:
+            _check_name(add, "layer", layer)
         if layer in seen_layers:
             add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice", None, layer)
         seen_layers.add(layer)
 
     seen_comps: set[str] = set()
     for comp in model.components:
-        check_name(add, "component", comp.name)
+        if check_names:
+            _check_name(add, "component", comp.name)
         if comp.name in seen_comps:
             add(Severity.ERROR, "duplicate-component", comp.name,
                 "component declared twice", comp, comp.name)
@@ -517,12 +522,13 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
         counts = Counter(comp.in_ports + comp.out_ports)
         for port in sorted(counts):
-            check_name(add, "port", port, comp.name)
+            if check_names:
+                _check_name(add, "port", port, comp.name)
             if counts[port] > 1:
                 add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
                     "port name used more than once", comp, port)
         if comp.cft is not None:
-            _validate_cft(comp, add, check_name)
+            _validate_cft(comp, add, check_names)
 
     seen_conns: set[tuple[str, str, str, str]] = set()
     incoming: Counter = Counter()

@@ -333,13 +333,14 @@ def _resolve_display_collisions(tree: FaultTree, wrapped) -> None:
     Two injected leaves may end up with one display name (same dependent,
     same unit name, different providers); those fall back to a
     provider-qualified display.  Plain leaves cannot collide: their display
-    is the owner-qualified event name.
+    is the owner-qualified event name.  A display is ambiguous when a leaf
+    shows it for another identity than the first leaf that showed it, so
+    one string per display is all the check keeps.
     """
     def ambiguous() -> set[str]:
-        by_display: dict[str, set[str]] = {}
-        for leaf in tree.leaves():
-            by_display.setdefault(leaf.display, set()).add(leaf.identity)
-        return {d for d, ids in by_display.items() if len(ids) > 1}
+        first: dict[str, str] = {}  # display -> the first identity shown by it
+        return {leaf.display for leaf in tree.leaves()
+                if first.setdefault(leaf.display, leaf.identity) != leaf.identity}
 
     colliding = ambiguous()
     if not colliding:

@@ -28,10 +28,12 @@ The grammar is stated once, as one statement table per context (top level
 and inside a component block).  Parsing is one regular-expression match per
 line against a pattern built from its context's table, which also accepts
 blank and comment-only lines.  A matching line is built straight from the
-match's groups, whose spans give each name its column.  A line that does
-not match goes to a word cursor, which reads the same table to find the
-first word that breaks the grammar and raises the located
-:class:`~cftweave.errors.ParseError`; valid documents never reach it.
+match's groups, and a declaration keeps only its line number; a
+declaration error matches that line again, and the group spans give the
+name it points at its column.  A line that does not match goes to a word
+cursor, which reads the same table to find the first word that breaks the
+grammar and raises the located :class:`~cftweave.errors.ParseError`; valid
+documents never reach it.
 
 Serialisation is canonical: layers sorted by name, components by (layer,
 name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
@@ -297,8 +299,8 @@ class _Block:
     def __init__(self, name: _Token, layer: _Token):
         self.name = name
         self.layer = layer
-        self.in_ports: list[_Token] = []
-        self.out_ports: list[_Token] = []
+        self.in_ports: list[str] = []
+        self.out_ports: list[str] = []
         self.events: list[BasicEvent] = []
         self.gates: list[Gate] = []
         self.infms: list[InputFailureMode] = []
@@ -313,8 +315,10 @@ class _Parser:
         self.connections: list[PortConnection] = []
         self.dependencies: list[AlfredDependency] = []
         self.aliases: list[tuple[EventRef, EventRef, _Token]] = []
-        # (object, token an error about it points at, enclosing block)
-        self.declared: list[tuple[object, _Token, _Block | None]] = []
+        # each object an error may be about, and the number of its line:
+        # a component's is its header line
+        self.declared: list[object] = []
+        self.declared_at: list[int] = []
         # what the shared checks found and parse does not reject
         self.findings: list[Finding] = []
 
@@ -371,32 +375,70 @@ class _Parser:
         object.__setattr__(model, "_report", ValidationReport(tuple(self.findings)))
         return model
 
+    def _token(self, line: int, in_block: bool, offset: int = 0) -> _Token:
+        """The token of the declaration on *line*, matched again with its
+        context's pattern: its first name (*offset* names further on), or
+        the keyword of a ``connect`` or ``alfred`` line."""
+        s = self.lines[line - 1].replace("\t", " ")
+        m = (_BODY_LINE if in_block else _TOP_LINE).fullmatch(s)
+        keyword, g = (_BODY_GROUPS if in_block else _TOP_GROUPS)[m.lastindex]
+        if keyword in ("connect", "alfred"):  # the keyword is the line's first word
+            return _Token(keyword, line, len(s) - len(s.lstrip()) + 1)
+        return _Token(m[g + offset], line, m.start(g + offset) + 1)
+
+    def _ports(self, header: int) -> list[_Token]:
+        """The port tokens of the block whose header is on line *header*,
+        in-ports first, each kind in declaration order."""
+        ports: dict[str, list[_Token]] = {"in": [], "out": []}
+        line = header
+        while True:
+            line += 1
+            m = _BODY_LINE.fullmatch(self.lines[line - 1].replace("\t", " "))
+            if m.lastindex is None:
+                continue
+            keyword, g = _BODY_GROUPS[m.lastindex]
+            if keyword == "}":
+                return ports["in"] + ports["out"]
+            if keyword in ports:
+                ports[keyword].append(_Token(m[g], line, m.start(g) + 1))
+
     def _reject(self, severity, code, element, message, about=None, name=None) -> None:
         """The sink given to the shared checks: keeps each finding whose code
         is not in ``_REJECTED`` and raises at the first one whose code is,
         located at the declaration it is about (the second one with the
         name, for layers, components and ports; the layer name, for a
-        component on an undeclared layer)."""
+        component on an undeclared layer).  The declaration's line is
+        matched again to find the token."""
         template = _REJECTED.get(code)
         if template is None:
             self.findings.append(Finding(severity, code, element, message))
             return
-        block = None
+        owner = None
         if code == "duplicate-layer":
             tok = [t for t in self.layers if t.value == name][1]
         elif code == "unknown-event":
             tok = next(t for a, b, t in self.aliases if name in (a.render(), b.render()))
         else:
-            tok, block = next((t, b) for obj, t, b in self.declared if obj is about)
-            if code == "duplicate-component":
-                tok = [t for obj, t, _ in self.declared
-                       if isinstance(obj, Component) and t.value == name][1]
-            elif code == "port-collision":
-                tok = [t for t in block.in_ports + block.out_ports if t.value == name][1]
-            elif code == "unknown-layer":
-                tok = block.layer
+            declared = list(zip(self.declared, self.declared_at))
+            line = next(at for obj, at in declared if obj is about)
+            if isinstance(about, Component):
+                owner = about.name
+                if code == "duplicate-component":
+                    line = [at for obj, at in declared
+                            if isinstance(obj, Component) and obj.name == name][1]
+                    tok = self._token(line, False)
+                elif code == "port-collision":
+                    tok = [t for t in self._ports(line) if t.value == name][1]
+                else:  # unknown-layer
+                    tok = self._token(line, False, 1)
+            elif isinstance(about, (PortConnection, AlfredDependency)):
+                tok = self._token(line, False)
+            else:  # a node of the last component declared above it
+                owner = max((at, obj.name) for obj, at in declared
+                            if isinstance(obj, Component) and at < line)[1]
+                tok = self._token(line, True)
         message = template.format(
-            name=name, owner=block and block.name.value,
+            name=name, owner=owner,
             kind="input" if isinstance(about, InputFailureMode) else "output")
         raise ParseError(message, tok.line, tok.column, token=tok.value)
 
@@ -409,10 +451,10 @@ class _Parser:
         if keyword == "layer":
             self.layers.append(_new_tuple(_Token, (m[g], line, m.start(g) + 1)))
             return None
-        # the keyword is the line's first word
-        s = m.string
-        tok = _new_tuple(_Token, (keyword, line, len(s) - len(s.lstrip()) + 1))
         if keyword == "common-cause":
+            # the keyword is the line's first word
+            s = m.string
+            tok = _new_tuple(_Token, (keyword, line, len(s) - len(s.lstrip()) + 1))
             self.aliases.append((EventRef(m[g], m[g + 1]), EventRef(m[g + 2], m[g + 3]), tok))
             return None
         if keyword == "connect":
@@ -421,14 +463,14 @@ class _Parser:
         else:
             decl = AlfredDependency(m[g], m[g + 1])
             self.dependencies.append(decl)
-        self.declared.append((decl, tok, None))
+        self.declared.append(decl)
+        self.declared_at.append(line)
         return None
 
     def _add_body(self, m: re.Match, keyword: str, g: int, line: int, block: _Block) -> None:
         """Build a declaration inside *block* from its match, whose groups
         start at *g*."""
         name = m[g]
-        tok = _new_tuple(_Token, (name, line, m.start(g) + 1))
         if keyword == "event":
             node = BasicEvent(name)
             block.events.append(node)
@@ -445,9 +487,10 @@ class _Parser:
             block.outfms.append(node)
         else:
             ports = block.in_ports if keyword == "in" else block.out_ports
-            ports.append(tok)
+            ports.append(name)
             return
-        self.declared.append((node, tok, block))
+        self.declared.append(node)
+        self.declared_at.append(line)
 
     def _close(self, block: _Block) -> None:
         cft = None
@@ -458,12 +501,13 @@ class _Parser:
         comp = Component(
             name=block.name.value,
             layer=block.layer.value,
-            in_ports=tuple(t.value for t in block.in_ports),
-            out_ports=tuple(t.value for t in block.out_ports),
+            in_ports=tuple(block.in_ports),
+            out_ports=tuple(block.out_ports),
             cft=cft,
         )
         self.components.append(comp)
-        self.declared.append((comp, block.name, block))
+        self.declared.append(comp)
+        self.declared_at.append(block.name.line)
 
 def parse(text: str) -> ArchitectureModel:
     """Parse a model document.

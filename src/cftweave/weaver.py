@@ -148,6 +148,8 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
         base, entries = model, []
 
     components = {c.name: c for c in base.components}
+    # each provider's failure units, built once and shared by its dependents
+    units_of: dict[str, tuple[InjectionSource, ...]] = {}
     for name in _provider_first_order(base):
         comp = components[name]
         providers = base.providers_of(name)
@@ -159,7 +161,9 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
         for provider in providers:
             if provider not in components:
                 raise WeaveError(f"dependency provider '{provider}' is not declared")
-            units.extend(_failure_units(base.component(provider)))
+            if provider not in units_of:
+                units_of[provider] = _failure_units(base.component(provider))
+            units.extend(units_of[provider])
 
         cft = comp.cft
         taken = {e.name for e in cft.events}

@@ -78,6 +78,13 @@ REJECTED = {
     "node port-less input failure mode and event": (
         HEAD + component("c", "event x", "infm x"),
         "5:8: duplicate declaration of node 'c.x' (got 'x')"),
+    # the owner is the component whose block holds the repeat
+    "node in a later component": (
+        HEAD + component("c", "event e") + component("d", "event e", "event e"),
+        "9:9: duplicate declaration of node 'd.e' (got 'e')"),
+    "gate input in a later component": (
+        HEAD + component("c", "event e") + component("d", "event e", "gate g = OR(e, ghost)"),
+        "9:8: reference to undeclared node 'ghost' in component 'd' (got 'g')"),
     "input failure mode": (
         HEAD + component("c", "in p", "infm f@p", "infm f@p"),
         "6:8: duplicate declaration of input failure mode 'c.f' (got 'f')"),
@@ -172,18 +179,44 @@ def spread(text):
                      for line in text.split("\n"))
 
 
-@pytest.mark.parametrize("case", sorted(set(REJECTED) - {"empty document", "comments only"}))
-def test_declaration_error_column_under_blanks(case):
+def crlf(text):
+    """*text* with CRLF line endings."""
+    return text.replace("\n", "\r\n")
+
+
+def spread_column(line, column):
+    """Where :func:`spread` moves *column* of *line*."""
+    return 3 + column + line[:column - 1].count(" ")
+
+
+# each layout's id suffix, how it rewrites a document, and where it moves a
+# column of one of the document's lines
+LAYOUTS = (
+    ("", spread, spread_column),
+    (", CRLF", crlf, lambda line, column: column),
+    (", CRLF and tabs", lambda text: crlf(spread(text)), spread_column),
+)
+
+
+@pytest.mark.parametrize("case, layout", [
+    pytest.param(case, layout, id=case + layout[0])
+    for case in sorted(set(REJECTED) - {"empty document", "comments only"})
+    for layout in LAYOUTS])
+def test_declaration_error_column_under_blanks(case, layout):
+    _, rewrite, move = layout
     text, expected = REJECTED[case]
+    with pytest.raises(ParseError) as plain:
+        parse(text)
     with pytest.raises(ParseError) as err:
-        parse(spread(text))
-    e = err.value
-    assert str(e).split(": ", 1)[1] == expected.split(": ", 1)[1]
-    line = spread(text).split("\n")[e.line - 1]
+        parse(rewrite(text))
+    p, e = plain.value, err.value
+    assert str(p) == expected
+    assert (e.message, e.line, e.token, e.expected) == (p.message, p.line, p.token, p.expected)
+    assert e.column == move(text.split("\n")[p.line - 1], p.column)
+    line = rewrite(text).split("\n")[e.line - 1]
     # a self-alias names the event twice, so it points at the keyword
     word = "common-cause" if case == "common-cause self-alias" else e.token
     assert line[e.column - 1:].startswith(word)
-
 
 
 # One document per syntax error path: (str(err), line, column, token, expected).

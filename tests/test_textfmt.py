@@ -18,6 +18,7 @@ from cftweave import (
     synthesize,
     weave,
 )
+from cftweave import textfmt
 
 import genmodels
 
@@ -144,6 +145,30 @@ class TestParse:
     def test_crlf_accepted(self):
         model = parse("layer l\r\n\r\ncomponent c in l {\r\n  event e\r\n}\r\n")
         assert model.component("c").cft.event("e") is not None
+
+    @pytest.mark.parametrize("name", ["vehicle", "wide"])
+    def test_only_layer_component_and_common_cause_lines_make_tokens(self, name,
+                                                                     monkeypatch):
+        # a valid declaration keeps no token: errors find theirs by matching
+        # the declaration's line again
+        if name == "wide":
+            text = serialize(weave(genmodels.wide(50, GateKind.OR)[0]).model)
+            text += "common-cause S0.f = S1.f\ncommon-cause S1.g = S2.g\n"
+        else:
+            text = fixture_text(name)
+        made = []
+        new_tuple = textfmt._new_tuple
+
+        def recording(cls, values):
+            made.append(values[1])
+            return new_tuple(cls, values)
+
+        monkeypatch.setattr(textfmt, "_new_tuple", recording)
+        parse(text)
+        tokens = {"layer": 1, "component": 2, "common-cause": 1}  # per line
+        expected = [number for number, line in enumerate(text.split("\n"), start=1)
+                    for _ in range(tokens.get(line.split(" ")[0], 0))]
+        assert sorted(made) == expected
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):

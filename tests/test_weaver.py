@@ -22,6 +22,7 @@ from cftweave import (
     validate,
     weave,
 )
+from cftweave import weaver
 
 import genmodels
 
@@ -172,6 +173,25 @@ def test_undeclared_provider_is_an_error():
     with pytest.raises(WeaveError) as caught:
         weave(model)
     assert str(caught.value) == "dependency provider 'ghost' is not declared"
+
+
+def test_failure_units_built_once_per_provider(monkeypatch):
+    # all 50 sensors depend on the battery, whose units are built once
+    # and shared by every dependent's provenance
+    calls = []
+    failure_units = weaver._failure_units
+
+    def counting(provider):
+        calls.append(provider.name)
+        return failure_units(provider)
+
+    monkeypatch.setattr(weaver, "_failure_units", counting)
+    model, _ = genmodels.wide(50, GateKind.OR)
+    woven = weave(model)
+    assert calls == ["B"]
+    units = len(genmodels.BATTERY)
+    assert len(woven.provenance) == 50 * units
+    assert len({id(e.source) for e in woven.provenance}) == units
 
 
 def test_conservativeness_pointwise(fig2):
