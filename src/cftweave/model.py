@@ -14,10 +14,13 @@ and every downstream artifact is byte-stable.  Construction never rejects
 anything beyond basic typing; structural rules are checked by
 :func:`validate`, which reports findings instead of raising.
 
-Construction also builds the lookup indexes, so every by-name lookup is a
-dict access.  A model built through the object API may hold duplicate
-declarations; a lookup then returns the first match in canonical order.
-The indexes take no part in equality, hashing or ``repr``.
+Construction also builds the lookup indexes, one per namespace, so every
+by-name lookup is one dict access.  A model built through the object API
+may hold duplicate declarations; a lookup then returns the first match in
+canonical order.  An index holds one entry per distinct name, so the
+checks behind :func:`validate` read from its length whether its namespace
+repeats a name, and look for the repeats only then.  The indexes take no
+part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import ModelError
 
@@ -96,8 +100,18 @@ class OutputFailureMode:
     driver: NodeRef
 
 
-def _fm_key(fm) -> tuple[str, str]:
-    return (fm.name, fm.port or "")
+_BY_NAME = attrgetter("name")
+_BY_NAME_PORT = attrgetter("name", "port")
+
+
+def _sorted_fms(fms) -> tuple:
+    """Failure modes in canonical order: by name, then by port with no port
+    first.  Sorting on the raw ``(name, port)`` fails only when one name has
+    a port-less and a port-bound member, and ``None`` then meets a string."""
+    try:
+        return tuple(sorted(fms, key=_BY_NAME_PORT))
+    except TypeError:
+        return tuple(sorted(fms, key=lambda fm: (fm.name, fm.port or "")))
 
 
 def _index():
@@ -119,33 +133,48 @@ class ComponentFaultTree:
     gates: tuple[Gate, ...] = ()
     input_fms: tuple[InputFailureMode, ...] = ()
     output_fms: tuple[OutputFailureMode, ...] = ()
-    # (kind, name, port) -> first node of that kind in canonical order;
-    # kind is "event", "gate", "in" or "out"
-    _nodes: dict[tuple[str, str, str | None], object] = _index()
+    # One index per namespace, each holding the first match in canonical
+    # order.  A bare name maps to its first event, else its first gate, else
+    # its first port-less input failure mode; _bare_declared counts the
+    # declarations in that namespace, so a short index shows a repeat.
+    _bare: dict[str, object] = _index()
+    _bare_declared: int = _index()
+    _inputs: dict[tuple[str, str | None], InputFailureMode] = _index()
+    _outputs: dict[tuple[str, str | None], OutputFailureMode] = _index()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.name)))
-        object.__setattr__(self, "gates", tuple(sorted(self.gates, key=lambda g: g.name)))
-        object.__setattr__(self, "input_fms", tuple(sorted(self.input_fms, key=_fm_key)))
-        object.__setattr__(self, "output_fms", tuple(sorted(self.output_fms, key=_fm_key)))
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=_BY_NAME)))
+        object.__setattr__(self, "gates", tuple(sorted(self.gates, key=_BY_NAME)))
+        object.__setattr__(self, "input_fms", _sorted_fms(self.input_fms))
+        object.__setattr__(self, "output_fms", _sorted_fms(self.output_fms))
 
-        # Filled from the back, so the first match in canonical order wins.
-        nodes = {}
-        for o in reversed(self.output_fms):
-            nodes["out", o.name, o.port] = o
+        # Filled from the back, so the first match in canonical order wins;
+        # gates then events overwrite the bare names, as resolve prefers them.
+        bare = {}
+        inputs = {}
+        portless = 0
         for i in reversed(self.input_fms):
-            nodes["in", i.name, i.port] = i
+            inputs[i.name, i.port] = i
+            if i.port is None:
+                bare[i.name] = i
+                portless += 1
         for g in reversed(self.gates):
-            nodes["gate", g.name, None] = g
+            bare[g.name] = g
         for e in reversed(self.events):
-            nodes["event", e.name, None] = e
-        object.__setattr__(self, "_nodes", nodes)
+            bare[e.name] = e
+        object.__setattr__(self, "_bare", bare)
+        object.__setattr__(self, "_bare_declared",
+                           portless + len(self.gates) + len(self.events))
+        object.__setattr__(self, "_inputs", inputs)
+        object.__setattr__(self, "_outputs",
+                           {(o.name, o.port): o for o in reversed(self.output_fms)})
 
     def event(self, name: str) -> BasicEvent | None:
-        return self._nodes.get(("event", name, None))
+        node = self._bare.get(name)
+        return node if isinstance(node, BasicEvent) else None
 
     def output_fm(self, name: str, port: str | None) -> OutputFailureMode | None:
-        return self._nodes.get(("out", name, port))
+        return self._outputs.get((name, port))
 
     def output_fms_named(self, name: str) -> tuple[OutputFailureMode, ...]:
         return tuple(o for o in self.output_fms if o.name == name)
@@ -156,11 +185,9 @@ class ComponentFaultTree:
         A bare name is an event, else a gate, else a port-less input
         failure mode.
         """
-        nodes = self._nodes
-        if ref.port is not None:
-            return nodes.get(("in", ref.name, ref.port))
-        return (nodes.get(("event", ref.name, None)) or nodes.get(("gate", ref.name, None))
-                or nodes.get(("in", ref.name, None)))
+        if ref.port is None:
+            return self._bare.get(ref.name)
+        return self._inputs.get((ref.name, ref.port))
 
 
 @dataclass(frozen=True)
@@ -253,6 +280,13 @@ def _alias_groups(pairs) -> dict[str, list[EventRef]]:
     return groups
 
 
+# The canonical sort keys, read in C rather than by a Python call per element.
+_BY_LAYER_NAME = attrgetter("layer", "name")
+_BY_ENDS = attrgetter("from_component", "from_port", "to_component", "to_port")
+_BY_DEPENDENT_PROVIDER = attrgetter("dependent", "provider")
+_BY_EVENTS = attrgetter("a.component", "a.event", "b.component", "b.event")
+
+
 @dataclass(frozen=True)
 class ArchitectureModel:
     """The model universe consumed by every pipeline stage."""
@@ -274,22 +308,18 @@ class ArchitectureModel:
     def __post_init__(self):
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "layers", tuple(sorted(self.layers)))
-        object.__setattr__(
-            self, "components",
-            tuple(sorted(self.components, key=lambda c: (c.layer, c.name))))
-        object.__setattr__(
-            self, "connections",
-            tuple(sorted(self.connections, key=lambda c: (
-                c.from_component, c.from_port, c.to_component, c.to_port))))
-        object.__setattr__(
-            self, "dependencies",
-            tuple(sorted(self.dependencies, key=lambda d: (d.dependent, d.provider))))
+        object.__setattr__(self, "components",
+                           tuple(sorted(self.components, key=_BY_LAYER_NAME)))
+        object.__setattr__(self, "connections",
+                           tuple(sorted(self.connections, key=_BY_ENDS)))
+        object.__setattr__(self, "dependencies",
+                           tuple(sorted(self.dependencies, key=_BY_DEPENDENT_PROVIDER)))
         # Alias pairs are stored in star form (smallest member first), so any
         # pair set describing the same groups compares and serialises equal.
         groups = _alias_groups(self.common_causes)
         pairs = [CommonCause(members[0], other)
                  for members in groups.values() for other in members[1:]]
-        pairs.sort(key=lambda cc: (cc.a.component, cc.a.event, cc.b.component, cc.b.event))
+        pairs.sort(key=_BY_EVENTS)
         object.__setattr__(self, "common_causes", tuple(pairs))
         object.__setattr__(self, "_aliases", {
             (cc.b.component, cc.b.event): cc.a.render() for cc in pairs})
@@ -361,18 +391,21 @@ class ValidationReport:
         return tuple(f.render() for f in self.findings)
 
 
-def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
-    """Kahn's algorithm; returns the sorted nodes stuck on a cycle."""
+def _leftover_cycle_members(edges) -> tuple[str, ...]:
+    """Kahn's algorithm over the nodes the edges touch, which are all that
+    can lie on a cycle; returns the sorted nodes stuck on one."""
     if not edges:
         return ()
-    out = {n: set() for n in nodes}
-    indeg = {n: 0 for n in nodes}
+    out: dict[str, set[str]] = {}
+    indeg: dict[str, int] = {}  # only nodes with an edge in
     for a, b in edges:
-        if a in out and b in indeg and b not in out[a]:
-            out[a].add(b)
-            indeg[b] += 1
+        out.setdefault(b, set())
+        targets = out.setdefault(a, set())
+        if b not in targets:
+            targets.add(b)
+            indeg[b] = indeg.get(b, 0) + 1
     # a name declared twice is one node: it is taken from ready once
-    ready = [n for n in out if indeg[n] == 0]
+    ready = [n for n in out if n not in indeg]
     done = 0
     while ready:
         n = ready.pop()
@@ -383,7 +416,7 @@ def _leftover_cycle_members(nodes, edges) -> tuple[str, ...]:
                 ready.append(m)
     if done == len(out):
         return ()
-    return tuple(sorted(n for n in indeg if indeg[n] > 0))
+    return tuple(sorted(n for n, d in indeg.items() if d > 0))
 
 
 def _has(ports: tuple[str, ...], name: str) -> bool:
@@ -409,7 +442,12 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
 def _validate_cft(comp: Component, add, check_names: bool) -> None:
     cft = comp.cft
     owner = comp.name
-    bare: dict[str, str] = {}  # what each name in the bare-name namespace is
+    # The constructor's indexes hold one entry per distinct key, so a
+    # namespace as long as its index has no repeat and needs no bookkeeping.
+    # Otherwise these say what each bare name is and which keys came before.
+    bare: dict[str, str] | None = None if len(cft._bare) == cft._bare_declared else {}
+    seen_in = None if len(cft._inputs) == len(cft.input_fms) else set()
+    seen_out = None if len(cft._outputs) == len(cft.output_fms) else set()
 
     def claim(node, what: str) -> None:
         if node.name in bare:
@@ -420,22 +458,26 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
     for event in cft.events:
         if check_names:
             _check_name(add, "event", event.name, owner)
-        claim(event, "basic event")
+        if bare is not None:
+            claim(event, "basic event")
     for gate in cft.gates:
         if check_names:
             _check_name(add, "gate", gate.name, owner)
-        claim(gate, "gate")
+        if bare is not None:
+            claim(gate, "gate")
 
-    seen_in: set[tuple[str, str | None]] = set()
     for ifm in cft.input_fms:
         if check_names:
             _check_name(add, "input failure mode", ifm.name, owner, ifm.port)
-        if (ifm.name, ifm.port) in seen_in:
-            add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ifm.name, ifm.port),
-                "input failure mode declared twice", ifm, ifm.name)
-        seen_in.add((ifm.name, ifm.port))
+        if seen_in is not None:
+            if (ifm.name, ifm.port) in seen_in:
+                add(Severity.ERROR, "duplicate-failure-mode",
+                    _element(owner, ifm.name, ifm.port),
+                    "input failure mode declared twice", ifm, ifm.name)
+            seen_in.add((ifm.name, ifm.port))
         if ifm.port is None:
-            claim(ifm, "port-less input failure mode")
+            if bare is not None:
+                claim(ifm, "port-less input failure mode")
         elif _has(comp.out_ports, ifm.port):
             add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
                 f"input failure mode bound to out-port '{ifm.port}'")
@@ -443,14 +485,15 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
             add(Severity.ERROR, "unknown-port", _element(owner, ifm.name, ifm.port),
                 f"port '{ifm.port}' is not declared", ifm, f"{owner}.{ifm.port}")
 
-    seen_out: set[tuple[str, str | None]] = set()
     for ofm in cft.output_fms:
         if check_names:
             _check_name(add, "output failure mode", ofm.name, owner, ofm.port)
-        if (ofm.name, ofm.port) in seen_out:
-            add(Severity.ERROR, "duplicate-failure-mode", _element(owner, ofm.name, ofm.port),
-                "output failure mode declared twice", ofm, ofm.name)
-        seen_out.add((ofm.name, ofm.port))
+        if seen_out is not None:
+            if (ofm.name, ofm.port) in seen_out:
+                add(Severity.ERROR, "duplicate-failure-mode",
+                    _element(owner, ofm.name, ofm.port),
+                    "output failure mode declared twice", ofm, ofm.name)
+            seen_out.add((ofm.name, ofm.port))
         if ofm.port is not None:
             if _has(comp.in_ports, ofm.port):
                 add(Severity.ERROR, "wrong-port-direction",
@@ -480,7 +523,7 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
             add(Severity.ERROR, "unknown-node-ref", _element(owner, ofm.name, ofm.port),
                 f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
-    cyclic = _leftover_cycle_members([g.name for g in cft.gates], gate_edges)
+    cyclic = _leftover_cycle_members(gate_edges)
     if cyclic:
         add(Severity.ERROR, "cft-cycle", comp.name,
             "gates form a cycle: " + ", ".join(cyclic))
@@ -501,37 +544,47 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
     if not model.components:
         add(Severity.ERROR, "no-components", "model", "no components declared")
 
-    seen_layers: set[str] = set()
-    for layer in model.layers:
+    # Canonical order puts repeated layers, and repeated connections and
+    # dependencies, next to each other.  The indexes hold one entry per
+    # component name and per connected in-port, so each namespace as long
+    # as its index has no repeat and needs no bookkeeping.
+    layers = model.layers
+    for i, layer in enumerate(layers):
         if check_names:
             _check_name(add, "layer", layer)
-        if layer in seen_layers:
+        if i and layer == layers[i - 1]:
             add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice", None, layer)
-        seen_layers.add(layer)
 
-    seen_comps: set[str] = set()
+    known_layers = set(layers)
+    seen_comps = None if len(model._components) == len(model.components) else set()
     for comp in model.components:
         if check_names:
             _check_name(add, "component", comp.name)
-        if comp.name in seen_comps:
-            add(Severity.ERROR, "duplicate-component", comp.name,
-                "component declared twice", comp, comp.name)
-        seen_comps.add(comp.name)
-        if comp.layer not in seen_layers:
+        if seen_comps is not None:
+            if comp.name in seen_comps:
+                add(Severity.ERROR, "duplicate-component", comp.name,
+                    "component declared twice", comp, comp.name)
+            seen_comps.add(comp.name)
+        if comp.layer not in known_layers:
             add(Severity.ERROR, "unknown-layer", comp.name,
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
-        counts = Counter(comp.in_ports + comp.out_ports)
-        for port in sorted(counts):
-            if check_names:
+        ports = comp.in_ports + comp.out_ports
+        if len(ports) > 1 and len(set(ports)) < len(ports):
+            counts = Counter(ports)
+            for port in sorted(counts):
+                if check_names:
+                    _check_name(add, "port", port, comp.name)
+                if counts[port] > 1:
+                    add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
+                        "port name used more than once", comp, port)
+        elif check_names:
+            for port in sorted(ports):
                 _check_name(add, "port", port, comp.name)
-            if counts[port] > 1:
-                add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
-                    "port name used more than once", comp, port)
         if comp.cft is not None:
             _validate_cft(comp, add, check_names)
 
-    seen_conns: set[tuple[str, str, str, str]] = set()
-    incoming: Counter = Counter()
+    fan_in = len(model._connections_into) < len(model.connections)
+    previous = None
     for conn in model.connections:
         for end, port, ports_ok, ports_wrong, side in (
                 (conn.from_component, conn.from_port, "out_ports", "in_ports", "source"),
@@ -552,35 +605,36 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
         if conn.from_component == conn.to_component:
             add(Severity.ERROR, "self-connection", conn.render(),
                 "connection endpoints are on the same component")
-        key = (conn.from_component, conn.from_port, conn.to_component, conn.to_port)
-        if key in seen_conns:
+        if fan_in and conn == previous:
             add(Severity.ERROR, "duplicate-connection", conn.render(),
                 "connection declared twice", conn, conn.render())
-        seen_conns.add(key)
-        incoming[(conn.to_component, conn.to_port)] += 1
-    for (comp_name, port), count in sorted(incoming.items()):
-        if count > 1:
-            add(Severity.ERROR, "inport-multiple-connections", f"{comp_name}.{port}",
-                f"in-port has {count} incoming connections")
+        previous = conn
+    if fan_in:
+        incoming = Counter((c.to_component, c.to_port) for c in model.connections)
+        for (comp_name, port), count in sorted(incoming.items()):
+            if count > 1:
+                add(Severity.ERROR, "inport-multiple-connections", f"{comp_name}.{port}",
+                    f"in-port has {count} incoming connections")
 
-    seen_deps: set[tuple[str, str]] = set()
+    previous = None
+    dep_edges = []
     for dep in model.dependencies:
+        known = True
         for end in (dep.dependent, dep.provider):
             if not model.has_component(end):
+                known = False
                 add(Severity.ERROR, "unknown-component", dep.render(),
                     f"component '{end}' is not declared", dep, end)
         if dep.dependent == dep.provider:
             add(Severity.ERROR, "self-dependency", dep.render(),
                 "component depends on itself")
-        key = (dep.dependent, dep.provider)
-        if key in seen_deps:
+        elif known:
+            dep_edges.append((dep.dependent, dep.provider))
+        if dep == previous:
             add(Severity.ERROR, "duplicate-dependency", dep.render(),
                 "dependency declared twice", dep, dep.render())
-        seen_deps.add(key)
-    comp_names = [c.name for c in model.components]
-    dep_edges = [(d.dependent, d.provider) for d in model.dependencies
-                 if d.dependent != d.provider]
-    cyclic = _leftover_cycle_members(comp_names, dep_edges)
+        previous = dep
+    cyclic = _leftover_cycle_members(dep_edges)
     if cyclic:
         add(Severity.ERROR, "dependency-cycle", "model",
             "components in dependency cycle: " + ", ".join(cyclic))

@@ -21,7 +21,7 @@ Boolean-idempotent.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import WeaveError
 from .model import (
@@ -150,6 +150,9 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
     components = {c.name: c for c in base.components}
     # each provider's failure units, built once and shared by its dependents
     units_of: dict[str, tuple[InjectionSource, ...]] = {}
+    # each injected node name's input failure mode and reference, made once
+    # and shared by every dependent that gets that name
+    injected: dict[str, tuple[InputFailureMode, NodeRef]] = {}
     for name in _provider_first_order(base):
         comp = components[name]
         providers = base.providers_of(name)
@@ -174,8 +177,11 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
         for unit in units:
             node_name = _unique(f"from-{unit.provider}-{unit.name}", taken)
             taken.add(node_name)
-            new_infms.append(InputFailureMode(node_name, None))
-            injected_refs.append(NodeRef(node_name))
+            node = injected.get(node_name)
+            if node is None:
+                node = injected[node_name] = (InputFailureMode(node_name), NodeRef(node_name))
+            new_infms.append(node[0])
+            injected_refs.append(node[1])
             entries.append(ProvenanceEntry(name, node_name, unit))
 
         new_gates: list[Gate] = []
@@ -188,12 +194,15 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
                                   (ofm.driver, *injected_refs)))
             new_outfms.append(OutputFailureMode(ofm.name, ofm.port, NodeRef(gate_name)))
 
-        components[name] = replace(comp, cft=ComponentFaultTree(
+        woven_cft = ComponentFaultTree(
             events=cft.events,
             gates=cft.gates + tuple(new_gates),
             input_fms=cft.input_fms + tuple(new_infms),
             output_fms=tuple(new_outfms),
-        ))
+        )
+        components[name] = Component(comp.name, comp.layer, comp.in_ports, comp.out_ports,
+                                     woven_cft)
 
-    woven = replace(base, components=tuple(components.values()))
+    woven = ArchitectureModel(base.layers, tuple(components.values()), base.connections,
+                              base.dependencies, base.common_causes)
     return WovenModel(model=woven, provenance=tuple(entries))

@@ -20,6 +20,7 @@ from cftweave import (
     ModelError,
     NodeRef,
     OutputFailureMode,
+    ParseError,
     PortConnection,
     Severity,
     fixture_names,
@@ -323,7 +324,35 @@ def scan_resolve(cft, ref):
                  if i.name == ref.name and i.port is None), None)
 
 
+# Object-API fault trees whose names repeat within and across events, gates,
+# port-less and port-bound input failure modes and output failure modes.
+# Repeats are distinct objects (other gate kinds and inputs, other drivers),
+# so an identity check tells which one a lookup returned.
+_NAMES = st.sampled_from(("a", "b", "c"))
+_PORTS = st.sampled_from((None, "p", "q"))
+_REFS = st.builds(NodeRef, _NAMES, _PORTS)
+_CFTS = st.builds(
+    ComponentFaultTree,
+    events=st.lists(st.builds(BasicEvent, _NAMES), max_size=4).map(tuple),
+    gates=st.lists(st.builds(Gate, _NAMES, st.sampled_from(list(GateKind)),
+                             st.lists(_REFS, max_size=2).map(tuple)), max_size=4).map(tuple),
+    input_fms=st.lists(st.builds(InputFailureMode, _NAMES, _PORTS), max_size=5).map(tuple),
+    output_fms=st.lists(st.builds(OutputFailureMode, _NAMES, _PORTS, _REFS),
+                        max_size=4).map(tuple))
+
+
 class TestIndexes:
+    @settings(max_examples=300, deadline=None)
+    @given(_CFTS)
+    def test_lookups_match_a_linear_scan(self, cft):
+        for name in ("a", "b", "c", "ghost"):
+            assert cft.event(name) is next((e for e in cft.events if e.name == name), None)
+            for port in (None, "p", "q", "ghost"):
+                ref = NodeRef(name, port)
+                assert cft.resolve(ref) is scan_resolve(cft, ref)
+                assert cft.output_fm(name, port) is next(
+                    (o for o in cft.output_fms if (o.name, o.port) == (name, port)), None)
+
     def test_lookups_return_first_match_in_canonical_order(self):
         model = duplicates_model()
         for name in ("a", "b", "c", "ghost"):
@@ -345,10 +374,9 @@ class TestIndexes:
             for name in names:
                 assert cft.event(name) is next(
                     (e for e in cft.events if e.name == name), None)
-                assert cft._nodes.get(("gate", name, None)) is next(
-                    (g for g in cft.gates if g.name == name), None)
+                assert cft._bare.get(name) is scan_resolve(cft, NodeRef(name))
                 for port in (None, "i", "o"):
-                    assert cft._nodes.get(("in", name, port)) is next(
+                    assert cft._inputs.get((name, port)) is next(
                         (i for i in cft.input_fms if (i.name, i.port) == (name, port)), None)
                     assert cft.output_fm(name, port) is next(
                         (o for o in cft.output_fms if (o.name, o.port) == (name, port)), None)
@@ -356,9 +384,13 @@ class TestIndexes:
                     assert cft.resolve(ref) is scan_resolve(cft, ref)
         small = model.component("d").cft
         assert isinstance(small.resolve(NodeRef("e")), BasicEvent)
-        assert small._nodes["gate", "e", None].kind is GateKind.AND
-        assert small._nodes["in", "g", None] is small.input_fms[0]
+        # g is a gate and a port-less input failure mode: the gate shadows it
+        assert small.resolve(NodeRef("g")) is small.gates[1]
+        assert small._inputs["g", None] is small.input_fms[0]
         assert small.resolve(NodeRef("x", "i")) is small.input_fms[1]
+        assert small.event("g") is None
+        # one bare name per distinct name, against the five declarations
+        assert (len(small._bare), small._bare_declared) == (2, 5)
 
         cft = model.component("a").cft
         assert isinstance(cft.resolve(NodeRef("e")), BasicEvent)
@@ -397,11 +429,24 @@ class TestIndexes:
             ("d", "e"): "d.e"}
 
     def test_repr_shows_no_index(self, fig2):
-        for text in (repr(fig2), repr(fig2.component("f1").cft)):
-            assert "_components" not in text and "_nodes" not in text
-            assert "_connections_into" not in text and "_providers" not in text
+        indexes = {cls: [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
+                   for cls in (ArchitectureModel, ComponentFaultTree)}
+        assert indexes[ComponentFaultTree] == ["_bare", "_bare_declared", "_inputs",
+                                               "_outputs"]
+        for obj in (fig2, fig2.component("f1").cft):
+            for name in indexes[type(obj)]:
+                assert name not in repr(obj)
         assert repr(ComponentFaultTree()) == \
             "ComponentFaultTree(events=(), gates=(), input_fms=(), output_fms=())"
+
+    def test_equality_and_hash_ignore_the_indexes(self, fig2):
+        for obj in (fig2, fig2.component("f1").cft):
+            blank = dataclasses.replace(obj)
+            for f in dataclasses.fields(obj):
+                if f.name.startswith("_"):
+                    assert not f.init and not f.repr and not f.compare
+                    object.__setattr__(blank, f.name, None)
+            assert blank == obj and hash(blank) == hash(obj)
 
     def test_declaration_order_does_not_matter(self, vehicle):
         def flip(cft):
@@ -455,6 +500,143 @@ class TestIndexes:
         assert dataclasses.replace(parsed)._report is None
         assert ArchitectureModel(layers=parsed.layers, components=parsed.components,
                                  connections=parsed.connections)._report is None
+
+
+# A clean document: only its two unconnected in-ports draw warnings.
+CLEAN = """\
+layer hw
+layer sw
+
+component B in hw {
+  out p
+  event low
+  outfm drop@p = low
+}
+
+component S in sw {
+  in i
+  out o
+  event e
+  gate g = OR(e, fail@i, x)
+  infm fail@i
+  infm x
+  outfm fail@o = g
+}
+
+component T in sw {
+  in i
+  in j
+  gate top = AND(fail@i)
+  infm fail@i
+  outfm loss = top
+}
+
+connect S.o -> T.i
+alfred S -> B
+"""
+WARNINGS = ("warning[unconnected-in-port] S.i: in-port has no incoming connection",
+            "warning[unconnected-in-port] T.j: in-port has no incoming connection")
+
+
+def _insert(line_number, line):
+    """CLEAN with *line* inserted so that it becomes line *line_number*."""
+    lines = CLEAN.split("\n")
+    return "\n".join(lines[:line_number - 1] + [line] + lines[line_number - 1:])
+
+
+def _with_s(model, out_ports=(), **cft_extra):
+    """*model* with declarations added to component S through the object API."""
+    s = model.component("S")
+    s = dataclasses.replace(s, out_ports=s.out_ports + out_ports, cft=dataclasses.replace(
+        s.cft, **{field: getattr(s.cft, field) + extra for field, extra in cft_extra.items()}))
+    return dataclasses.replace(model, components=tuple(
+        s if c.name == "S" else c for c in model.components))
+
+
+def _extend(model, **extra):
+    return dataclasses.replace(model, **{
+        field: getattr(model, field) + more for field, more in extra.items()})
+
+
+# One collision per namespace that validate skips while its index is as
+# long as its declarations: the document that parse rejects, the same
+# collision made through the object API, the findings of validate, and
+# parse's located error (message, line, column, token).
+GUARDS = {
+    "layer": (
+        _insert(3, "layer sw"), lambda m: _extend(m, layers=("sw",)),
+        ("error[duplicate-layer] sw: layer declared twice",),
+        ("duplicate declaration of layer 'sw'", 3, 7, "sw")),
+    "component": (
+        CLEAN + "\ncomponent B in sw {\n}\n",
+        lambda m: _extend(m, components=(Component("B", "sw"),)),
+        ("error[duplicate-component] B: component declared twice",),
+        ("duplicate declaration of component 'B'", 31, 11, "B")),
+    "port": (
+        _insert(12, "  out i"), lambda m: _with_s(m, out_ports=("i",)),
+        ("error[port-collision] S.i: port name used more than once",
+         "error[wrong-port-direction] S.fail@i: input failure mode bound to out-port 'i'"),
+        ("duplicate declaration of port 'S.i'", 12, 7, "i")),
+    "event-then-gate": (
+        _insert(13, "  event g"), lambda m: _with_s(m, events=(BasicEvent("g"),)),
+        ("error[duplicate-node] S.g: name already used by a basic event",),
+        ("duplicate declaration of node 'S.g'", 15, 8, "g")),
+    "event-then-portless-input": (
+        _insert(13, "  event x"), lambda m: _with_s(m, events=(BasicEvent("x"),)),
+        ("error[duplicate-node] S.x: name already used by a basic event",),
+        ("duplicate declaration of node 'S.x'", 17, 8, "x")),
+    "gate-then-portless-input": (
+        _insert(14, "  gate x = AND(e)"),
+        lambda m: _with_s(m, gates=(Gate("x", GateKind.AND, (NodeRef("e"),)),)),
+        ("error[duplicate-node] S.x: name already used by a gate",),
+        ("duplicate declaration of node 'S.x'", 17, 8, "x")),
+    "input-failure-mode": (
+        _insert(16, "  infm fail@i"),
+        lambda m: _with_s(m, input_fms=(InputFailureMode("fail", "i"),)),
+        ("error[duplicate-failure-mode] S.fail@i: input failure mode declared twice",),
+        ("duplicate declaration of input failure mode 'S.fail'", 16, 8, "fail")),
+    "output-failure-mode": (
+        _insert(17, "  outfm fail@o = e"),
+        lambda m: _with_s(m, output_fms=(OutputFailureMode("fail", "o", NodeRef("e")),)),
+        ("error[duplicate-failure-mode] S.fail@o: output failure mode declared twice",),
+        ("duplicate declaration of output failure mode 'S.fail'", 18, 9, "fail")),
+    "connection": (
+        CLEAN + "connect S.o -> T.i\n",
+        lambda m: _extend(m, connections=(PortConnection("S", "o", "T", "i"),)),
+        ("error[duplicate-connection] S.o -> T.i: connection declared twice",
+         "error[inport-multiple-connections] T.i: in-port has 2 incoming connections"),
+        ("duplicate declaration of connection S.o -> T.i", 30, 1, "connect")),
+    # parse rejects no fan-in; its report holds the finding
+    "in-port-fan-in": (
+        CLEAN + "connect B.p -> T.i\n",
+        lambda m: _extend(m, connections=(PortConnection("B", "p", "T", "i"),)),
+        ("error[inport-multiple-connections] T.i: in-port has 2 incoming connections",),
+        None),
+    "dependency": (
+        CLEAN + "alfred S -> B\n",
+        lambda m: _extend(m, dependencies=(AlfredDependency("S", "B"),)),
+        ("error[duplicate-dependency] S -> B: dependency declared twice",),
+        ("duplicate declaration of dependency S -> B", 30, 1, "alfred")),
+}
+
+
+class TestDuplicateGuards:
+    def test_clean_document_draws_only_warnings(self):
+        assert validate(parse(CLEAN)).render_lines() == WARNINGS
+        assert validate(dataclasses.replace(parse(CLEAN))).render_lines() == WARNINGS
+
+    @pytest.mark.parametrize("case", GUARDS)
+    def test_one_collision_is_found(self, case):
+        text, collide, errors, located = GUARDS[case]
+        expected = errors + WARNINGS
+        assert validate(collide(parse(CLEAN))).render_lines() == expected
+        if located is None:
+            assert validate(parse(text)).render_lines() == expected
+            return
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        e = err.value
+        assert (e.message, e.line, e.column, e.token) == located
 
 
 def assert_parse_report_is_fresh(text):

@@ -1,6 +1,8 @@
 """Truth-table oracle: direct network evaluation and equivalence checks."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,27 @@ from cftweave import (
 )
 
 import genmodels
+
+import cftweave.oracle
+
+
+def test_oracle_resolves_the_network_on_its_own():
+    """The oracle is a certificate because it shares no resolution code with
+    the pipeline it checks: it imports nothing from the analyzer, and from
+    the synthesizer only the tree data types it evaluates."""
+    tree = ast.parse(Path(cftweave.oracle.__file__).read_text(encoding="utf-8"))
+    # (last part of the module, name) of every import; "*" for a whole module
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            pairs.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            pairs.update((alias.name.rpartition(".")[2], "*") for alias in node.names)
+    assert not {p for p in pairs if "analyzer" in p}
+    assert not {p for p in pairs if p[1] == "synthesizer" or p == ("synthesizer", "*")}
+    assert {name for module, name in pairs if module == "synthesizer"} <= {
+        "FaultTree", "FTBasicEvent", "FTGate", "FTLeaf", "TopEventRef"}
 
 
 def leaf(identity):
