@@ -14,13 +14,13 @@ and every downstream artifact is byte-stable.  Construction never rejects
 anything beyond basic typing; structural rules are checked by
 :func:`validate`, which reports findings instead of raising.
 
-Construction also builds the lookup indexes, one per namespace, so every
-by-name lookup is one dict access.  A model built through the object API
-may hold duplicate declarations; a lookup then returns the first match in
-canonical order.  An index holds one entry per distinct name, so the
-checks behind :func:`validate` read from its length whether its namespace
-repeats a name, and look for the repeats only then.  The indexes take no
-part in equality, hashing or ``repr``.
+Construction also builds the lookup indexes, so every by-name lookup is
+one dict access.  A model built through the object API may hold duplicate
+declarations; a lookup then returns the first match in canonical order.
+An index holds one entry per distinct key, so the checks behind
+:func:`validate` read from its length whether a name repeats, and look for
+the repeats only then.  The indexes take no part in equality, hashing or
+``repr``.
 """
 
 from __future__ import annotations
@@ -101,17 +101,10 @@ class OutputFailureMode:
 
 
 _BY_NAME = attrgetter("name")
-_BY_NAME_PORT = attrgetter("name", "port")
 
 
-def _sorted_fms(fms) -> tuple:
-    """Failure modes in canonical order: by name, then by port with no port
-    first.  Sorting on the raw ``(name, port)`` fails only when one name has
-    a port-less and a port-bound member, and ``None`` then meets a string."""
-    try:
-        return tuple(sorted(fms, key=_BY_NAME_PORT))
-    except TypeError:
-        return tuple(sorted(fms, key=lambda fm: (fm.name, fm.port or "")))
+def _fm_key(fm) -> tuple[str, str]:
+    return (fm.name, fm.port or "")
 
 
 def _index():
@@ -133,48 +126,41 @@ class ComponentFaultTree:
     gates: tuple[Gate, ...] = ()
     input_fms: tuple[InputFailureMode, ...] = ()
     output_fms: tuple[OutputFailureMode, ...] = ()
-    # One index per namespace, each holding the first match in canonical
-    # order.  A bare name maps to its first event, else its first gate, else
-    # its first port-less input failure mode; _bare_declared counts the
-    # declarations in that namespace, so a short index shows a repeat.
-    _bare: dict[str, object] = _index()
-    _bare_declared: int = _index()
-    _inputs: dict[tuple[str, str | None], InputFailureMode] = _index()
-    _outputs: dict[tuple[str, str | None], OutputFailureMode] = _index()
+    # One index for every namespace, each entry the first match in canonical
+    # order: a bare name maps to its first event, else its first gate, else
+    # its first port-less input failure mode; ("in", name, port) and
+    # ("out", name, port) map to port-bound input and to output failure
+    # modes.  It is shorter than the declarations only if a key repeats.
+    _nodes: dict[str | tuple[str, str, str | None], object] = _index()
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(sorted(self.events, key=_BY_NAME)))
         object.__setattr__(self, "gates", tuple(sorted(self.gates, key=_BY_NAME)))
-        object.__setattr__(self, "input_fms", _sorted_fms(self.input_fms))
-        object.__setattr__(self, "output_fms", _sorted_fms(self.output_fms))
+        object.__setattr__(self, "input_fms", tuple(sorted(self.input_fms, key=_fm_key)))
+        object.__setattr__(self, "output_fms", tuple(sorted(self.output_fms, key=_fm_key)))
 
         # Filled from the back, so the first match in canonical order wins;
         # gates then events overwrite the bare names, as resolve prefers them.
-        bare = {}
-        inputs = {}
-        portless = 0
+        nodes = {}
+        for o in reversed(self.output_fms):
+            nodes["out", o.name, o.port] = o
         for i in reversed(self.input_fms):
-            inputs[i.name, i.port] = i
             if i.port is None:
-                bare[i.name] = i
-                portless += 1
+                nodes[i.name] = i
+            else:
+                nodes["in", i.name, i.port] = i
         for g in reversed(self.gates):
-            bare[g.name] = g
+            nodes[g.name] = g
         for e in reversed(self.events):
-            bare[e.name] = e
-        object.__setattr__(self, "_bare", bare)
-        object.__setattr__(self, "_bare_declared",
-                           portless + len(self.gates) + len(self.events))
-        object.__setattr__(self, "_inputs", inputs)
-        object.__setattr__(self, "_outputs",
-                           {(o.name, o.port): o for o in reversed(self.output_fms)})
+            nodes[e.name] = e
+        object.__setattr__(self, "_nodes", nodes)
 
     def event(self, name: str) -> BasicEvent | None:
-        node = self._bare.get(name)
+        node = self._nodes.get(name)
         return node if isinstance(node, BasicEvent) else None
 
     def output_fm(self, name: str, port: str | None) -> OutputFailureMode | None:
-        return self._outputs.get((name, port))
+        return self._nodes.get(("out", name, port))
 
     def output_fms_named(self, name: str) -> tuple[OutputFailureMode, ...]:
         return tuple(o for o in self.output_fms if o.name == name)
@@ -186,8 +172,8 @@ class ComponentFaultTree:
         failure mode.
         """
         if ref.port is None:
-            return self._bare.get(ref.name)
-        return self._inputs.get((ref.name, ref.port))
+            return self._nodes.get(ref.name)
+        return self._nodes.get(("in", ref.name, ref.port))
 
 
 @dataclass(frozen=True)
@@ -442,12 +428,15 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
 def _validate_cft(comp: Component, add, check_names: bool) -> None:
     cft = comp.cft
     owner = comp.name
-    # The constructor's indexes hold one entry per distinct key, so a
-    # namespace as long as its index has no repeat and needs no bookkeeping.
-    # Otherwise these say what each bare name is and which keys came before.
-    bare: dict[str, str] | None = None if len(cft._bare) == cft._bare_declared else {}
-    seen_in = None if len(cft._inputs) == len(cft.input_fms) else set()
-    seen_out = None if len(cft._outputs) == len(cft.output_fms) else set()
+    # The constructor's index holds one entry per distinct key, so a tree
+    # with as many entries as declarations repeats none and needs no
+    # bookkeeping.  Otherwise these say what each bare name is and which
+    # failure modes came before.
+    repeats = len(cft._nodes) < (len(cft.events) + len(cft.gates)
+                                 + len(cft.input_fms) + len(cft.output_fms))
+    bare: dict[str, str] = {}
+    seen_in: set[tuple[str, str | None]] = set()
+    seen_out: set[tuple[str, str | None]] = set()
 
     def claim(node, what: str) -> None:
         if node.name in bare:
@@ -458,25 +447,25 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
     for event in cft.events:
         if check_names:
             _check_name(add, "event", event.name, owner)
-        if bare is not None:
+        if repeats:
             claim(event, "basic event")
     for gate in cft.gates:
         if check_names:
             _check_name(add, "gate", gate.name, owner)
-        if bare is not None:
+        if repeats:
             claim(gate, "gate")
 
     for ifm in cft.input_fms:
         if check_names:
             _check_name(add, "input failure mode", ifm.name, owner, ifm.port)
-        if seen_in is not None:
+        if repeats:
             if (ifm.name, ifm.port) in seen_in:
                 add(Severity.ERROR, "duplicate-failure-mode",
                     _element(owner, ifm.name, ifm.port),
                     "input failure mode declared twice", ifm, ifm.name)
             seen_in.add((ifm.name, ifm.port))
         if ifm.port is None:
-            if bare is not None:
+            if repeats:
                 claim(ifm, "port-less input failure mode")
         elif _has(comp.out_ports, ifm.port):
             add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
@@ -488,7 +477,7 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
     for ofm in cft.output_fms:
         if check_names:
             _check_name(add, "output failure mode", ofm.name, owner, ofm.port)
-        if seen_out is not None:
+        if repeats:
             if (ofm.name, ofm.port) in seen_out:
                 add(Severity.ERROR, "duplicate-failure-mode",
                     _element(owner, ofm.name, ofm.port),
@@ -569,21 +558,17 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
             add(Severity.ERROR, "unknown-layer", comp.name,
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
         ports = comp.in_ports + comp.out_ports
-        if len(ports) > 1 and len(set(ports)) < len(ports):
-            counts = Counter(ports)
-            for port in sorted(counts):
-                if check_names:
-                    _check_name(add, "port", port, comp.name)
-                if counts[port] > 1:
-                    add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
-                        "port name used more than once", comp, port)
-        elif check_names:
-            for port in sorted(ports):
+        distinct = sorted(set(ports))
+        counts = Counter(ports) if len(distinct) < len(ports) else None
+        for port in distinct:
+            if check_names:
                 _check_name(add, "port", port, comp.name)
+            if counts is not None and counts[port] > 1:
+                add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
+                    "port name used more than once", comp, port)
         if comp.cft is not None:
             _validate_cft(comp, add, check_names)
 
-    fan_in = len(model._connections_into) < len(model.connections)
     previous = None
     for conn in model.connections:
         for end, port, ports_ok, ports_wrong, side in (
@@ -605,11 +590,11 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
         if conn.from_component == conn.to_component:
             add(Severity.ERROR, "self-connection", conn.render(),
                 "connection endpoints are on the same component")
-        if fan_in and conn == previous:
+        if conn == previous:
             add(Severity.ERROR, "duplicate-connection", conn.render(),
                 "connection declared twice", conn, conn.render())
         previous = conn
-    if fan_in:
+    if len(model._connections_into) < len(model.connections):
         incoming = Counter((c.to_component, c.to_port) for c in model.connections)
         for (comp_name, port), count in sorted(incoming.items()):
             if count > 1:

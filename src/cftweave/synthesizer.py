@@ -26,7 +26,7 @@ follows the model's canonical order, so output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .errors import ModelError, SynthesisError
@@ -220,12 +220,7 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
         """*node* as the injected failure mode *injection* stands for it."""
         key, dependent, source = injection
         if isinstance(node, FTLeaf):
-            display = f"{dependent}.{source.name}"
-            if isinstance(node, FTBasicEvent):
-                node = FTBasicEvent(node.identity, display)
-            else:
-                node = FTExternalEvent(node.component, node.port, node.failure_mode,
-                                       node.identity, display)
+            node = replace(node, display=f"{dependent}.{source.name}")
             wrapped.append((node, _fallback_display(dependent, source)))
         memo[key] = node
         return node

@@ -21,7 +21,7 @@ Boolean-idempotent.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import WeaveError
 from .model import (
@@ -194,15 +194,12 @@ def weave(model: ArchitectureModel | WovenModel) -> WovenModel:
                                   (ofm.driver, *injected_refs)))
             new_outfms.append(OutputFailureMode(ofm.name, ofm.port, NodeRef(gate_name)))
 
-        woven_cft = ComponentFaultTree(
+        components[name] = replace(comp, cft=ComponentFaultTree(
             events=cft.events,
             gates=cft.gates + tuple(new_gates),
             input_fms=cft.input_fms + tuple(new_infms),
             output_fms=tuple(new_outfms),
-        )
-        components[name] = Component(comp.name, comp.layer, comp.in_ports, comp.out_ports,
-                                     woven_cft)
+        ))
 
-    woven = ArchitectureModel(base.layers, tuple(components.values()), base.connections,
-                              base.dependencies, base.common_causes)
+    woven = replace(base, components=tuple(components.values()))
     return WovenModel(model=woven, provenance=tuple(entries))

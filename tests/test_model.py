@@ -374,10 +374,11 @@ class TestIndexes:
             for name in names:
                 assert cft.event(name) is next(
                     (e for e in cft.events if e.name == name), None)
-                assert cft._bare.get(name) is scan_resolve(cft, NodeRef(name))
-                for port in (None, "i", "o"):
-                    assert cft._inputs.get((name, port)) is next(
+                assert cft._nodes.get(name) is scan_resolve(cft, NodeRef(name))
+                for port in ("i", "o"):
+                    assert cft._nodes.get(("in", name, port)) is next(
                         (i for i in cft.input_fms if (i.name, i.port) == (name, port)), None)
+                for port in (None, "i", "o"):
                     assert cft.output_fm(name, port) is next(
                         (o for o in cft.output_fms if (o.name, o.port) == (name, port)), None)
                     ref = NodeRef(name, port)
@@ -386,11 +387,15 @@ class TestIndexes:
         assert isinstance(small.resolve(NodeRef("e")), BasicEvent)
         # g is a gate and a port-less input failure mode: the gate shadows it
         assert small.resolve(NodeRef("g")) is small.gates[1]
-        assert small._inputs["g", None] is small.input_fms[0]
+        assert small.input_fms[0] == InputFailureMode("g")
         assert small.resolve(NodeRef("x", "i")) is small.input_fms[1]
         assert small.event("g") is None
-        # one bare name per distinct name, against the five declarations
-        assert (len(small._bare), small._bare_declared) == (2, 5)
+        # two bare names, a port-bound input and an output: four entries
+        # against eight declarations
+        assert sorted(map(str, small._nodes)) == [
+            "('in', 'x', 'i')", "('out', 'f', None)", "e", "g"]
+        assert sum(map(len, (small.events, small.gates, small.input_fms,
+                             small.output_fms))) == 8
 
         cft = model.component("a").cft
         assert isinstance(cft.resolve(NodeRef("e")), BasicEvent)
@@ -431,8 +436,7 @@ class TestIndexes:
     def test_repr_shows_no_index(self, fig2):
         indexes = {cls: [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
                    for cls in (ArchitectureModel, ComponentFaultTree)}
-        assert indexes[ComponentFaultTree] == ["_bare", "_bare_declared", "_inputs",
-                                               "_outputs"]
+        assert indexes[ComponentFaultTree] == ["_nodes"]
         for obj in (fig2, fig2.component("f1").cft):
             for name in indexes[type(obj)]:
                 assert name not in repr(obj)
