@@ -15,22 +15,23 @@ report stages exist:
   without absorption, with every display-named leaf treated as its own atom.
   This is the list a reviewer compares against the woven structure, where
   one physical cause may legitimately appear once per dependent.  Each
-  product is built as the sorted tuple of its display names, which is the
-  form the report shows.  An AND step whose operands share no display name
-  (the woven shape: every dependent has its own copies of its providers'
-  causes) crosses them without deduplication, since such operands cannot
-  form one product twice; other AND steps and every OR gate deduplicate.
-  Copies are named after their dependent (``S3.Battery-omission``), so
-  such operands' names usually fall in ranges that do not interleave: a
-  step whose operand's names all follow the names so far concatenates
-  each pair of tuples in that order, with no sort per product, and
-  crosses the operand's products in sorted order.  The report
-  is ordered by two sorts of the display tuples, which then mostly meet
-  runs already in order, and that is all it holds until its cutsets are
-  read: :meth:`CutSetReport.lines` costs what the lines cost.  Identity
-  sets are formed on the first read of :attr:`CutSetReport.cutsets`, and
-  products that differ only in which dependent's copy of a cause they hold
-  share one identity-set object.
+  product is built as its report line, its sorted display names joined by
+  `` ∧ ``, and a gate groups its lines by product size unless all are
+  single names.  Copies are named after their dependent
+  (``S3.Battery-omission``), so an AND operand's names usually all follow
+  the names so far (the woven shape): such a step appends each operand
+  product's tail to each line so far, with no deduplication, no sort per
+  product and no join.  Other AND steps, and OR gates, deduplicate.  The
+  report takes the size groups in ascending order and sorts each once as
+  strings, which is the order of the display tuples because every name
+  character sorts above the blank that starts the separator; a display or
+  identity holding a character at or below U+0020 is rejected.  The report
+  holds only the lines until more is read: :meth:`CutSetReport.lines`
+  builds nothing, :meth:`CutSetReport.rows` splits the display tuples from
+  the lines on its first call, and identity sets are formed on the first
+  read of :attr:`CutSetReport.cutsets`, where products that differ only in
+  which dependent's copy of a cause they hold share one identity-set
+  object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
   tree function over event identities.  The tree's distinct identities are
   numbered once in sorted order and a product is an ``int`` bitmask over
@@ -48,7 +49,9 @@ report stages exist:
 
 Each AND gate may form at most :data:`MAX_PRODUCTS` products from two
 operands, in either stage; a larger cross product raises
-:class:`AnalysisError` with the count before any product is built.
+:class:`AnalysisError` with the count before any product is built.  In
+``pre``, an OR gate's merged products may number at most as many too, so
+no ``pre`` report holds more lines.
 
 NOT gates make cutset semantics undefined here and are rejected; use
 :func:`evaluate` for pointwise checks of non-coherent trees.  The brute-force
@@ -58,7 +61,7 @@ here.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -69,8 +72,12 @@ from .synthesizer import FaultTree, FTGate
 
 STAGES = ("pre", "reduced")
 
-# Most products one AND gate may form from two operands, in either stage.
+# Most products one AND gate may form from two operands, in either stage,
+# and one OR gate may hold in ``pre``.
 MAX_PRODUCTS = 2**18
+
+# Joins the display names of a product into its report line.
+_SEP = " ∧ "
 
 
 @dataclass(frozen=True)
@@ -85,30 +92,42 @@ class CutSet:
 class CutSetReport:
     """Cutsets ordered by ascending cardinality, then lexicographically.
 
-    The report holds each cutset's display names in report order, and a
-    function that forms their identity sets in the same order.  The
-    :class:`CutSet` tuple is built on the first read of :attr:`cutsets`,
-    so :meth:`lines` and :meth:`display_sets` build no cutset and no
-    identity set.  Equality, hash and repr are those of ``(stage,
-    cutsets)``.
+    The report holds each cutset's line in report order, a function that
+    splits the lines into rows, and a function that forms the identity sets
+    from the rows in the same order.  :meth:`rows` splits the lines on its
+    first call, and the :class:`CutSet` tuple is built on the first read of
+    :attr:`cutsets`, so :meth:`lines`, :meth:`rows` and :meth:`display_sets`
+    build no cutset and no identity set.  Equality, hash and repr are those
+    of ``(stage, cutsets)``.
     """
 
     stage: str
-    _displays: tuple[tuple[str, ...], ...]
-    _identities: Callable[[], Iterator[frozenset[str]]]
+    _lines: tuple[str, ...]
+    _split: Callable[[], tuple[tuple[str, ...], ...]]
+    _identities: Callable[[tuple[tuple[str, ...], ...]], Iterator[frozenset[str]]]
 
     @cached_property
     def cutsets(self) -> tuple[CutSet, ...]:
-        return tuple(map(CutSet, self._displays, self._identities()))
+        rows = self.rows()
+        return tuple(map(CutSet, rows, self._identities(rows)))
 
     def lines(self) -> tuple[str, ...]:
-        return tuple(map(" ∧ ".join, self._displays))
+        return self._lines
+
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """Each cutset's display names, in report order, split from the
+        lines on the first call."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[str, ...], ...]:
+        return self._split()
 
     def display_sets(self) -> set[frozenset[str]]:
-        return set(map(frozenset, self._displays))
+        return set(map(frozenset, self.rows()))
 
     def identity_sets(self) -> set[frozenset[str]]:
-        return set(self._identities())
+        return set(self._identities(self.rows()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -122,11 +141,10 @@ class CutSetReport:
         return f"{self.__class__.__qualname__}(stage={self.stage!r}, cutsets={self.cutsets!r})"
 
 
-def _check_budget(acc: Collection, child: Collection) -> None:
-    count = len(acc) * len(child)
+def _check_budget(count: int, kind: GateKind) -> None:
     if count > MAX_PRODUCTS:
         raise AnalysisError(
-            f"cutset expansion would form {count} products at one AND gate, "
+            f"cutset expansion would form {count} products at one {kind.value} gate, "
             f"over the budget of {MAX_PRODUCTS}")
 
 
@@ -145,46 +163,150 @@ def _union(kids, owned: bool) -> dict:
     return dict.fromkeys(chain.from_iterable(kids))
 
 
-def _display_products(tree: FaultTree) -> Collection[tuple[str, ...]]:
+class _BySize(dict):
+    """A ``pre`` value whose products are not all of size one: product size
+    to that size's lines.  Any other value is an iterable of names, each a
+    product of size one: a leaf's 1-tuple, or a gate's list or dict."""
+
+    __slots__ = ()
+
+
+def _count(groups: _BySize) -> int:
+    return sum(map(len, groups.values()))
+
+
+def _parts(value):
+    """(size, lines) of each size a ``pre`` value holds."""
+    return value.items() if type(value) is _BySize else ((1, value),) if value else ()
+
+
+def _merge(kids, owned: bool) -> _BySize:
+    """An OR gate's products, its children's merged per size, when some
+    child's products are not all of size one; an *owned* first child's dict
+    is taken over and extended in place."""
+    first = kids[0]
+    if owned and type(first) is _BySize:
+        groups, kids = first, kids[1:]
+    elif owned and type(first) is dict and first:
+        groups, kids = _BySize({1: first}), kids[1:]
+    else:
+        groups = _BySize()
+    for kid in kids:
+        for size, lines in _parts(kid):
+            group = groups.get(size)
+            if group is None:
+                groups[size] = dict.fromkeys(lines)
+                continue
+            if type(group) is not dict:  # an AND gate's list, taken over
+                groups[size] = group = dict.fromkeys(group)
+            group.update(dict.fromkeys(lines))
+    return groups
+
+
+def _names(parts) -> set[str]:
+    """The display names in the lines of each (size, lines)."""
+    names: set[str] = set()
+    for size, lines in parts:
+        if size == 1:
+            names.update(lines)
+        elif size:
+            names.update(_SEP.join(lines).split(_SEP))
+    return names
+
+
+def _split(parts) -> list[list[str]]:
+    """Each product's names; the empty product has none."""
+    return [line.split(_SEP) if size else [] for size, lines in parts for line in lines]
+
+
+def _and_lines(kids):
+    """An AND gate's products: its children's, crossed one at a time.
+
+    When the operand's names all follow the names so far (the woven shape),
+    the operand shares no name with the products so far, so distinct pairs
+    form distinct products and no name repeats within one (the rule behind
+    fault-tree modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3),
+    1996).  Such a step makes each product's line as the line so far plus
+    the operand product's tail, `` ∧ `` and its line, each tail made once
+    from the operand's sorted lines; the sizes add.  Other steps merge each
+    pair of products' names, sort them and deduplicate.  A single-product
+    operand whose names every product already holds changes nothing and is
+    skipped.
+    """
+    acc = None  # only the empty product, until the first operand
+    every: set[str] = set()  # names in every product of acc
+    for kid in kids:
+        if type(kid) is _BySize:
+            parts = kid.items()
+            names = _names(parts)
+            if not names:  # only the empty product
+                continue
+            count = _count(kid)
+        elif kid:
+            parts = ((1, kid),)
+            names = set(kid)
+            count = len(kid)
+        else:  # no products
+            return ()
+        if count == 1:  # one product: after this step, in every product
+            if names <= every:
+                continue
+            every |= names
+        if acc is None:
+            acc = _BySize()
+            for size, lines in parts:
+                acc[size] = sorted(lines)
+            high = max(names)
+            continue
+        _check_budget(_count(acc) * count, GateKind.AND)
+        out = _BySize()
+        if min(names) > high:
+            for size, lines in parts:
+                ordered = sorted(lines)  # once, not once per product of acc
+                tails = [_SEP + line for line in ordered]
+                for have, prefixes in acc.items():
+                    made = (prefixes if not size else ordered if not have
+                            else [a + tail for a in prefixes for tail in tails])
+                    group = out.get(have + size)
+                    out[have + size] = made if group is None else [*group, *made]
+        else:
+            right = _split(parts)
+            for a in _split(acc.items()):
+                for b in right:
+                    merged = sorted({*a, *b})
+                    group = out.get(len(merged))
+                    if group is None:
+                        out[len(merged)] = group = {}
+                    group[_SEP.join(merged)] = None
+        acc = out
+        high = max(high, max(names))
+    if acc is None:
+        return _BySize({0: [""]})
+    return acc[1] if len(acc) == 1 and 1 in acc else acc
+
+
+def _display_products(tree: FaultTree) -> Collection[str] | _BySize:
     """Every product over leaf display names, deduplicated, not absorbed.
 
-    A product is the sorted tuple of its display names, so one set of names
-    has one form and the report needs no second sort per product.  An AND
-    step whose operands share no display name crosses them without
-    deduplication: distinct products over disjoint names have distinct
-    unions, and no name repeats within one (the rule behind fault-tree
-    modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3), 1996).  When
-    the operand's names also all follow the names so far, each product is
-    the concatenation of two sorted tuples in that order and needs no sort;
-    the operand's products are sorted once instead, so the cross product
-    comes out nearly in report order.  Other disjoint operands sort per
-    product.
+    A product is its report line, its sorted display names joined by
+    `` ∧ ``, so one set of names has one line and the report joins nothing.
+    A gate's lines are grouped by product size, which it knows for the
+    products it forms, unless they are all of size one; a leaf's value is
+    the 1-tuple of its display name.
     """
     def gate(node, kids, owned):
-        if node.kind is GateKind.OR:
-            return _union(kids, owned)
-        acc: tuple[tuple[str, ...], ...] = ((),)
-        support: set[str] = set()  # a superset of the names in acc
-        high = ""  # support's greatest name, once it has one
-        for kid in kids:
-            _check_budget(acc, kid)
-            names = set().union(*kid)
-            if not names:  # no products, or only the empty one
-                acc = acc if kid else ()
-                continue
-            if not support.isdisjoint(names):
-                acc = tuple(dict.fromkeys(tuple(sorted({*a, *b}))
-                                          for a in acc for b in kid))
-            elif not support or min(names) > high:
-                ordered = sorted(kid)  # once, not once per product of acc
-                acc = tuple([a + b for a in acc for b in ordered])
-            else:
-                acc = tuple([tuple(sorted(a + b)) for a in acc for b in kid])
-            high = max(high, max(names))
-            support |= names
-        return acc
+        if node.kind is GateKind.AND:
+            return _and_lines(kids)
+        if _BySize in map(type, kids):
+            products = _merge(kids, owned)
+            count = _count(products)
+        else:
+            products = _union(kids, owned)
+            count = len(products)
+        _check_budget(count, node.kind)
+        return products
 
-    return tree._fold(lambda leaf: ((leaf.display,),), gate)
+    return tree._fold(lambda leaf: (leaf.display,), gate)
 
 
 def _minimise(masks) -> tuple[int, ...]:
@@ -229,20 +351,31 @@ def _identity_products(tree: FaultTree, bit_of: dict[str, int]) -> tuple[int, ..
             return _union(kids, owned)
         acc: tuple[int, ...] = (0,)
         for kid in kids:
-            _check_budget(acc, kid)
+            _check_budget(len(acc) * len(kid), node.kind)
             acc = _minimise([a | b for a in acc for b in kid])
         return acc
 
     return _minimise(tree._fold(lambda leaf: (bit_of[leaf.identity],), gate))
 
 
-def _shared_identity_sets(products, identity_of: dict[str, str]):
-    """Each product's identity set, in order.  Products that name one cause
+def _split_lines(lines, names: Iterable[str], starts_empty: bool):
+    """The display tuples of report lines.  Each name in them is the one
+    object among *names* equal to it, so rows share their names as the
+    tree's leaves do; the first row is the empty product if
+    *starts_empty*, though its line is that of a single empty name."""
+    known = {name: name for name in names}
+    rows = [tuple(map(known.__getitem__, line.split(_SEP)))
+            for line in (lines[1:] if starts_empty else lines)]
+    return ((), *rows) if starts_empty else tuple(rows)
+
+
+def _shared_identity_sets(rows, identity_of: dict[str, str]):
+    """Each row's identity set, in order.  Rows that name one cause
     through several dependents' copies collapse to one identity set; they
     share one frozenset."""
     shared: dict[frozenset[str], frozenset[str]] = {}
-    for p in products:
-        identities = frozenset(map(identity_of.__getitem__, p))
+    for row in rows:
+        identities = frozenset(map(identity_of.__getitem__, row))
         yield shared.setdefault(identities, identities)
 
 
@@ -268,14 +401,30 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         identity_of[display] = identity
         if display_of.setdefault(identity, display) != display:
             display_of[identity] = identity
+    # Lines sort as their rows do, and split back into them, only because
+    # every name's characters sort above the separator's leading blank.  The
+    # characters below it are control characters, which are not printable.
+    text = "".join(chain(identity_of, display_of))
+    if " " in text or not text.isprintable():
+        for kind, names in (("display name", identity_of), ("identity", display_of)):
+            for name in names:
+                if name and min(name) <= " ":
+                    raise AnalysisError(
+                        f"{kind} {name!r} holds a character at or below U+0020")
 
     if stage == "pre":
-        # The products are distinct, so two stable sorts give the report order.
-        products = sorted(_display_products(tree))
-        products.sort(key=len)
-        displays = tuple(products)
-        return CutSetReport("pre", displays,
-                            partial(_shared_identity_sets, displays, identity_of))
+        products = _display_products(tree)
+        if type(products) is _BySize:
+            ordered: list[str] = []
+            for size in sorted(products):
+                ordered += sorted(products[size])
+        else:
+            ordered = sorted(products)
+        lines = tuple(ordered)
+        starts_empty = type(products) is _BySize and 0 in products
+        return CutSetReport("pre", lines,
+                            partial(_split_lines, lines, identity_of, starts_empty),
+                            partial(_shared_identity_sets, identity_of=identity_of))
 
     names = sorted(display_of)
     bit_of = {name: 1 << i for i, name in enumerate(names)}
@@ -289,8 +438,12 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
             mask ^= low
         rows.append((len(members), tuple(sorted(display_of[i] for i in members)), members))
     rows.sort()
-    return CutSetReport("reduced", tuple([displays for _, displays, _ in rows]),
-                        partial(map, frozenset, [members for _, _, members in rows]))
+    lines = tuple([_SEP.join(displays) for _, displays, _ in rows])
+    identities = [members for _, _, members in rows]
+    return CutSetReport("reduced", lines,
+                        partial(_split_lines, lines, display_of.values(),
+                                bool(rows) and not rows[0][0]),
+                        lambda _rows: map(frozenset, identities))
 
 
 def evaluate(tree: FaultTree, assignment) -> bool:

@@ -96,7 +96,7 @@ def _cmd_cutsets(args) -> int:
     tree = synthesize(weave(model), _parse_top(args.top))
     report = cutsets(tree, args.stage)
     if args.format == "tsv":
-        lines = list(map("\t".join, report._displays))
+        lines = list(map("\t".join, report.rows()))
     else:
         lines = list(report.lines())
     _emit("".join(line + "\n" for line in lines), args.output)

@@ -1,0 +1,113 @@
+"""Record every cutset output over a fixed set of models, as one digest.
+
+Run it on two source trees to show that a change keeps every output byte::
+
+    PYTHONPATH=src python tests/record_outputs.py --seeds 10000
+    PYTHONPATH=src python tests/record_outputs.py --seeds 100 --out record.txt
+
+For both fixtures, the ``genmodels`` families, ``random_model`` seeds
+0..N-1 and, with NOT gates, seeds 0..min(N, 1000)-1, it records for each top event the prefix text of the tree and, for
+both cutset stages, the report lines, the TSV rows, each row's sorted
+identities and the sorted display sets; a step that raises records the
+error text instead.  It prints the number of lines and their SHA-256.  It
+uses only the standard library, ``genmodels`` and the public names of
+``cftweave``; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+
+from cftweave import (CftweaveError, GateKind, TopEventRef, cutsets, load_fixture,
+                      synthesize, weave)
+
+import genmodels
+
+FIXTURES = (("example_fig2", ("f2.loss-of",)),
+            ("vehicle", ("EBC.no-emergency-braking",)))
+
+
+def models(seeds: int):
+    """(label, model, top events) of every recorded model."""
+    for name, tops in FIXTURES:
+        yield name, load_fixture(name), tops
+    for kind, sizes in ((GateKind.OR, range(1, 13)), (GateKind.AND, range(1, 7))):
+        for n in sizes:
+            model, top = genmodels.wide(n, kind)
+            yield f"wide({n}, {kind.value})", model, (top,)
+    for family, sizes in ((genmodels.chain, range(1, 13)),
+                          (genmodels.lattice, range(1, 9))):
+        for n in sizes:
+            model, top = family(n)
+            yield f"{family.__name__}({n})", model, (top,)
+    for n in range(1, 7):
+        model = genmodels.alfred_chain(n)
+        yield (f"alfred_chain({n})", model,
+               tuple(TopEventRef(c.name, "fail") for c in model.components))
+    for seed in range(seeds):
+        model, tops = genmodels.random_model(seed)
+        yield f"random_model({seed})", model, tops
+    # NOT gates, which the cutset stages reject
+    for seed in range(min(seeds, 1000)):
+        model, tops = genmodels.random_model(seed, allow_not=True)
+        yield f"random_model({seed}, allow_not=True)", model, tops
+
+
+def records(label: str, model, tops):
+    """The lines recorded for one model."""
+    try:
+        woven = weave(model)
+    except CftweaveError as exc:
+        yield f"{label} weave error: {type(exc).__name__}: {exc}"
+        return
+    for top in tops:
+        where = f"{label} {top}"
+        try:
+            tree = synthesize(woven, top)
+        except CftweaveError as exc:
+            yield f"{where} synthesize error: {type(exc).__name__}: {exc}"
+            continue
+        yield f"{where} prefix {tree.to_prefix_text()}"
+        for stage in ("pre", "reduced"):
+            try:
+                report = cutsets(tree, stage)
+            except CftweaveError as exc:
+                yield f"{where} {stage} error: {type(exc).__name__}: {exc}"
+                continue
+            for line in report.lines():
+                yield f"{where} {stage} line {line}"
+            for cs in report.cutsets:
+                yield f"{where} {stage} tsv " + "\t".join(cs.displays)
+                yield f"{where} {stage} identities " + " ".join(sorted(cs.identities))
+            for displays in sorted(sorted(s) for s in report.display_sets()):
+                yield f"{where} {stage} display-set " + " ".join(displays)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=10_000,
+                        help="random_model seeds 0..N-1 (default 10000)")
+    parser.add_argument("--out", help="also write the recorded lines here")
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    count = 0
+    out = open(args.out, "w", encoding="utf-8") if args.out else None
+    try:
+        for label, model, tops in models(args.seeds):
+            for line in records(label, model, tops):
+                data = line + "\n"
+                digest.update(data.encode("utf-8"))
+                count += 1
+                if out is not None:
+                    out.write(data)
+    finally:
+        if out is not None:
+            out.close()
+    print(f"{count} lines, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -222,10 +222,13 @@ class TestReport:
         tree = synthesize(weave(vehicle), "EBC.no-emergency-braking")
         report = cutsets(tree, stage)
         lines = report.lines()
+        rows = report.rows()
         displays = report.display_sets()
         identities = report.identity_sets()
         assert "cutsets" not in vars(report)
         assert lines == tuple(" ∧ ".join(cs.displays) for cs in report.cutsets)
+        assert rows == tuple(cs.displays for cs in report.cutsets)
+        assert report.rows() is rows
         assert displays == {frozenset(cs.displays) for cs in report.cutsets}
         assert identities == {cs.identities for cs in report.cutsets}
         assert report.cutsets is report.cutsets
@@ -248,12 +251,16 @@ def reference_reduced(tree):
     return set(kept), tuple(" ∧ ".join(d) for d in rendered)
 
 
-def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_children=4):
+def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_children=4,
+             displays=None):
     """The last node of a DAG of AND/OR gates whose children are drawn from
     earlier nodes, so subtrees are shared; display names start with
-    *prefix*, and several of them may map to one identity."""
-    pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", f"{prefix}d{k}")
-            for k in range(draw(st.integers(1, max_leaves)))]
+    *prefix*, or are *displays* when given, and several of them may map to
+    one identity."""
+    if displays is None:
+        displays = [f"{prefix}d{k}" for k in range(draw(st.integers(1, max_leaves)))]
+    pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", display)
+            for display in displays]
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_children))
@@ -265,6 +272,19 @@ def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_child
 def coherent_trees(draw):
     """Trees over one DAG of AND/OR gates."""
     return tree_of(draw_dag(draw, draw(st.integers(1, 5))))
+
+
+# Display names that are proper prefixes of one another, or differ at "-",
+# ".", "@", "_" or a digit: "S1", "S10", "S1-a", "a.b", "a0", "a@S", "a_1".
+NEAR_NAMES = st.lists(st.text(alphabet="aS10-._@", min_size=1, max_size=4),
+                      min_size=1, max_size=12, unique=True)
+
+
+@st.composite
+def near_named_trees(draw):
+    """Trees over one DAG whose leaves' display names sort close together."""
+    return tree_of(draw_dag(draw, draw(st.integers(1, 5)), max_gates=10,
+                            displays=draw(NEAR_NAMES)))
 
 
 @st.composite
@@ -306,6 +326,14 @@ def pre_pairs(tree):
     return [(cs.displays, cs.identities) for cs in cutsets(tree, "pre").cutsets]
 
 
+def products_of(value):
+    """The products a ``pre`` value of the fold holds, as sets of names."""
+    if isinstance(value, analyzer._BySize):
+        return {frozenset(line.split(" ∧ ") if size else ())
+                for size, lines in value.items() for line in lines}
+    return {frozenset((name,)) for name in value}
+
+
 REUSED = or_of(leaf("a"), leaf("b"))
 
 # Two AND operands with disjoint display names, by the order of the second
@@ -323,6 +351,11 @@ ORDERED_PAIRS = {
 # Operands with no products, and with only the empty product.
 EMPTY_OPERANDS = {"no-products": or_of(), "empty-product": and_of()}
 
+# Display names that are proper prefixes of one another or differ at "-",
+# ".", "@", "_" or a digit, which all sort above a blank.
+NEAR = [leaf(name) for name in ("a", "a-b", "a.b", "a0", "a@b", "a_b", "ab")]
+SENSORS = [leaf(name) for name in ("S1", "S10", "S1-x", "S2", "S1.f", "S10.f")]
+
 
 class TestPreAgainstReference:
     @settings(max_examples=300, deadline=None)
@@ -331,28 +364,39 @@ class TestPreAgainstReference:
         assert pre_pairs(tree) == reference_pre(tree)
 
     def test_woven_shape_takes_both_and_steps(self, monkeypatch):
-        # an AND step crosses operands that share no display name without
-        # deduplicating, and concatenates their products only when the
-        # operand's names all follow the names so far ("above"); operands
-        # whose names all precede them ("below") or interleave with them
-        # sort each product.  Count the steps of each kind the trees reach.
+        # an AND step appends its operand's tails to the lines so far only
+        # when the operand's names all follow the names so far ("above");
+        # operands whose names all precede them ("below"), interleave with
+        # them or share one merge each pair of products.  Count the steps of
+        # each kind the trees reach, from the products of each AND gate's
+        # operands as the fold hands them over.
         steps = {"above": 0, "below": 0, "interleaved": 0, "overlapping": 0}
-        check_budget = analyzer._check_budget
+        fold = FaultTree._fold
 
-        def counting(acc, kid):
-            support, names = set().union(*acc), set().union(*kid)
-            if support and names:
-                if support & names:
-                    steps["overlapping"] += 1
-                elif min(names) > max(support):
-                    steps["above"] += 1
-                elif max(names) < min(support):
-                    steps["below"] += 1
-                else:
-                    steps["interleaved"] += 1
-            check_budget(acc, kid)
+        def count_steps(kids):
+            acc = {frozenset()}
+            for kid in kids:
+                products = products_of(kid)
+                support, names = set().union(*acc), set().union(*products)
+                if support and names:
+                    if support & names:
+                        steps["overlapping"] += 1
+                    elif min(names) > max(support):
+                        steps["above"] += 1
+                    elif max(names) < min(support):
+                        steps["below"] += 1
+                    else:
+                        steps["interleaved"] += 1
+                acc = {a | b for a in acc for b in products}
 
-        monkeypatch.setattr(analyzer, "_check_budget", counting)
+        def recording(self, leaf, gate):
+            def recorded(node, kids, owned):
+                if node.kind is GateKind.AND:
+                    count_steps(kids)
+                return gate(node, kids, owned)
+            return fold(self, leaf, recorded)
+
+        monkeypatch.setattr(FaultTree, "_fold", recording)
 
         @settings(max_examples=300, deadline=None)
         @given(woven_trees())
@@ -372,6 +416,8 @@ class TestPreAgainstReference:
         pytest.param(and_of(REUSED, leaf("c"), REUSED), id="node-twice"),
         pytest.param(and_of(REUSED, FTGate(GateKind.AND, ())), id="empty-product"),
         pytest.param(and_of(REUSED, FTGate(GateKind.OR, ())), id="no-products"),
+        pytest.param(and_of(or_of(or_of(), and_of(leaf("a"), leaf("b"))), leaf("c")),
+                     id="owned-first-child-without-products"),
         *(pytest.param(and_of(*pair), id=order) for order, pair in ORDERED_PAIRS.items()),
         *(pytest.param(and_of(*operands), id=f"{order}-{empty}-{where}")
           for order, (x, y) in ORDERED_PAIRS.items()
@@ -382,6 +428,34 @@ class TestPreAgainstReference:
     def test_explicit_trees(self, root):
         tree = tree_of(root)
         assert pre_pairs(tree) == reference_pre(tree)
+
+    @pytest.mark.parametrize("root", [
+        pytest.param(or_of(*NEAR), id="near-singletons"),
+        pytest.param(and_of(or_of(*NEAR[:4]), or_of(*NEAR[3:])), id="near-pairs"),
+        pytest.param(and_of(or_of(*NEAR[::2]), or_of(*NEAR[1::2]), or_of(*NEAR[:3])),
+                     id="near-triples"),
+        pytest.param(or_of(*SENSORS, and_of(*SENSORS[:3]), and_of(*SENSORS[3:])),
+                     id="sensor-sizes"),
+        pytest.param(and_of(*(or_of(s, leaf(s.display + ".g")) for s in SENSORS)),
+                     id="sensor-operands"),
+        pytest.param(or_of(leaf("x", ""), and_of(), and_of(leaf("y"), leaf("x", ""))),
+                     id="empty-display-and-empty-product"),
+    ])
+    def test_names_that_sort_close(self, root):
+        # lines are sorted as strings, which must give the order of the
+        # display tuples
+        tree = tree_of(root)
+        pairs = reference_pre(tree)
+        assert pre_pairs(tree) == pairs
+        assert cutsets(tree, "pre").lines() == tuple(" ∧ ".join(d) for d, _ in pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_named_trees())
+    def test_near_names_match_frozenset_expansion(self, tree):
+        report = cutsets(tree, "pre")
+        pairs = reference_pre(tree)
+        assert [(cs.displays, cs.identities) for cs in report.cutsets] == pairs
+        assert report.lines() == tuple(" ∧ ".join(d) for d, _ in pairs)
 
 
 class TestReducedAgainstReference:
@@ -397,6 +471,7 @@ class TestReducedAgainstReference:
         root = FTGate(GateKind.OR, (leaf("x"), FTGate(GateKind.AND, ())))
         report = cutsets(tree_of(root), "reduced")
         assert report.identity_sets() == {frozenset()}
+        assert (report.lines(), report.rows()) == (("",), ((),))
 
 
 class TestClosedFormFamilies:
@@ -453,8 +528,9 @@ class TestClosedFormFamilies:
 
     def test_wide_and_pre_sorts_once_per_operand(self, monkeypatch):
         # each sensor's names follow the sensors' before it, so every AND step
-        # concatenates its products; the root sorts them once more.  Sorting
-        # each product instead would call sorted 87,381 times here.
+        # appends tails to the lines so far, sorting each of its operand's
+        # size groups once; the root sorts its sizes, then each size's lines
+        # once.  Sorting each product instead would call sorted 87,381 times.
         calls = []
 
         def counting(*args, **kwargs):
@@ -466,8 +542,10 @@ class TestClosedFormFamilies:
         tree = synthesize(weave(model), top)
         operands = sum(len(node.children) for node in tree.nodes()
                        if isinstance(node, FTGate) and node.kind is GateKind.AND)
-        assert len(cutsets(tree, "pre").lines()) == 4 ** 8
-        assert len(calls) <= operands + 1
+        report = cutsets(tree, "pre")
+        assert len(report.lines()) == 4 ** 8
+        sizes = {len(row) for row in report.rows()}
+        assert len(calls) <= operands + len(sizes) + 1
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_wide_or(self, n):
@@ -510,6 +588,53 @@ class TestLimits:
         assert str(caught.value) == (
             "cutset expansion would form 360000 products at one AND gate, "
             "over the budget of 262144")
+
+    def test_pre_or_total_budget(self, monkeypatch):
+        # each AND gate forms 9 products from two operands, under the
+        # budget; an OR gate over two of them would hold 18
+        monkeypatch.setattr(analyzer, "MAX_PRODUCTS", 10)
+
+        def cross(side):
+            return and_of(*(or_of(*(leaf(f"{side}{half}{k}") for k in range(3)))
+                            for half in "xy"))
+
+        over = {"two-ands": or_of(cross("a"), cross("b")),
+                "eleven-leaves": or_of(*(leaf(f"e{k}") for k in range(11))),
+                "and-and-leaves": or_of(leaf("z"), cross("a"), leaf("w"))}
+        expected = {"two-ands": 18, "eleven-leaves": 11, "and-and-leaves": 11}
+        for name, root in over.items():
+            with pytest.raises(AnalysisError) as caught:
+                cutsets(tree_of(root), "pre")
+            assert str(caught.value) == (
+                f"cutset expansion would form {expected[name]} products at one OR "
+                "gate, over the budget of 10"), name
+        # the reduced stage keeps only its AND budget
+        assert len(cutsets(tree_of(over["two-ands"]), "reduced").lines()) == 18
+        # at the budget, pre lists every product
+        monkeypatch.setattr(analyzer, "MAX_PRODUCTS", 18)
+        assert len(cutsets(tree_of(over["two-ands"]), "pre").lines()) == 18
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("char", [" ", "\t", "\n", "\x00"])
+    def test_names_with_a_blank_or_control_character(self, stage, char):
+        # a line could not be sorted or split back into its names; an empty
+        # name has neither problem
+        name = f"U1{char}x"
+        for kind, bad in (("display name", leaf("U1.x", name)),
+                          ("identity", leaf(name, "U1.x"))):
+            tree = tree_of(or_of(leaf("a", ""), and_of(leaf("b"), bad)))
+            with pytest.raises(AnalysisError) as caught:
+                cutsets(tree, stage)
+            assert str(caught.value) == \
+                f"{kind} {name!r} holds a character at or below U+0020"
+
+    @pytest.mark.parametrize("char", ["\x7f", "\u00a0", "\u200b"])
+    def test_names_with_other_unprintable_characters(self, char):
+        # these sort above the blank, so lines still sort and split as rows
+        tree = tree_of(or_of(leaf("a"), and_of(leaf("b"), leaf(f"U1{char}x"),
+                                                leaf(f"i{char}", f"U1{char}"))))
+        assert pre_pairs(tree) == reference_pre(tree)
+        assert cutsets(tree, "reduced").rows() == (("a",), ("U1" + char, f"U1{char}x", "b"))
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_chain_memory_grows_linearly(self, stage):

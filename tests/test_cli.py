@@ -97,13 +97,31 @@ def test_reduced_cutsets_that_show_alike_keep_their_order(tmp_path, capsys):
     assert (out, err) == ("U.a\nU.a\n", "")
 
 
+VEHICLE_PRE_TSV = (
+    "E.Speed-too-low\n"
+    "EBC.HW-defect_PartCount\n"
+    "EBC.Loss-of-power\n"
+    "U1.Battery-omission\tU2.Battery-omission\n"
+    "U1.Battery-omission\tU2.Battery-too-low\n"
+    "U1.Battery-omission\tU2.False-negative\n"
+    "U1.Battery-too-low\tU2.Battery-omission\n"
+    "U1.Battery-too-low\tU2.Battery-too-low\n"
+    "U1.Battery-too-low\tU2.False-negative\n"
+    "U1.False-negative\tU2.Battery-omission\n"
+    "U1.False-negative\tU2.Battery-too-low\n"
+    "U1.False-negative\tU2.False-negative\n")
+
+
 def test_cutsets_pre_tsv(capsys):
     assert main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking",
                  "--stage", "pre", "--format", "tsv"]) == 0
-    out, _ = capsys.readouterr()
-    lines = out.splitlines()
-    assert len(lines) == 12
-    assert lines[3] == "U1.Battery-omission\tU2.Battery-omission"
+    assert capsys.readouterr() == (VEHICLE_PRE_TSV, "")
+
+
+def test_cutsets_reduced_tsv(capsys):
+    assert main(["cutsets", VEHICLE, "--top", "EBC.no-emergency-braking",
+                 "--stage", "reduced", "--format", "tsv"]) == 0
+    assert capsys.readouterr() == (VEHICLE_REDUCED.replace(" ∧ ", "\t"), "")
 
 
 def test_synthesize_prefix_text(capsys):
@@ -248,6 +266,24 @@ def test_cutsets_over_product_budget(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "360000" in err
+
+
+def test_cutsets_over_pre_total_budget(tmp_path, capsys, monkeypatch):
+    # each AND gate forms 9 products, their OR 18; only pre lists them all
+    monkeypatch.setattr(analyzer, "MAX_PRODUCTS", 10)
+    body = [f"event {side}{k}" for side in "abcd" for k in range(3)] + [
+        f"gate {side} = OR({side}0, {side}1, {side}2)" for side in "abcd"] + [
+        "gate x = AND(a, b)", "gate y = AND(c, d)", "gate top = OR(x, y)",
+        "outfm loss = top"]
+    big = tmp_path / "big.alfred"
+    big.write_text("layer l\n\ncomponent z in l {\n"
+                   + "".join(f"  {line}\n" for line in body) + "}\n", encoding="utf-8")
+    assert main(["cutsets", str(big), "--top", "z.loss", "--stage", "pre"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: cutset expansion would form 18 products at one OR gate, "
+            "over the budget of 10\n")
+    assert main(["cutsets", str(big), "--top", "z.loss", "--stage", "reduced"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 18
 
 
 def test_byte_determinism(capsys):
