@@ -61,6 +61,7 @@ here.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -78,6 +79,8 @@ MAX_PRODUCTS = 2**18
 
 # Joins the display names of a product into its report line.
 _SEP = " ∧ "
+# lines a report joins and splits at once when it splits its rows
+_SPLIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -358,15 +361,25 @@ def _identity_products(tree: FaultTree, bit_of: dict[str, int]) -> tuple[int, ..
     return _minimise(tree._fold(lambda leaf: (bit_of[leaf.identity],), gate))
 
 
-def _split_lines(lines, names: Iterable[str], starts_empty: bool):
-    """The display tuples of report lines.  Each name in them is the one
-    object among *names* equal to it, so rows share their names as the
-    tree's leaves do; the first row is the empty product if
-    *starts_empty*, though its line is that of a single empty name."""
-    known = {name: name for name in names}
-    rows = [tuple(map(known.__getitem__, line.split(_SEP)))
-            for line in (lines[1:] if starts_empty else lines)]
-    return ((), *rows) if starts_empty else tuple(rows)
+def _split_lines(lines, runs, names: Iterable[str]):
+    """The display tuples of report lines, given as *runs* of (size,
+    number of lines) in order.  Each name is the one object among *names*
+    equal to it, so rows share the tree's strings.  Each block of a run is
+    joined and split once and cut into rows of the run's size; the empty
+    product's row is ``()``, though its line is a single empty name."""
+    known = {name: name for name in names}.__getitem__
+    rows: list[tuple[str, ...]] = []
+    start = 0
+    for size, count in runs:
+        end = start + count
+        if not size:
+            rows += [()] * count
+        else:  # in blocks, so the joined text and its split stay small
+            for i in range(start, end, _SPLIT_BLOCK):
+                block = _SEP.join(lines[i:min(i + _SPLIT_BLOCK, end)])
+                rows += zip(*[map(known, block.split(_SEP))] * size)
+        start = end
+    return tuple(rows)
 
 
 def _shared_identity_sets(rows, identity_of: dict[str, str]):
@@ -416,14 +429,15 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         products = _display_products(tree)
         if type(products) is _BySize:
             ordered: list[str] = []
+            runs = []
             for size in sorted(products):
                 ordered += sorted(products[size])
+                runs.append((size, len(products[size])))
         else:
             ordered = sorted(products)
+            runs = [(1, len(ordered))]
         lines = tuple(ordered)
-        starts_empty = type(products) is _BySize and 0 in products
-        return CutSetReport("pre", lines,
-                            partial(_split_lines, lines, identity_of, starts_empty),
+        return CutSetReport("pre", lines, partial(_split_lines, lines, runs, identity_of),
                             partial(_shared_identity_sets, identity_of=identity_of))
 
     names = sorted(display_of)
@@ -441,8 +455,9 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
     lines = tuple([_SEP.join(displays) for _, displays, _ in rows])
     identities = [members for _, _, members in rows]
     return CutSetReport("reduced", lines,
-                        partial(_split_lines, lines, display_of.values(),
-                                bool(rows) and not rows[0][0]),
+                        # the runs in ascending size, counted only if rows are read
+                        lambda: _split_lines(lines, Counter(map(len, identities)).items(),
+                                             display_of.values()),
                         lambda _rows: map(frozenset, identities))
 
 

@@ -107,6 +107,11 @@ def _fm_key(fm) -> tuple[str, str]:
     return (fm.name, fm.port or "")
 
 
+# each member tuple of a fault tree and its canonical sort key
+_CFT_ORDER = (("events", _BY_NAME), ("gates", _BY_NAME), ("input_fms", _fm_key),
+              ("output_fms", _fm_key))
+
+
 def _index():
     """A derived field (a lookup table, or parse's report): set in
     ``__post_init__``, outside eq, hash and repr."""
@@ -134,10 +139,11 @@ class ComponentFaultTree:
     _nodes: dict[str | tuple[str, str, str | None], object] = _index()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=_BY_NAME)))
-        object.__setattr__(self, "gates", tuple(sorted(self.gates, key=_BY_NAME)))
-        object.__setattr__(self, "input_fms", tuple(sorted(self.input_fms, key=_fm_key)))
-        object.__setattr__(self, "output_fms", tuple(sorted(self.output_fms, key=_fm_key)))
+        set_field = object.__setattr__
+        for name, key in _CFT_ORDER:
+            members = getattr(self, name)
+            if type(members) is not tuple or len(members) > 1:  # else already in order
+                set_field(self, name, tuple(sorted(members, key=key)))
 
         # Filled from the back, so the first match in canonical order wins;
         # gates then events overwrite the bare names, as resolve prefers them.
@@ -153,7 +159,7 @@ class ComponentFaultTree:
             nodes[g.name] = g
         for e in reversed(self.events):
             nodes[e.name] = e
-        object.__setattr__(self, "_nodes", nodes)
+        set_field(self, "_nodes", nodes)
 
     def event(self, name: str) -> BasicEvent | None:
         node = self._nodes.get(name)
@@ -430,30 +436,32 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
     owner = comp.name
     # The constructor's index holds one entry per distinct key, so a tree
     # with as many entries as declarations repeats none and needs no
-    # bookkeeping.  Otherwise these say what each bare name is and which
+    # bookkeeping; unless names are checked, its events and gates then need
+    # no pass here.  Otherwise these say what each bare name is and which
     # failure modes came before.
     repeats = len(cft._nodes) < (len(cft.events) + len(cft.gates)
                                  + len(cft.input_fms) + len(cft.output_fms))
-    bare: dict[str, str] = {}
-    seen_in: set[tuple[str, str | None]] = set()
-    seen_out: set[tuple[str, str | None]] = set()
+    if check_names or repeats:
+        bare: dict[str, str] = {}
+        seen_in: set[tuple[str, str | None]] = set()
+        seen_out: set[tuple[str, str | None]] = set()
 
-    def claim(node, what: str) -> None:
-        if node.name in bare:
-            add(Severity.ERROR, "duplicate-node", _element(owner, node.name),
-                f"name already used by a {bare[node.name]}", node, node.name)
-        bare[node.name] = what
+        def claim(node, what: str) -> None:
+            if node.name in bare:
+                add(Severity.ERROR, "duplicate-node", _element(owner, node.name),
+                    f"name already used by a {bare[node.name]}", node, node.name)
+            bare[node.name] = what
 
-    for event in cft.events:
-        if check_names:
-            _check_name(add, "event", event.name, owner)
-        if repeats:
-            claim(event, "basic event")
-    for gate in cft.gates:
-        if check_names:
-            _check_name(add, "gate", gate.name, owner)
-        if repeats:
-            claim(gate, "gate")
+        for event in cft.events:
+            if check_names:
+                _check_name(add, "event", event.name, owner)
+            if repeats:
+                claim(event, "basic event")
+        for gate in cft.gates:
+            if check_names:
+                _check_name(add, "gate", gate.name, owner)
+            if repeats:
+                claim(gate, "gate")
 
     for ifm in cft.input_fms:
         if check_names:
@@ -512,10 +520,11 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
             add(Severity.ERROR, "unknown-node-ref", _element(owner, ofm.name, ofm.port),
                 f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
-    cyclic = _leftover_cycle_members(gate_edges)
-    if cyclic:
-        add(Severity.ERROR, "cft-cycle", comp.name,
-            "gates form a cycle: " + ", ".join(cyclic))
+    if gate_edges:  # only a gate that feeds a gate can lie on a cycle
+        cyclic = _leftover_cycle_members(gate_edges)
+        if cyclic:
+            add(Severity.ERROR, "cft-cycle", comp.name,
+                "gates form a cycle: " + ", ".join(cyclic))
 
 
 def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
@@ -545,7 +554,8 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
             add(Severity.ERROR, "duplicate-layer", layer, "layer declared twice", None, layer)
 
     known_layers = set(layers)
-    seen_comps = None if len(model._components) == len(model.components) else set()
+    components = model._components
+    seen_comps = None if len(components) == len(model.components) else set()
     for comp in model.components:
         if check_names:
             _check_name(add, "component", comp.name)
@@ -557,44 +567,54 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
         if comp.layer not in known_layers:
             add(Severity.ERROR, "unknown-layer", comp.name,
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
-        ports = comp.in_ports + comp.out_ports
-        distinct = sorted(set(ports))
-        counts = Counter(ports) if len(distinct) < len(ports) else None
-        for port in distinct:
-            if check_names:
-                _check_name(add, "port", port, comp.name)
-            if counts is not None and counts[port] > 1:
-                add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
-                    "port name used more than once", comp, port)
+        count = len(comp.in_ports) + len(comp.out_ports)
+        if check_names or count > 1:  # a single port cannot collide
+            ports = comp.in_ports + comp.out_ports
+            distinct = set(ports)
+            counts = Counter(ports) if len(distinct) < count else None
+            if check_names or counts is not None:
+                for port in sorted(distinct):
+                    if check_names:
+                        _check_name(add, "port", port, comp.name)
+                    if counts is not None and counts[port] > 1:
+                        add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
+                            "port name used more than once", comp, port)
         if comp.cft is not None:
             _validate_cft(comp, add, check_names)
 
+    # A repeated connection shares its in-port's index entry.
+    repeats = len(model._connections_into) < len(model.connections)
     previous = None
     for conn in model.connections:
-        for end, port, ports_ok, ports_wrong, side in (
-                (conn.from_component, conn.from_port, "out_ports", "in_ports", "source"),
-                (conn.to_component, conn.to_port, "in_ports", "out_ports", "target")):
-            if not model.has_component(end):
-                add(Severity.ERROR, "unknown-component", conn.render(),
-                    f"{side} component '{end}' is not declared", conn, end)
-                continue
-            comp = model.component(end)
-            if _has(getattr(comp, ports_ok), port):
-                continue
-            if _has(getattr(comp, ports_wrong), port):
-                add(Severity.ERROR, "wrong-port-direction", conn.render(),
-                    f"{side} port '{end}.{port}' has the wrong direction")
-            else:
-                add(Severity.ERROR, "unknown-port", conn.render(),
-                    f"{side} port '{end}.{port}' is not declared", conn, f"{end}.{port}")
+        # two probes settle a connection whose two ports exist
+        source = components.get(conn.from_component)
+        target = components.get(conn.to_component)
+        if (source is None or target is None or not _has(source.out_ports, conn.from_port)
+                or not _has(target.in_ports, conn.to_port)):
+            for end, port, ports_ok, ports_wrong, side in (
+                    (conn.from_component, conn.from_port, "out_ports", "in_ports", "source"),
+                    (conn.to_component, conn.to_port, "in_ports", "out_ports", "target")):
+                if not model.has_component(end):
+                    add(Severity.ERROR, "unknown-component", conn.render(),
+                        f"{side} component '{end}' is not declared", conn, end)
+                    continue
+                comp = model.component(end)
+                if _has(getattr(comp, ports_ok), port):
+                    continue
+                if _has(getattr(comp, ports_wrong), port):
+                    add(Severity.ERROR, "wrong-port-direction", conn.render(),
+                        f"{side} port '{end}.{port}' has the wrong direction")
+                else:
+                    add(Severity.ERROR, "unknown-port", conn.render(),
+                        f"{side} port '{end}.{port}' is not declared", conn, f"{end}.{port}")
         if conn.from_component == conn.to_component:
             add(Severity.ERROR, "self-connection", conn.render(),
                 "connection endpoints are on the same component")
-        if conn == previous:
+        if repeats and conn == previous:
             add(Severity.ERROR, "duplicate-connection", conn.render(),
                 "connection declared twice", conn, conn.render())
         previous = conn
-    if len(model._connections_into) < len(model.connections):
+    if repeats:
         incoming = Counter((c.to_component, c.to_port) for c in model.connections)
         for (comp_name, port), count in sorted(incoming.items()):
             if count > 1:

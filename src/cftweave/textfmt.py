@@ -25,10 +25,12 @@ grammar is purely positional.  Files are UTF-8; LF endings are emitted and
 CRLF is tolerated on input.
 
 The grammar is stated once, as one statement table per context (top level
-and inside a component block).  Parsing is one regular-expression match per
-line against a pattern built from its context's table, which also accepts
-blank and comment-only lines.  A matching line is built straight from the
-match's groups, and a declaration keeps only its line number; a
+and inside a component block).  Tabs are read as spaces once per
+document.  Parsing is one regular-expression match per line against a
+pattern built from its context's table, which also accepts blank and
+comment-only lines.  The line loop builds each declaration straight from
+the match's groups, with one node reference and one gate input tuple per
+distinct text, and a declaration keeps only its line number; a
 declaration error matches that line again, and the group spans give the
 name it points at its column.  A line that does not match goes to a word
 cursor, which reads the same table to find the first word that breaks the
@@ -79,9 +81,10 @@ _TOKEN = r"(->|[{}()=,@.])|((?:[" + _NAME_CHARS + r"]|-(?!>))+)|([^ \t])"
 # The grammar, stated once: per context, each statement's keyword and its
 # items after the keyword.  An item is a literal word or punctuation mark,
 # or a (kind, what) pair: a name, a qualified ``name.name``, a node
-# reference ``name[@port]``, a gate kind, or a comma-separated list of node
-# references.  *what* names the item in the cursor's messages.  The line
-# patterns and the error cursor are both built from these tables.
+# reference ``name[@port]`` (as two groups, or as one text), a gate kind,
+# or a comma-separated list of node references.  *what* names the item in
+# the cursor's messages.  The line patterns and the error cursor are both
+# built from these tables.
 _TOP = {
     "layer": (("name", "layer name"),),
     "component": (("name", "component name"), "in", ("name", "layer name"), "{"),
@@ -96,13 +99,13 @@ _BODY = {
     "gate": (("name", "gate name"), "=", ("kind", "gate kind"), "(",
              ("refs", "node reference"), ")"),
     "infm": (("ref", "failure mode name"),),
-    "outfm": (("ref", "failure mode name"), "=", ("ref", "node reference")),
+    "outfm": (("ref", "failure mode name"), "=", ("ref-text", "node reference")),
     "}": (),
 }
 _GATE_KINDS = {k.value: k for k in GateKind}
 
-# Each line is matched with its tabs read as spaces, so the patterns hold
-# only spaces, which makes them cheaper to compile and to match.  Blanks
+# A document's tabs are read as spaces before any match, so the patterns
+# hold only spaces, which makes them cheaper to compile and to match.  Blanks
 # may surround every item; two words (keywords, names, gate kinds) need one
 # between them.  A name is one run of the name characters and '-'.  In a
 # matching line no name is followed by '>', so none holds the '-' of a
@@ -118,6 +121,7 @@ _ITEMS = {
     "name": (_NAME, 1),
     "qualified": (_NAME + r" *\. *" + _NAME, 2),
     "ref": (_NAME + r"(?: *@ *" + _NAME + r")?", 2),
+    "ref-text": ("(" + _REF_TEXT + ")", 1),
     "kind": ("(" + "|".join(_GATE_KINDS) + ")", 1),
     "refs": ("(" + _REF_TEXT + r"(?: *, *" + _REF_TEXT + r")*)", 1),
 }
@@ -264,11 +268,11 @@ class _Cursor:
                 self.take_ident(what)
             elif kind == "kind" and self.words[self.pos - 1] not in _GATE_KINDS:
                 self.fail_at(self.pos - 1, "unknown gate kind", tuple(_GATE_KINDS))
-            elif kind in ("ref", "refs"):
+            elif kind in ("ref", "ref-text", "refs"):
                 while True:
                     if self.accept("@"):
                         self.take_ident("port name")
-                    if kind == "ref" or not self.accept(","):
+                    if kind != "refs" or not self.accept(","):
                         break
                     self.take_ident(what)
         if self.words[self.pos] is not None:
@@ -309,7 +313,8 @@ class _Block:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.split("\n")
+        # tabs are read as spaces once per document; no column moves
+        self.lines = text.replace("\t", " ").split("\n")
         self.layers: list[_Token] = []
         self.components: list[Component] = []
         self.connections: list[PortConnection] = []
@@ -326,8 +331,14 @@ class _Parser:
         block: _Block | None = None
         top_line, top_groups = _TOP_LINE.fullmatch, _TOP_GROUPS
         body_line, body_groups = _BODY_LINE.fullmatch, _BODY_GROUPS
+        declared, declared_at = self.declared, self.declared_at
+        # One reference per distinct text, and one inputs tuple per distinct
+        # input list, shared by every line that spells it.  The records that
+        # hold them are never shared, as _reject finds a record by identity.
+        refs: dict[str, NodeRef] = {}
+        inputs_of: dict[str, tuple[NodeRef, ...]] = {}
         for lineno, raw in enumerate(self.lines, start=1):
-            m = (top_line if block is None else body_line)(raw.replace("\t", " "))
+            m = (top_line if block is None else body_line)(raw)
             if m is None:
                 _check_line(raw, lineno, block is not None)
                 raise AssertionError(f"line {lineno}: the grammar rejects a line the "
@@ -337,14 +348,64 @@ class _Parser:
                 continue
             if block is None:
                 keyword, g = top_groups[i]
-                block = self._add_top(m, keyword, g, lineno)
+                if keyword == "connect":
+                    decl = PortConnection(m[g], m[g + 1], m[g + 2], m[g + 3])
+                    self.connections.append(decl)
+                elif keyword == "alfred":
+                    decl = AlfredDependency(m[g], m[g + 1])
+                    self.dependencies.append(decl)
+                elif keyword == "component":
+                    block = _Block(_new_tuple(_Token, (m[g], lineno, m.start(g) + 1)),
+                                   _new_tuple(_Token, (m[g + 1], lineno, m.start(g + 1) + 1)))
+                    continue
+                elif keyword == "layer":
+                    self.layers.append(_new_tuple(_Token, (m[g], lineno, m.start(g) + 1)))
+                    continue
+                else:  # common-cause, whose keyword is the line's first word
+                    tok = _new_tuple(_Token, (keyword, lineno, len(raw) - len(raw.lstrip()) + 1))
+                    self.aliases.append((EventRef(m[g], m[g + 1]),
+                                         EventRef(m[g + 2], m[g + 3]), tok))
+                    continue
+                declared.append(decl)
+                declared_at.append(lineno)
                 continue
             keyword, g = body_groups[i]
             if keyword == "}":
                 self._close(block)
                 block = None
+                continue
+            name = m[g]
+            if keyword == "gate":
+                text = m[g + 2]
+                inputs = inputs_of.get(text)
+                if inputs is None:
+                    inputs = []
+                    for ref_text in text.replace(" ", "").split(","):
+                        ref = refs.get(ref_text)
+                        if ref is None:
+                            ref = refs[ref_text] = NodeRef(*ref_text.split("@"))
+                        inputs.append(ref)
+                    inputs = inputs_of[text] = tuple(inputs)
+                node = Gate(name, _GATE_KINDS[m[g + 1]], inputs)
+                block.gates.append(node)
+            elif keyword == "event":
+                node = BasicEvent(name)
+                block.events.append(node)
+            elif keyword == "infm":
+                node = InputFailureMode(name, m[g + 1])
+                block.infms.append(node)
+            elif keyword == "outfm":
+                ref_text = m[g + 2].replace(" ", "")
+                ref = refs.get(ref_text)
+                if ref is None:
+                    ref = refs[ref_text] = NodeRef(*ref_text.split("@"))
+                node = OutputFailureMode(name, m[g + 1], ref)
+                block.outfms.append(node)
             else:
-                self._add_body(m, keyword, g, lineno, block)
+                (block.in_ports if keyword == "in" else block.out_ports).append(name)
+                continue
+            declared.append(node)
+            declared_at.append(lineno)
         if block is not None:
             raise ParseError(
                 f"unexpected end of file inside component '{block.name.value}'",
@@ -379,7 +440,7 @@ class _Parser:
         """The token of the declaration on *line*, matched again with its
         context's pattern: its first name (*offset* names further on), or
         the keyword of a ``connect`` or ``alfred`` line."""
-        s = self.lines[line - 1].replace("\t", " ")
+        s = self.lines[line - 1]
         m = (_BODY_LINE if in_block else _TOP_LINE).fullmatch(s)
         keyword, g = (_BODY_GROUPS if in_block else _TOP_GROUPS)[m.lastindex]
         if keyword in ("connect", "alfred"):  # the keyword is the line's first word
@@ -393,7 +454,7 @@ class _Parser:
         line = header
         while True:
             line += 1
-            m = _BODY_LINE.fullmatch(self.lines[line - 1].replace("\t", " "))
+            m = _BODY_LINE.fullmatch(self.lines[line - 1])
             if m.lastindex is None:
                 continue
             keyword, g = _BODY_GROUPS[m.lastindex]
@@ -441,56 +502,6 @@ class _Parser:
             name=name, owner=owner,
             kind="input" if isinstance(about, InputFailureMode) else "output")
         raise ParseError(message, tok.line, tok.column, token=tok.value)
-
-    def _add_top(self, m: re.Match, keyword: str, g: int, line: int) -> _Block | None:
-        """Build a top-level declaration from its match, whose groups start
-        at *g*.  Returns the block a ``component`` line opens."""
-        if keyword == "component":
-            return _Block(_new_tuple(_Token, (m[g], line, m.start(g) + 1)),
-                          _new_tuple(_Token, (m[g + 1], line, m.start(g + 1) + 1)))
-        if keyword == "layer":
-            self.layers.append(_new_tuple(_Token, (m[g], line, m.start(g) + 1)))
-            return None
-        if keyword == "common-cause":
-            # the keyword is the line's first word
-            s = m.string
-            tok = _new_tuple(_Token, (keyword, line, len(s) - len(s.lstrip()) + 1))
-            self.aliases.append((EventRef(m[g], m[g + 1]), EventRef(m[g + 2], m[g + 3]), tok))
-            return None
-        if keyword == "connect":
-            decl = PortConnection(m[g], m[g + 1], m[g + 2], m[g + 3])
-            self.connections.append(decl)
-        else:
-            decl = AlfredDependency(m[g], m[g + 1])
-            self.dependencies.append(decl)
-        self.declared.append(decl)
-        self.declared_at.append(line)
-        return None
-
-    def _add_body(self, m: re.Match, keyword: str, g: int, line: int, block: _Block) -> None:
-        """Build a declaration inside *block* from its match, whose groups
-        start at *g*."""
-        name = m[g]
-        if keyword == "event":
-            node = BasicEvent(name)
-            block.events.append(node)
-        elif keyword == "gate":
-            inputs = m[g + 2].replace(" ", "").split(",")
-            refs = tuple([NodeRef(*ref.split("@")) for ref in inputs])
-            node = Gate(name, _GATE_KINDS[m[g + 1]], refs)
-            block.gates.append(node)
-        elif keyword == "infm":
-            node = InputFailureMode(name, m[g + 1])
-            block.infms.append(node)
-        elif keyword == "outfm":
-            node = OutputFailureMode(name, m[g + 1], NodeRef(m[g + 2], m[g + 3]))
-            block.outfms.append(node)
-        else:
-            ports = block.in_ports if keyword == "in" else block.out_ports
-            ports.append(name)
-            return
-        self.declared.append(node)
-        self.declared_at.append(line)
 
     def _close(self, block: _Block) -> None:
         cft = None

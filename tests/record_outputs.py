@@ -1,4 +1,4 @@
-"""Record every cutset output over a fixed set of models, as one digest.
+"""Record parse, validate and cutset outputs over fixed models, as one digest.
 
 Run it on two source trees to show that a change keeps every output byte::
 
@@ -6,10 +6,17 @@ Run it on two source trees to show that a change keeps every output byte::
     PYTHONPATH=src python tests/record_outputs.py --seeds 100 --out record.txt
 
 For both fixtures, the ``genmodels`` families, ``random_model`` seeds
-0..N-1 and, with NOT gates, seeds 0..min(N, 1000)-1, it records for each top event the prefix text of the tree and, for
-both cutset stages, the report lines, the TSV rows, each row's sorted
-identities and the sorted display sets; a step that raises records the
-error text instead.  It prints the number of lines and their SHA-256.  It
+0..N-1 and, with NOT gates, seeds 0..min(N, 1000)-1, it records the
+model's document, what ``parse`` makes of it and, for each top event, the
+prefix text of the tree and, for both cutset stages, the report lines, the
+TSV rows, each row's sorted identities and the sorted display sets; a step
+that raises records the error text instead.  For each ``random_model``
+seed it also parses the document with one line deleted, one duplicated and
+one identifier swapped (choices drawn from the seed), and the document
+with tabs and CRLF endings.  A parse records the model's ``repr``, its
+``validate`` lines and those of a fresh ``validate`` on a
+``dataclasses.replace`` copy, or the error's line, column, token, expected
+items and message.  It prints the number of lines and their SHA-256.  It
 uses only the standard library, ``genmodels`` and the public names of
 ``cftweave``; pytest does not collect it.
 """
@@ -17,20 +24,24 @@ uses only the standard library, ``genmodels`` and the public names of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import random
+import re
 import sys
 
-from cftweave import (CftweaveError, GateKind, TopEventRef, cutsets, load_fixture,
-                      synthesize, weave)
+from cftweave import (CftweaveError, GateKind, ParseError, TopEventRef, cutsets,
+                      load_fixture, parse, serialize, synthesize, validate, weave)
 
 import genmodels
 
 FIXTURES = (("example_fig2", ("f2.loss-of",)),
             ("vehicle", ("EBC.no-emergency-braking",)))
+IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def models(seeds: int):
-    """(label, model, top events) of every recorded model."""
+    """(label, model, top events[, mutation seed]) of every recorded model."""
     for name, tops in FIXTURES:
         yield name, load_fixture(name), tops
     for kind, sizes in ((GateKind.OR, range(1, 13)), (GateKind.AND, range(1, 7))):
@@ -48,15 +59,53 @@ def models(seeds: int):
                tuple(TopEventRef(c.name, "fail") for c in model.components))
     for seed in range(seeds):
         model, tops = genmodels.random_model(seed)
-        yield f"random_model({seed})", model, tops
+        yield f"random_model({seed})", model, tops, seed
     # NOT gates, which the cutset stages reject
     for seed in range(min(seeds, 1000)):
         model, tops = genmodels.random_model(seed, allow_not=True)
         yield f"random_model({seed}, allow_not=True)", model, tops
 
 
-def records(label: str, model, tops):
-    """The lines recorded for one model."""
+def mutations(text: str, seed: int):
+    """(how, document) of *text* with one line deleted, one line
+    duplicated and one identifier swapped for another from the text, as
+    the parse error tests mutate documents, then with tabs and CRLF."""
+    rng = random.Random(seed)
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    yield "delete", "\n".join(lines[:i] + lines[i + 1:])
+    i = rng.randrange(len(lines))
+    yield "duplicate", "\n".join(lines[:i + 1] + lines[i:])
+    spans = [m.span() for m in IDENTIFIER.finditer(text)]
+    start, end = rng.choice(spans)
+    yield "swap", text[:start] + rng.choice(sorted({text[a:b] for a, b in spans})) + text[end:]
+    yield "tabs-crlf", "\r\n".join("\t" + line.replace(" ", " \t") for line in lines)
+
+
+def parse_records(where: str, text: str):
+    """The lines recorded for parsing *text*."""
+    try:
+        model = parse(text)
+    except ParseError as exc:
+        yield (f"{where} parse error {exc.line}:{exc.column} token={exc.token!r} "
+               f"expected={exc.expected!r} {exc.message}")
+        return
+    yield f"{where} parse {model!r}"
+    for line in validate(model).render_lines():
+        yield f"{where} validate {line}"
+    for line in validate(dataclasses.replace(model)).render_lines():
+        yield f"{where} fresh-validate {line}"
+
+
+def records(label: str, model, tops, mutate: int | None = None):
+    """The lines recorded for one model; *mutate* seeds its document's
+    mutations, if any."""
+    text = serialize(model)
+    yield f"{label} document {text!r}"
+    yield from parse_records(label, text)
+    if mutate is not None:
+        for how, variant in mutations(text, mutate):
+            yield from parse_records(f"{label} {how}", variant)
     try:
         woven = weave(model)
     except CftweaveError as exc:
@@ -95,8 +144,8 @@ def main(argv=None) -> int:
     count = 0
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        for label, model, tops in models(args.seeds):
-            for line in records(label, model, tops):
+        for case in models(args.seeds):
+            for line in records(*case):
                 data = line + "\n"
                 digest.update(data.encode("utf-8"))
                 count += 1

@@ -233,6 +233,19 @@ class TestReport:
         assert identities == {cs.identities for cs in report.cutsets}
         assert report.cutsets is report.cutsets
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rows_hold_the_trees_names(self, stage):
+        # 4**6 pre products, split in several blocks; 2 + 2**6 reduced
+        # cutsets of sizes 1 and 6
+        model, top = genmodels.wide(6, GateKind.AND)
+        tree = synthesize(weave(model), top)
+        report = cutsets(tree, stage)
+        rows = report.rows()
+        assert rows == tuple(tuple(line.split(" ∧ ")) for line in report.lines())
+        # a collapsed common cause shows its identity
+        names = {id(name) for leaf in tree.leaves() for name in (leaf.display, leaf.identity)}
+        assert all(id(name) in names for row in rows for name in row)
+
 
 def reference_reduced(tree):
     """Reduced report lines recomputed from the pre products: map displays

@@ -474,6 +474,20 @@ class TestIndexes:
             assert flipped.component(comp.name) == comp
             assert hash(flipped.component(comp.name).cft) == hash(comp.cft)
 
+    @pytest.mark.parametrize("collection", [list, iter])
+    def test_cft_members_are_tuples_however_passed(self, collection):
+        # members of zero, one and two, so a short member skips no conversion
+        e, ifm = BasicEvent("e"), InputFailureMode("f")
+        ofms = (OutputFailureMode("o", None, NodeRef("e")),
+                OutputFailureMode("a", None, NodeRef("f")))
+        cft = ComponentFaultTree(events=collection([e]), gates=collection([]),
+                                 input_fms=collection([ifm]), output_fms=collection(ofms))
+        assert (cft.events, cft.gates, cft.input_fms, cft.output_fms) == (
+            (e,), (), (ifm,), ofms[::-1])
+        assert hash(cft) == hash(ComponentFaultTree(events=(e,), input_fms=(ifm,),
+                                                    output_fms=ofms))
+        assert cft.resolve(NodeRef("f")) is ifm
+
     def test_replace_rebuilds_indexes(self, fig2):
         extra = Component("extra", "hw", cft=ComponentFaultTree(
             events=(BasicEvent("z"),),

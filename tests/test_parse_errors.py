@@ -85,6 +85,16 @@ REJECTED = {
     "gate input in a later component": (
         HEAD + component("c", "event e") + component("d", "event e", "gate g = OR(e, ghost)"),
         "9:8: reference to undeclared node 'ghost' in component 'd' (got 'g')"),
+    # the failing line repeats a valid line of an earlier component, whose
+    # record must not stand in for it
+    "repeated gate line in a later component": (
+        HEAD + component("c", "event f", "event x", "gate g = OR(f, x)")
+        + component("d", "event f", "gate g = OR(f, x)"),
+        "11:8: reference to undeclared node 'x' in component 'd' (got 'g')"),
+    "repeated output failure mode line in a later component": (
+        HEAD + component("c", "out o", "event e", "outfm f@o = e")
+        + component("d", "out o", "outfm f@o = e"),
+        "11:9: reference to undeclared node 'e' in component 'd' (got 'f')"),
     "input failure mode": (
         HEAD + component("c", "in p", "infm f@p", "infm f@p"),
         "6:8: duplicate declaration of input failure mode 'c.f' (got 'f')"),
