@@ -33,19 +33,25 @@ report stages exist:
   which dependent's copy of a cause they hold share one identity-set
   object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
-  tree function over event identities.  The tree's distinct identities are
-  numbered once in sorted order and a product is an ``int`` bitmask over
-  them, so common causes collapse (and idempotence holds) before any
-  product is built.  Each AND gate minimises its cross product, absorbing
-  every product that contains another; OR gates only deduplicate; the root
-  is minimised once more.  Minimisation checks each product only against
-  smaller kept ones, found through an index keyed by lowest set bit, so the
-  cost follows the minimal cutsets rather than every display-level product.
-  The report is ordered by one sort on size, display names and identities,
-  so two cutsets that show alike (one identity's name can be another's
-  display) keep one order, whatever order minimisation found them in.  For
-  the same reason the report keeps each row's sorted identities: its
-  displays cannot always be mapped back to them.
+  tree function over event identities.  A tree whose gates are all OR (a
+  shape weaving often gives, as it ORs each provider failure into its
+  dependents) has its distinct identities as that form, since distinct
+  single atoms never absorb each other: its OR gates collect them as
+  ``pre``'s do names, with no bit table and no minimisation.  In a tree
+  with an AND gate, the distinct identities are numbered once in sorted
+  order and a product is an ``int`` bitmask over them, so common causes
+  collapse (and idempotence holds) before any product is built.  Each AND
+  gate minimises its cross product, absorbing every product that contains
+  another; OR gates only deduplicate; the root is minimised once more.
+  Minimisation checks each product only against smaller kept ones, found
+  through an index keyed by lowest set bit, so the cost follows the
+  minimal cutsets rather than every display-level product; a mask is still
+  as wide as the tree's identities.  The report is ordered by one sort on
+  size, display names and identities, so two cutsets that show alike (one
+  identity's name can be another's display) keep one order, whatever order
+  minimisation found them in.  For the same reason the report keeps each
+  row's sorted identities: its displays cannot always be mapped back to
+  them.
 
 Each AND gate may form at most :data:`MAX_PRODUCTS` products from two
 operands, in either stage; a larger cross product raises
@@ -398,7 +404,8 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         raise AnalysisError(f"unknown stage '{stage}', expected one of {STAGES}")
     if tree.root is None:
         raise AnalysisError("empty tree")
-    if any(isinstance(node, FTGate) and node.kind is GateKind.NOT for node in tree.nodes()):
+    kinds = {node.kind for node in tree.nodes() if isinstance(node, FTGate)}
+    if GateKind.NOT in kinds:
         raise AnalysisError("non-coherent tree: cutset semantics undefined")
 
     identity_of: dict[str, str] = {}
@@ -440,20 +447,29 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         return CutSetReport("pre", lines, partial(_split_lines, lines, runs, identity_of),
                             partial(_shared_identity_sets, identity_of=identity_of))
 
-    names = sorted(display_of)
-    bit_of = {name: 1 << i for i, name in enumerate(names)}
-
-    rows = []  # (size, displays, sorted identities) of each cutset
-    for mask in _identity_products(tree, bit_of):
-        members = []  # in bit order, which is sorted
-        while mask:
-            low = mask & -mask
-            members.append(names[low.bit_length() - 1])
-            mask ^= low
-        rows.append((len(members), tuple(sorted(display_of[i] for i in members)), members))
-    rows.sort()
-    lines = tuple([_SEP.join(displays) for _, displays, _ in rows])
-    identities = [members for _, _, members in rows]
+    if GateKind.AND in kinds:
+        names = sorted(display_of)
+        bit_of = {name: 1 << i for i, name in enumerate(names)}
+        rows = []  # (size, displays, sorted identities) of each cutset
+        for mask in _identity_products(tree, bit_of):
+            members = []  # in bit order, which is sorted
+            while mask:
+                low = mask & -mask
+                members.append(names[low.bit_length() - 1])
+                mask ^= low
+            rows.append((len(members), tuple(sorted(display_of[i] for i in members)), members))
+        rows.sort()
+        lines = tuple([_SEP.join(displays) for _, displays, _ in rows])
+        identities = [members for _, _, members in rows]
+    else:
+        # Distinct single atoms never absorb each other, so the minimal
+        # products of a tree with only OR gates are its distinct identities,
+        # collected with no bit table and no minimisation.
+        found = sorted(tree._fold(lambda leaf: (leaf.identity,),
+                                  lambda _node, kids, owned: _union(kids, owned)))
+        found.sort(key=display_of.__getitem__)  # stable: equal displays by identity
+        lines = tuple(map(display_of.__getitem__, found))
+        identities = [(identity,) for identity in found]
     return CutSetReport("reduced", lines,
                         # the runs in ascending size, counted only if rows are read
                         lambda: _split_lines(lines, Counter(map(len, identities)).items(),

@@ -193,8 +193,12 @@ class Component:
     cft: ComponentFaultTree | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "in_ports", tuple(sorted(self.in_ports)))
-        object.__setattr__(self, "out_ports", tuple(sorted(self.out_ports)))
+        ports = self.in_ports
+        if type(ports) is not tuple or len(ports) > 1:  # else already in order
+            object.__setattr__(self, "in_ports", tuple(sorted(ports)))
+        ports = self.out_ports
+        if type(ports) is not tuple or len(ports) > 1:
+            object.__setattr__(self, "out_ports", tuple(sorted(ports)))
 
 
 @dataclass(frozen=True)
@@ -431,7 +435,9 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
             f"{kind} name {name!r} is not a legal identifier")
 
 
-def _validate_cft(comp: Component, add, check_names: bool) -> None:
+def _validate_cft(comp: Component, add, check_names: bool, collides: bool) -> None:
+    """Check *comp*'s fault tree; *collides* says that some port name of
+    *comp* may be declared twice, perhaps once in each direction."""
     cft = comp.cft
     owner = comp.name
     # The constructor's index holds one entry per distinct key, so a tree
@@ -475,12 +481,15 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
         if ifm.port is None:
             if repeats:
                 claim(ifm, "port-less input failure mode")
-        elif _has(comp.out_ports, ifm.port):
-            add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
-                f"input failure mode bound to out-port '{ifm.port}'")
-        elif not _has(comp.in_ports, ifm.port):
-            add(Severity.ERROR, "unknown-port", _element(owner, ifm.name, ifm.port),
-                f"port '{ifm.port}' is not declared", ifm, f"{owner}.{ifm.port}")
+        # one probe settles a port found in its own direction, unless the
+        # name may be declared both ways
+        elif collides or not _has(comp.in_ports, ifm.port):
+            if _has(comp.out_ports, ifm.port):
+                add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
+                    f"input failure mode bound to out-port '{ifm.port}'")
+            elif not _has(comp.in_ports, ifm.port):
+                add(Severity.ERROR, "unknown-port", _element(owner, ifm.name, ifm.port),
+                    f"port '{ifm.port}' is not declared", ifm, f"{owner}.{ifm.port}")
 
     for ofm in cft.output_fms:
         if check_names:
@@ -491,7 +500,7 @@ def _validate_cft(comp: Component, add, check_names: bool) -> None:
                     _element(owner, ofm.name, ofm.port),
                     "output failure mode declared twice", ofm, ofm.name)
             seen_out.add((ofm.name, ofm.port))
-        if ofm.port is not None:
+        if ofm.port is not None and (collides or not _has(comp.out_ports, ofm.port)):
             if _has(comp.in_ports, ofm.port):
                 add(Severity.ERROR, "wrong-port-direction",
                     _element(owner, ofm.name, ofm.port),
@@ -568,10 +577,12 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
             add(Severity.ERROR, "unknown-layer", comp.name,
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
         count = len(comp.in_ports) + len(comp.out_ports)
+        collides = False
         if check_names or count > 1:  # a single port cannot collide
             ports = comp.in_ports + comp.out_ports
             distinct = set(ports)
-            counts = Counter(ports) if len(distinct) < count else None
+            collides = len(distinct) < count
+            counts = Counter(ports) if collides else None
             if check_names or counts is not None:
                 for port in sorted(distinct):
                     if check_names:
@@ -580,7 +591,7 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
                         add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
                             "port name used more than once", comp, port)
         if comp.cft is not None:
-            _validate_cft(comp, add, check_names)
+            _validate_cft(comp, add, check_names, collides)
 
     # A repeated connection shares its in-port's index entry.
     repeats = len(model._connections_into) < len(model.connections)

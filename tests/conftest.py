@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cftweave import load_fixture
@@ -21,3 +23,14 @@ def vehicle():
 def corpus():
     """The generated model corpus shared by the property-based criteria."""
     return [genmodels.random_model(seed) for seed in range(CORPUS_SIZE)]
+
+
+def traced_peak(fn):
+    """(fn's result, the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -16,9 +16,10 @@ one identifier swapped (choices drawn from the seed), and the document
 with tabs and CRLF endings.  A parse records the model's ``repr``, its
 ``validate`` lines and those of a fresh ``validate`` on a
 ``dataclasses.replace`` copy, or the error's line, column, token, expected
-items and message.  It prints the number of lines and their SHA-256.  It
-uses only the standard library, ``genmodels`` and the public names of
-``cftweave``; pytest does not collect it.
+items and message.  It prints the number of lines and their SHA-256, which
+:func:`digest` returns.  It uses only the standard library, ``genmodels``
+and the public names of ``cftweave``; pytest does not collect it, and
+``tests/test_pins.py`` pins its digest at 300 seeds.
 """
 
 from __future__ import annotations
@@ -134,27 +135,34 @@ def records(label: str, model, tops, mutate: int | None = None):
                 yield f"{where} {stage} display-set " + " ".join(displays)
 
 
+def digest(seeds: int, out=None) -> tuple[int, str]:
+    """(number of lines, SHA-256 hex digest) of every line recorded with
+    ``random_model`` seeds 0..*seeds*-1; each line also goes to the text
+    file *out*, if given."""
+    sha = hashlib.sha256()
+    count = 0
+    for case in models(seeds):
+        for line in records(*case):
+            data = line + "\n"
+            sha.update(data.encode("utf-8"))
+            count += 1
+            if out is not None:
+                out.write(data)
+    return count, sha.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=10_000,
                         help="random_model seeds 0..N-1 (default 10000)")
     parser.add_argument("--out", help="also write the recorded lines here")
     args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    count = 0
-    out = open(args.out, "w", encoding="utf-8") if args.out else None
-    try:
-        for case in models(args.seeds):
-            for line in records(*case):
-                data = line + "\n"
-                digest.update(data.encode("utf-8"))
-                count += 1
-                if out is not None:
-                    out.write(data)
-    finally:
-        if out is not None:
-            out.close()
-    print(f"{count} lines, sha256 {digest.hexdigest()}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            count, hexdigest = digest(args.seeds, out)
+    else:
+        count, hexdigest = digest(args.seeds)
+    print(f"{count} lines, sha256 {hexdigest}")
     return 0
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from cftweave import analyzer
 from cftweave.analyzer import MAX_PRODUCTS, STAGES
 
 import genmodels
+from conftest import traced_peak
 
 
 def leaf(identity, display=None):
@@ -265,26 +265,27 @@ def reference_reduced(tree):
 
 
 def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_children=4,
-             displays=None):
-    """The last node of a DAG of AND/OR gates whose children are drawn from
-    earlier nodes, so subtrees are shared; display names start with
-    *prefix*, or are *displays* when given, and several of them may map to
-    one identity."""
+             displays=None, kinds=(GateKind.AND, GateKind.OR)):
+    """The last node of a DAG of gates of the given *kinds* whose children
+    are drawn from earlier nodes, so subtrees are shared; display names
+    start with *prefix*, or are *displays* when given, and several of them
+    may map to one identity."""
     if displays is None:
         displays = [f"{prefix}d{k}" for k in range(draw(st.integers(1, max_leaves)))]
     pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", display)
             for display in displays]
     for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from((GateKind.AND, GateKind.OR)))
+        kind = draw(st.sampled_from(kinds))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_children))
         pool.append(FTGate(kind, tuple(pool[i] for i in picks)))
     return pool[-1]
 
 
 @st.composite
-def coherent_trees(draw):
-    """Trees over one DAG of AND/OR gates."""
-    return tree_of(draw_dag(draw, draw(st.integers(1, 5))))
+def coherent_trees(draw, kinds=(GateKind.AND, GateKind.OR)):
+    """Trees over one DAG of gates of the given *kinds*, AND and OR by
+    default."""
+    return tree_of(draw_dag(draw, draw(st.integers(1, 5)), kinds=kinds))
 
 
 # Display names that are proper prefixes of one another, or differ at "-",
@@ -480,6 +481,31 @@ class TestReducedAgainstReference:
         assert report.identity_sets() == expected_sets
         assert report.lines() == expected_lines
 
+    @settings(max_examples=300, deadline=None)
+    @given(coherent_trees(kinds=(GateKind.OR,)))
+    def test_or_only_trees_match_quadratic_absorb_of_pre(self, tree):
+        # the OR-only path: each distinct identity is a cutset of its own
+        expected_sets, expected_lines = reference_reduced(tree)
+        report = cutsets(tree, "reduced")
+        assert report.identity_sets() == expected_sets
+        assert report.lines() == expected_lines
+        assert report.rows() == tuple((line,) for line in expected_lines)
+
+    def test_or_only_trees_build_no_masks(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("an OR-only tree reached the mask engine")
+
+        monkeypatch.setattr(analyzer, "_identity_products", unused)
+        monkeypatch.setattr(analyzer, "_minimise", unused)
+        # identity a shows as itself, and so does b's display
+        alike = or_of(leaf("a", "x"), leaf("b", "a"), or_of(leaf("c"), leaf("a", "y")))
+        trees = [tree_of(leaf("x", "X")), tree_of(or_of()), tree_of(alike)]
+        for model, top in (genmodels.chain(300), genmodels.wide(50, GateKind.OR)):
+            trees.append(synthesize(weave(model), top))
+        for tree in trees:
+            report = cutsets(tree, "reduced")
+            assert (report.identity_sets(), report.lines()) == reference_reduced(tree)
+
     def test_empty_product_absorbs_everything(self):
         root = FTGate(GateKind.OR, (leaf("x"), FTGate(GateKind.AND, ())))
         report = cutsets(tree_of(root), "reduced")
@@ -527,12 +553,7 @@ class TestClosedFormFamilies:
         # sensor holds its own copy of the battery's failure modes
         model, top = genmodels.wide(6, GateKind.AND)
         tree = synthesize(weave(model), top)
-        tracemalloc.start()
-        try:
-            report = cutsets(tree, "pre")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: cutsets(tree, "pre"))
         assert len(report.cutsets) == 4 ** 6
         assert len({id(cs.identities) for cs in report.cutsets}) \
             == len(report.identity_sets()) == 1867
@@ -575,13 +596,12 @@ class TestLimits:
                        for side in "ab")
         tree = tree_of(FTGate(GateKind.AND, halves))
         assert 600 * 600 > MAX_PRODUCTS
-        tracemalloc.start()
-        try:
+
+        def over_budget():
             with pytest.raises(AnalysisError, match="360000"):
                 cutsets(tree, stage)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(over_budget)
         # 360,000 built products would take well over 10 MB in either stage
         assert peak < 2_000_000
 
@@ -655,12 +675,7 @@ class TestLimits:
         for n in (250, 1000):
             model, top = genmodels.chain(n)
             tree = synthesize(weave(model), top)
-            tracemalloc.start()
-            try:
-                cutsets(tree, stage)
-                _, peaks[n] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peaks[n] = traced_peak(lambda: cutsets(tree, stage))
         # keeping every node's products to the end of the fold grows with
         # the square of the depth, about 12x to 14x here
         assert peaks[1000] <= 6 * peaks[250]

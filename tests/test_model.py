@@ -149,6 +149,23 @@ class TestValidate:
         report = validate(model)
         assert codes(report).count("wrong-port-direction") == 2
 
+    def test_failure_modes_on_a_port_declared_both_ways(self):
+        # a port in both directions is found in each failure mode's own
+        # direction, yet still reported as bound to the other one
+        cft = ComponentFaultTree(
+            events=(BasicEvent("e"),),
+            input_fms=(InputFailureMode("fm", "p"),),
+            output_fms=(OutputFailureMode("fm", "p", NodeRef("e")),),
+        )
+        model = ArchitectureModel(
+            layers=("l",),
+            components=(Component("c", "l", in_ports=("p",), out_ports=("p",), cft=cft),))
+        lines = validate(model).render_lines()
+        assert [line for line in lines if line.startswith("error")] == [
+            "error[port-collision] c.p: port name used more than once",
+            "error[wrong-port-direction] c.fm@p: input failure mode bound to out-port 'p'",
+            "error[wrong-port-direction] c.fm@p: output failure mode bound to in-port 'p'"]
+
     def test_unknown_node_reference(self):
         cft = ComponentFaultTree(
             output_fms=(OutputFailureMode("fm", None, NodeRef("ghost")),))

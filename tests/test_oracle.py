@@ -1,7 +1,6 @@
 """Truth-table oracle: direct network evaluation and equivalence checks."""
 
 import ast
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from cftweave import (
 )
 
 import genmodels
+from conftest import traced_peak
 
 import cftweave.oracle
 
@@ -283,13 +283,12 @@ def test_wide_network_walk_stops_at_the_identity_budget():
     woven = weave(model)
     # an order long enough for every leaf does not lift the budget
     variables = [f"v{k}" for k in range(8002)]
-    tracemalloc.start()
-    try:
+
+    def over_budget():
         with pytest.raises(OracleError, match=r"identity budget exceeded: 25 > 24\Z"):
             table_of_network(woven, top, variables)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(over_budget)
     # resolving all 8,002 leaves and 4,000 sensor gates peaks above 5 MB,
     # an identity map of the whole model alone takes over 1 MB, and an
     # injection map over it 0.74 MB

@@ -1,0 +1,53 @@
+"""Pins of today's outputs and costs.
+
+The recorder's digest at 300 seeds stands for every output byte it sees;
+a change that alters an output on purpose changes the pin with it.  The
+growth pins hold each stage's tracemalloc peak on ``wide(4000, OR)`` to at
+most 5 times that on ``wide(1000, OR)``, four times smaller, so no stage
+grows faster than the model.  Tracing makes a stage about six times
+slower, so the sizes are those that keep the pins to a few seconds.
+"""
+
+import pytest
+
+from cftweave import GateKind, cutsets, parse, serialize, synthesize, weave
+
+import genmodels
+import record_outputs
+from conftest import traced_peak
+
+SEEDS_300 = (61779, "b3ad837972c4ef8a220dce66c658a89e15baff7c5848324635bc39a20b97589a")
+
+SIZES = (1000, 4000)
+STAGES = ("parse", "weave", "synthesize", "to_prefix_text", "pre", "reduced")
+
+
+def test_recorded_outputs_are_unchanged():
+    assert record_outputs.digest(300) == SEEDS_300
+
+
+@pytest.fixture(scope="session")
+def wide_or_peaks():
+    """Per size, the peak of each stage, run once on the previous stage's
+    result, so each model is built once."""
+    peaks = {}
+    for n in SIZES:
+        model, top = genmodels.wide(n, GateKind.OR)
+        text = serialize(model)
+        peak = peaks[n] = {}
+        model, peak["parse"] = traced_peak(lambda: parse(text))
+        woven, peak["weave"] = traced_peak(lambda: weave(model))
+        tree, peak["synthesize"] = traced_peak(lambda: synthesize(woven, top))
+        _, peak["to_prefix_text"] = traced_peak(tree.to_prefix_text)
+        for stage in ("pre", "reduced"):
+            _, peak[stage] = traced_peak(lambda: cutsets(tree, stage))
+    return peaks
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_wide_or_peak_grows_linearly(wide_or_peaks, stage):
+    # from 1,000 to 4,000 sensors each stage's peak grows 4.1x to 4.7x
+    # (weave the most); a bit table of every identity in reduced grew its
+    # peak 6.8x
+    small, large = (wide_or_peaks[n][stage] for n in SIZES)
+    assert large <= 5 * small, f"{stage}: {small} -> {large} bytes"
