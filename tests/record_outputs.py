@@ -1,4 +1,4 @@
-"""Record parse, validate and cutset outputs over fixed models, as one digest.
+"""Record parse, validate, weave, DOT and cutset outputs as one digest.
 
 Run it on two source trees to show that a change keeps every output byte::
 
@@ -7,10 +7,11 @@ Run it on two source trees to show that a change keeps every output byte::
 
 For both fixtures, the ``genmodels`` families, ``random_model`` seeds
 0..N-1 and, with NOT gates, seeds 0..min(N, 1000)-1, it records the
-model's document, what ``parse`` makes of it and, for each top event, the
-prefix text of the tree and, for both cutset stages, the report lines, the
-TSV rows, each row's sorted identities and the sorted display sets; a step
-that raises records the error text instead.  For each ``random_model``
+model's document, what ``parse`` makes of it, the model's DOT, the woven
+model's DOT, document and sidecar lines and, for each top event, the
+prefix text and DOT of the tree and, for both cutset stages, the report
+lines, the TSV rows, each row's sorted identities and the sorted display
+sets; a step that raises records the error text instead.  For each ``random_model``
 seed it also parses the document with one line deleted, one duplicated and
 one identifier swapped (choices drawn from the seed), and the document
 with tabs and CRLF endings.  A parse records the model's ``repr``, its
@@ -32,7 +33,8 @@ import re
 import sys
 
 from cftweave import (CftweaveError, GateKind, ParseError, TopEventRef, cutsets,
-                      load_fixture, parse, serialize, synthesize, validate, weave)
+                      export_dot, load_fixture, parse, serialize, synthesize, validate,
+                      weave)
 
 import genmodels
 
@@ -98,6 +100,14 @@ def parse_records(where: str, text: str):
         yield f"{where} fresh-validate {line}"
 
 
+def attempt(where: str, what: str, call) -> str:
+    """The line recorded for the text *call* returns, or for its error."""
+    try:
+        return f"{where} {what} {call()!r}"
+    except CftweaveError as exc:
+        return f"{where} {what} error: {type(exc).__name__}: {exc}"
+
+
 def records(label: str, model, tops, mutate: int | None = None):
     """The lines recorded for one model; *mutate* seeds its document's
     mutations, if any."""
@@ -107,11 +117,16 @@ def records(label: str, model, tops, mutate: int | None = None):
     if mutate is not None:
         for how, variant in mutations(text, mutate):
             yield from parse_records(f"{label} {how}", variant)
+    yield attempt(label, "dot", lambda: export_dot(model))
     try:
         woven = weave(model)
     except CftweaveError as exc:
         yield f"{label} weave error: {type(exc).__name__}: {exc}"
         return
+    yield attempt(label, "woven dot", lambda: export_dot(woven))
+    yield attempt(label, "woven document", lambda: serialize(woven.model))
+    for line in woven.sidecar_lines():
+        yield f"{label} sidecar {line}"
     for top in tops:
         where = f"{label} {top}"
         try:
@@ -120,6 +135,7 @@ def records(label: str, model, tops, mutate: int | None = None):
             yield f"{where} synthesize error: {type(exc).__name__}: {exc}"
             continue
         yield f"{where} prefix {tree.to_prefix_text()}"
+        yield attempt(where, "dot", lambda: export_dot(tree))
         for stage in ("pre", "reduced"):
             try:
                 report = cutsets(tree, stage)

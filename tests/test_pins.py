@@ -10,16 +10,17 @@ slower, so the sizes are those that keep the pins to a few seconds.
 
 import pytest
 
-from cftweave import GateKind, cutsets, parse, serialize, synthesize, weave
+from cftweave import GateKind, cutsets, export_dot, parse, serialize, synthesize, weave
 
 import genmodels
 import record_outputs
 from conftest import traced_peak
 
-SEEDS_300 = (61779, "b3ad837972c4ef8a220dce66c658a89e15baff7c5848324635bc39a20b97589a")
+SEEDS_300 = (68115, "a0a947beb7f906b2284221df876ee7068c4c9941e158aa163176e315c737b585")
 
 SIZES = (1000, 4000)
-STAGES = ("parse", "weave", "synthesize", "to_prefix_text", "pre", "reduced")
+STAGES = ("parse", "weave", "synthesize", "to_prefix_text", "pre", "reduced", "model_dot",
+          "tree_dot")
 
 
 def test_recorded_outputs_are_unchanged():
@@ -41,13 +42,15 @@ def wide_or_peaks():
         _, peak["to_prefix_text"] = traced_peak(tree.to_prefix_text)
         for stage in ("pre", "reduced"):
             _, peak[stage] = traced_peak(lambda: cutsets(tree, stage))
+        _, peak["model_dot"] = traced_peak(lambda: export_dot(model))
+        _, peak["tree_dot"] = traced_peak(lambda: export_dot(tree))
     return peaks
 
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_wide_or_peak_grows_linearly(wide_or_peaks, stage):
     # from 1,000 to 4,000 sensors each stage's peak grows 4.1x to 4.7x
-    # (weave the most); a bit table of every identity in reduced grew its
-    # peak 6.8x
+    # (weave the most; the model's DOT 4.3x, the tree's 4.1x); a bit table
+    # of every identity in reduced grew its peak 6.8x
     small, large = (wide_or_peaks[n][stage] for n in SIZES)
     assert large <= 5 * small, f"{stage}: {small} -> {large} bytes"

@@ -5,11 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftweave import (
+    AlfredDependency,
+    ArchitectureModel,
+    BasicEvent,
+    Component,
+    ComponentFaultTree,
     FaultTree,
     FTBasicEvent,
+    FTExternalEvent,
     FTGate,
+    Gate,
     GateKind,
+    InputFailureMode,
+    NodeRef,
+    OutputFailureMode,
     ParseError,
+    PortConnection,
     TopEventRef,
     export_dot,
     fixture_text,
@@ -297,6 +308,96 @@ class TestDot:
             '  "S.port.o" -> "T.port.i";',
             '  "S" -> "B" [style=dashed];',
             '}']) + "\n"
+
+    def test_names_are_escaped_in_every_slot(self):
+        # parse admits no '"' or '\', so both models are built directly;
+        # every name holds both.  A port named "" is drawn as a port, and a
+        # failure mode bound to it is labelled bare but joined to it.
+        def n(name):
+            return name + '"\\'
+
+        provider = ComponentFaultTree(
+            events=(BasicEvent(n("b")),),
+            output_fms=(OutputFailureMode(n("y"), n("o"), NodeRef(n("b"))),
+                        OutputFailureMode(n("w"), None, NodeRef(n("b")))))
+        dependent = ComponentFaultTree(
+            events=(BasicEvent(n("e")),),
+            gates=(Gate(n("g"), GateKind.AND, (NodeRef(n("e")), NodeRef(n("f"), n("i")),
+                                               NodeRef(n("h"), ""))),),
+            input_fms=(InputFailureMode(n("f"), n("i")), InputFailureMode(n("h"), "")),
+            output_fms=(OutputFailureMode(n("y"), n("o"), NodeRef(n("g"))),
+                        OutputFailureMode(n("z"), "", NodeRef(n("e")))))
+        model = ArchitectureModel(
+            layers=(n("L"), n("M")),
+            components=(Component(n("P"), n("L"), (), (n("o"),), provider),
+                        Component(n("C"), n("M"), (n("i"), ""), (n("o"),), dependent)),
+            connections=(PortConnection(n("P"), n("o"), n("C"), n("i")),
+                         PortConnection(n("P"), n("o"), n("C"), "")),
+            dependencies=(AlfredDependency(n("C"), n("P")),))
+        assert export_dot(model) == "\n".join([
+            r'digraph model {',
+            r'  rankdir=LR;',
+            r'  subgraph "cluster_P\"\\" {',
+            r'    label="P\"\\ (L\"\\)";',
+            r'    "P\"\\" [shape=box];',
+            r'    "P\"\\.port.o\"\\" [label="o\"\\", shape=ellipse];',
+            r'    "P\"\\.node.b\"\\" [label="b\"\\", shape=circle];',
+            r'    "P\"\\.outfm.w\"\\" [label="w\"\\", shape=triangle];',
+            r'    "P\"\\.outfm.y\"\\@o\"\\" [label="y\"\\@o\"\\", shape=triangle];',
+            r'    "P\"\\.node.b\"\\" -> "P\"\\.outfm.w\"\\";',
+            r'    "P\"\\.node.b\"\\" -> "P\"\\.outfm.y\"\\@o\"\\";',
+            r'    "P\"\\.outfm.y\"\\@o\"\\" -> "P\"\\.port.o\"\\";',
+            r'  }',
+            r'  subgraph "cluster_C\"\\" {',
+            r'    label="C\"\\ (M\"\\)";',
+            r'    "C\"\\" [shape=box];',
+            r'    "C\"\\.port." [label="", shape=ellipse];',
+            r'    "C\"\\.port.i\"\\" [label="i\"\\", shape=ellipse];',
+            r'    "C\"\\.port.o\"\\" [label="o\"\\", shape=ellipse];',
+            r'    "C\"\\.node.e\"\\" [label="e\"\\", shape=circle];',
+            r'    "C\"\\.node.g\"\\" [label="AND", shape=invhouse];',
+            r'    "C\"\\.node.f\"\\@i\"\\" [label="f\"\\@i\"\\", shape=invtriangle];',
+            r'    "C\"\\.node.h\"\\" [label="h\"\\", shape=invtriangle];',
+            r'    "C\"\\.outfm.y\"\\@o\"\\" [label="y\"\\@o\"\\", shape=triangle];',
+            r'    "C\"\\.outfm.z\"\\" [label="z\"\\", shape=triangle];',
+            r'    "C\"\\.node.e\"\\" -> "C\"\\.node.g\"\\";',
+            r'    "C\"\\.node.f\"\\@i\"\\" -> "C\"\\.node.g\"\\";',
+            r'    "C\"\\.node.h\"\\" -> "C\"\\.node.g\"\\";',
+            r'    "C\"\\.port.i\"\\" -> "C\"\\.node.f\"\\@i\"\\";',
+            r'    "C\"\\.port." -> "C\"\\.node.h\"\\";',
+            r'    "C\"\\.node.g\"\\" -> "C\"\\.outfm.y\"\\@o\"\\";',
+            r'    "C\"\\.outfm.y\"\\@o\"\\" -> "C\"\\.port.o\"\\";',
+            r'    "C\"\\.node.e\"\\" -> "C\"\\.outfm.z\"\\";',
+            r'    "C\"\\.outfm.z\"\\" -> "C\"\\.port.";',
+            r'  }',
+            r'  "P\"\\.port.o\"\\" -> "C\"\\.port.";',
+            r'  "P\"\\.port.o\"\\" -> "C\"\\.port.i\"\\";',
+            r'  "C\"\\" -> "P\"\\" [style=dashed];',
+            r'}']) + "\n"
+
+        # gate labels are their kinds; a leaf shared by two gates is one node
+        shared = FTBasicEvent(identity="s", display=n("s"))
+        external = FTExternalEvent(component="C", port="", failure_mode="x",
+                                   identity="x", display=n("x"))
+        root = FTGate(GateKind.OR, (
+            FTBasicEvent(identity="e", display=n("e")), external,
+            FTGate(GateKind.AND, (shared, FTGate(GateKind.NOT, (shared,)))), shared))
+        assert export_dot(FaultTree(root=root, top=TopEventRef("C", "z"))) == "\n".join([
+            r'digraph fault_tree {',
+            r'  n0 [label="OR", shape=box];',
+            r'  n1 [label="e\"\\", shape=ellipse];',
+            r'  n2 [label="x\"\\", shape=triangle];',
+            r'  n3 [label="AND", shape=box];',
+            r'  n4 [label="s\"\\", shape=ellipse];',
+            r'  n5 [label="NOT", shape=box];',
+            r'  n0 -> n1;',
+            r'  n0 -> n2;',
+            r'  n3 -> n4;',
+            r'  n5 -> n4;',
+            r'  n3 -> n5;',
+            r'  n0 -> n3;',
+            r'  n0 -> n4;',
+            r'}']) + "\n"
 
     def test_woven_model_exports_its_model(self, fig2):
         woven = weave(fig2)
