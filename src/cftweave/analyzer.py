@@ -36,8 +36,8 @@ report stages exist:
   tree function over event identities.  A tree whose gates are all OR (a
   shape weaving often gives, as it ORs each provider failure into its
   dependents) has its distinct identities as that form, since distinct
-  single atoms never absorb each other: its OR gates collect them as
-  ``pre``'s do names, with no bit table and no minimisation.  In a tree
+  single atoms never absorb each other: they are read off its leaves,
+  with no fold, no bit table and no minimisation.  In a tree
   with an AND gate, the distinct identities are numbered once in sorted
   order and a product is an ``int`` bitmask over them, so common causes
   collapse (and idempotence holds) before any product is built.  Each AND
@@ -464,9 +464,8 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
     else:
         # Distinct single atoms never absorb each other, so the minimal
         # products of a tree with only OR gates are its distinct identities,
-        # collected with no bit table and no minimisation.
-        found = sorted(tree._fold(lambda leaf: (leaf.identity,),
-                                  lambda _node, kids, owned: _union(kids, owned)))
+        # the keys of display_of: no fold, no bit table, no minimisation.
+        found = sorted(display_of)
         found.sort(key=display_of.__getitem__)  # stable: equal displays by identity
         lines = tuple(map(display_of.__getitem__, found))
         identities = [(identity,) for identity in found]

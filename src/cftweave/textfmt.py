@@ -42,11 +42,16 @@ name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
 and name order within a kind, then connections, dependencies and
 common-cause aliases, each sorted.  ``parse(serialize(m)) == m`` for every
 valid model, and serialising twice is byte-identical.
+
+DOT export writes each line with one format and escapes ``\\`` and ``"``
+one character at a time, so a joined text's escape is the join of its
+parts': each name is escaped once and serves every id, label and edge.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -580,49 +585,53 @@ def serialize(model: ArchitectureModel) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _model_dot(model: ArchitectureModel) -> str:
+    esc = cache(_escape)  # each distinct name escaped once per export
+
+    def ref(x) -> str:
+        """A node reference, or a failure mode's, as NodeRef.render spells it."""
+        return f"{esc(x.name)}@{esc(x.port)}" if x.port else esc(x.name)
+
     lines = ["digraph model {", "  rankdir=LR;"]
     for comp in model.components:
-        name = comp.name
-        lines += [f"  subgraph {_quote('cluster_' + name)} {{",
-                  f"    label={_quote(f'{name} ({comp.layer})')};",
-                  f"    {_quote(name)} [shape=box];"]
-        port, node = f"{name}.port.", f"{name}.node."
-        nodes = [(port + p, p, "ellipse") for p in comp.in_ports + comp.out_ports]
-        edges = []
+        c = esc(comp.name)
+        port, node, outfm = f'"{c}.port.', f'"{c}.node.', f'"{c}.outfm.'
+        lines += [f'  subgraph "cluster_{c}" {{',
+                  f'    label="{c} ({esc(comp.layer)})";',
+                  f'    "{c}" [shape=box];']
+        lines += [f'    {port}{p}" [label="{p}", shape=ellipse];'
+                  for p in map(esc, comp.in_ports + comp.out_ports)]
         cft = comp.cft
         if cft is not None:
-            nodes += [(node + e.name, e.name, "circle") for e in cft.events]
+            lines += [f'    {node}{e}" [label="{e}", shape=circle];'
+                      for e in (esc(event.name) for event in cft.events)]
+            edges = []
             for gate in cft.gates:
-                gid = node + gate.name
-                nodes.append((gid, gate.kind.value, "invhouse"))
-                edges += [(node + ref.render(), gid) for ref in gate.inputs]
-            for ifm in cft.input_fms:
-                label = NodeRef(ifm.name, ifm.port).render()
-                iid = node + label
-                nodes.append((iid, label, "invtriangle"))
-                if ifm.port is not None:
-                    edges.append((port + ifm.port, iid))
-            for ofm in cft.output_fms:
-                label = NodeRef(ofm.name, ofm.port).render()
-                oid = f"{name}.outfm.{label}"
-                nodes.append((oid, label, "triangle"))
-                edges.append((node + ofm.driver.render(), oid))
-                if ofm.port is not None:
-                    edges.append((oid, port + ofm.port))
-        lines += [f"    {_quote(i)} [label={_quote(label)}, shape={shape}];"
-                  for i, label, shape in nodes]
-        lines += [f"    {_quote(a)} -> {_quote(b)};" for a, b in edges]
+                g = esc(gate.name)
+                lines.append(f'    {node}{g}" [label="{gate.kind.value}", shape=invhouse];')
+                edges += [f'    {node}{ref(r)}" -> {node}{g}";' for r in gate.inputs]
+            for fm in cft.input_fms:
+                i = ref(fm)
+                lines.append(f'    {node}{i}" [label="{i}", shape=invtriangle];')
+                if fm.port is not None:
+                    edges.append(f'    {port}{esc(fm.port)}" -> {node}{i}";')
+            for fm in cft.output_fms:
+                o = ref(fm)
+                lines.append(f'    {outfm}{o}" [label="{o}", shape=triangle];')
+                edges.append(f'    {node}{ref(fm.driver)}" -> {outfm}{o}";')
+                if fm.port is not None:
+                    edges.append(f'    {outfm}{o}" -> {port}{esc(fm.port)}";')
+            lines += edges
         lines.append("  }")
-    for conn in model.connections:
-        lines.append(f"  {_quote(f'{conn.from_component}.port.{conn.from_port}')} -> "
-                     f"{_quote(f'{conn.to_component}.port.{conn.to_port}')};")
-    for dep in model.dependencies:
-        lines.append(f"  {_quote(dep.dependent)} -> {_quote(dep.provider)} [style=dashed];")
+    lines += [f'  "{esc(conn.from_component)}.port.{esc(conn.from_port)}" -> '
+              f'"{esc(conn.to_component)}.port.{esc(conn.to_port)}";'
+              for conn in model.connections]
+    lines += [f'  "{esc(dep.dependent)}" -> "{esc(dep.provider)}" [style=dashed];'
+              for dep in model.dependencies]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -634,30 +643,29 @@ def _tree_dot(tree: FaultTree) -> str:
     node_lines: list[str] = []
     edge_lines: list[str] = []
 
-    def number(node) -> None:
-        ids[id(node)] = f"n{len(ids)}"
+    def number(node) -> str:
+        ids[id(node)] = n = f"n{len(ids)}"
         if isinstance(node, FTGate):
-            label, shape = node.kind.value, "box"
-        elif isinstance(node, FTExternalEvent):
-            label, shape = node.display, "triangle"
+            node_lines.append(f'  {n} [label="{node.kind.value}", shape=box];')
         else:
-            label, shape = node.display, "ellipse"
-        node_lines.append(f"  {ids[id(node)]} [label={_quote(label)}, shape={shape}];")
+            shape = "triangle" if isinstance(node, FTExternalEvent) else "ellipse"
+            node_lines.append(f'  {n} [label="{_escape(node.display)}", shape={shape}];')
+        return n
 
     root = tree.root
-    number(root)
+    top = number(root)
     # (name, children left) of each gate whose subtree is being written
-    stack = [(ids[id(root)], iter(root.children))] if isinstance(root, FTGate) else []
+    stack = [(top, iter(root.children))] if isinstance(root, FTGate) else []
     while stack:
         parent, children = stack[-1]
         for child in children:
-            key = id(child)
-            if key not in ids:
-                number(child)
+            n = ids.get(id(child))
+            if n is None:
+                n = number(child)
                 if isinstance(child, FTGate):
-                    stack.append((ids[key], iter(child.children)))
+                    stack.append((n, iter(child.children)))
                     break
-            edge_lines.append(f"  {parent} -> {ids[key]};")
+            edge_lines.append(f"  {parent} -> {n};")
         else:
             stack.pop()
             if stack:

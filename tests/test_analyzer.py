@@ -492,18 +492,22 @@ class TestReducedAgainstReference:
         assert report.rows() == tuple((line,) for line in expected_lines)
 
     def test_or_only_trees_build_no_masks(self, monkeypatch):
+        # the OR-only path reads the identities off the leaves: it neither
+        # folds the tree nor reaches the mask engine
         def unused(*args):
-            raise AssertionError("an OR-only tree reached the mask engine")
+            raise AssertionError("an OR-only tree was folded or reached the mask engine")
 
-        monkeypatch.setattr(analyzer, "_identity_products", unused)
-        monkeypatch.setattr(analyzer, "_minimise", unused)
         # identity a shows as itself, and so does b's display
         alike = or_of(leaf("a", "x"), leaf("b", "a"), or_of(leaf("c"), leaf("a", "y")))
         trees = [tree_of(leaf("x", "X")), tree_of(or_of()), tree_of(alike)]
         for model, top in (genmodels.chain(300), genmodels.wide(50, GateKind.OR)):
             trees.append(synthesize(weave(model), top))
-        for tree in trees:
-            report = cutsets(tree, "reduced")
+        with monkeypatch.context() as patched:
+            for name in ("_identity_products", "_minimise"):
+                patched.setattr(analyzer, name, unused)
+            patched.setattr(FaultTree, "_fold", unused)
+            reports = [cutsets(tree, "reduced") for tree in trees]
+        for tree, report in zip(trees, reports):
             assert (report.identity_sets(), report.lines()) == reference_reduced(tree)
 
     def test_empty_product_absorbs_everything(self):
@@ -680,11 +684,10 @@ class TestLimits:
         # the square of the depth, about 12x to 14x here
         assert peaks[1000] <= 6 * peaks[250]
 
-    @pytest.mark.parametrize("stage", STAGES)
-    def test_chain_or_gates_fill_one_product_dict(self, stage, monkeypatch):
+    def test_chain_or_gates_fill_one_product_dict(self, monkeypatch):
         # every OR gate's first child is the gate below it, folded there for
-        # the last time, so each stage extends the dict the bottom OR made
-        # instead of copying every product below it
+        # the last time, so pre extends the dict the bottom OR made instead
+        # of copying every product below it
         n = 300
         model, top = genmodels.chain(n)
         tree = synthesize(weave(model), top)
@@ -698,14 +701,21 @@ class TestLimits:
             return fold(self, leaf, recorded)
 
         monkeypatch.setattr(FaultTree, "_fold", recording)
-        report = cutsets(tree, stage)
+        report = cutsets(tree, "pre")
         # stage 0 is one OR, every later stage adds two
         assert len(values) == 2 * n - 1
         assert all(value is values[0] for value in values)
-        # n events and two battery failure modes; pre names the battery's
-        # copy in each stage
-        products = 3 * n if stage == "pre" else n + 2
-        assert len(values[0]) == len(report.lines()) == products
+        # n events and two battery failure modes, and the battery's copy
+        # in each stage
+        assert len(values[0]) == len(report.lines()) == 3 * n
+
+    def test_chain_reduced_is_its_distinct_identities(self):
+        # n events and the battery's two failure modes, each copy of them
+        # one identity
+        n = 300
+        model, top = genmodels.chain(n)
+        report = cutsets(synthesize(weave(model), top), "reduced")
+        assert len(report.lines()) == n + 2
 
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")
