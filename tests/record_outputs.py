@@ -11,16 +11,16 @@ model's document, what ``parse`` makes of it, the model's DOT, the woven
 model's DOT, document and sidecar lines and, for each top event, the
 prefix text and DOT of the tree and, for both cutset stages, the report
 lines, the TSV rows, each row's sorted identities and the sorted display
-sets; a step that raises records the error text instead.  For each ``random_model``
-seed it also parses the document with one line deleted, one duplicated and
-one identifier swapped (choices drawn from the seed), and the document
-with tabs and CRLF endings.  A parse records the model's ``repr``, its
-``validate`` lines and those of a fresh ``validate`` on a
-``dataclasses.replace`` copy, or the error's line, column, token, expected
-items and message.  It prints the number of lines and their SHA-256, which
-:func:`digest` returns.  It uses only the standard library, ``genmodels``
-and the public names of ``cftweave``; pytest does not collect it, and
-``tests/test_pins.py`` pins its digest at 300 seeds.
+sets; a step that raises records the error text instead.  For each
+``random_model`` seed it also parses the document with one line deleted,
+one duplicated and one identifier swapped (choices drawn from the seed),
+and the document with tabs and CRLF endings.  A parse records the
+model's ``repr``, its ``validate`` lines and those of a fresh ``validate``
+on a ``dataclasses.replace`` copy, or the error's line, column, token,
+expected items and message.  It prints the number of lines and their
+SHA-256, which :func:`digest` returns.  It uses only the standard library,
+``genmodels`` and the public names of ``cftweave``; pytest does not
+collect it, and ``tests/test_pins.py`` pins its digest at 300 seeds.
 """
 
 from __future__ import annotations
