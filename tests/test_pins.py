@@ -50,7 +50,7 @@ def wide_or_peaks():
 @pytest.mark.parametrize("stage", STAGES)
 def test_wide_or_peak_grows_linearly(wide_or_peaks, stage):
     # from 1,000 to 4,000 sensors each stage's peak grows 4.1x to 4.7x
-    # (weave the most; the model's DOT 4.3x, the tree's 4.1x); a bit table
-    # of every identity in reduced grew its peak 6.8x
+    # (weave the most; the model's and the tree's DOT 4.1x); a bit table of
+    # every identity in reduced grew its peak 6.8x
     small, large = (wide_or_peaks[n][stage] for n in SIZES)
     assert large <= 5 * small, f"{stage}: {small} -> {large} bytes"
