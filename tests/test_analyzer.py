@@ -509,6 +509,8 @@ class TestReducedAgainstReference:
             reports = [cutsets(tree, "reduced") for tree in trees]
         for tree, report in zip(trees, reports):
             assert (report.identity_sets(), report.lines()) == reference_reduced(tree)
+        # chain(300): its 300 events and the battery's two failure modes
+        assert len(reports[3].lines()) == 300 + 2
 
     def test_empty_product_absorbs_everything(self):
         root = FTGate(GateKind.OR, (leaf("x"), FTGate(GateKind.AND, ())))
@@ -708,14 +710,6 @@ class TestLimits:
         # n events and two battery failure modes, and the battery's copy
         # in each stage
         assert len(values[0]) == len(report.lines()) == 3 * n
-
-    def test_chain_reduced_is_its_distinct_identities(self):
-        # n events and the battery's two failure modes, each copy of them
-        # one identity
-        n = 300
-        model, top = genmodels.chain(n)
-        report = cutsets(synthesize(weave(model), top), "reduced")
-        assert len(report.lines()) == n + 2
 
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")
