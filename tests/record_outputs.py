@@ -1,4 +1,4 @@
-"""Record parse, validate, weave, DOT and cutset outputs as one digest.
+"""Record parse, validate, weave, DOT, cutset and oracle outputs as one digest.
 
 Run it on two source trees to show that a change keeps every output byte::
 
@@ -11,7 +11,10 @@ model's document, what ``parse`` makes of it, the model's DOT, the woven
 model's DOT, document and sidecar lines and, for each top event, the
 prefix text and DOT of the tree and, for both cutset stages, the report
 lines, the TSV rows, each row's sorted identities and the sorted display
-sets; a step that raises records the error text instead.  For each
+sets, then the oracle's table of the network and, over its variables,
+those of the tree and of the reduced cutsets, each as its variables and
+the SHA-256 of its bits; a step that raises records the error text
+instead.  For each
 ``random_model`` seed it also parses the document with one line deleted,
 one duplicated and one identifier swapped (choices drawn from the seed),
 and the document with tabs and CRLF endings.  A parse records the
@@ -33,8 +36,8 @@ import re
 import sys
 
 from cftweave import (CftweaveError, GateKind, ParseError, TopEventRef, cutsets,
-                      export_dot, load_fixture, parse, serialize, synthesize, validate,
-                      weave)
+                      export_dot, load_fixture, parse, serialize, synthesize,
+                      table_of_cutsets, table_of_network, table_of_tree, validate, weave)
 
 import genmodels
 
@@ -108,6 +111,33 @@ def attempt(where: str, what: str, call) -> str:
         return f"{where} {what} error: {type(exc).__name__}: {exc}"
 
 
+def table(where: str, what: str, call) -> tuple[str, object]:
+    """(line recorded, table or ``None``) for the truth table *call*
+    returns, or for its error."""
+    try:
+        result = call()
+    except CftweaveError as exc:
+        return f"{where} {what} error: {type(exc).__name__}: {exc}", None
+    bits = result.bits.to_bytes((result.rows + 7) // 8, "little")
+    return (f"{where} {what} {' '.join(result.variables)} "
+            f"{hashlib.sha256(bits).hexdigest()}"), result
+
+
+def tables(where: str, woven, tree, reduced):
+    """The lines recorded for the oracle's tables of *tree*'s top event:
+    the network's, then, over its variables, the tree's and that of the
+    *reduced* report's cutsets, if any."""
+    line, network = table(where, "network-table", lambda: table_of_network(woven, tree.top))
+    yield line
+    if network is None:
+        return
+    order = network.variables
+    yield table(where, "tree-table", lambda: table_of_tree(tree, order))[0]
+    if reduced is not None:
+        yield table(where, "cutsets-table", lambda: table_of_cutsets(
+            [cs.identities for cs in reduced.cutsets], order))[0]
+
+
 def records(label: str, model, tops, mutate: int | None = None):
     """The lines recorded for one model; *mutate* seeds its document's
     mutations, if any."""
@@ -136,11 +166,13 @@ def records(label: str, model, tops, mutate: int | None = None):
             continue
         yield f"{where} prefix {tree.to_prefix_text()}"
         yield attempt(where, "dot", lambda: export_dot(tree))
+        report = None
         for stage in ("pre", "reduced"):
             try:
                 report = cutsets(tree, stage)
             except CftweaveError as exc:
                 yield f"{where} {stage} error: {type(exc).__name__}: {exc}"
+                report = None
                 continue
             for line in report.lines():
                 yield f"{where} {stage} line {line}"
@@ -149,6 +181,7 @@ def records(label: str, model, tops, mutate: int | None = None):
                 yield f"{where} {stage} identities " + " ".join(sorted(cs.identities))
             for displays in sorted(sorted(s) for s in report.display_sets()):
                 yield f"{where} {stage} display-set " + " ".join(displays)
+        yield from tables(where, woven, tree, report)
 
 
 def digest(seeds: int, out=None) -> tuple[int, str]:
