@@ -21,17 +21,20 @@ report stages exist:
   (``S3.Battery-omission``), so an AND operand's names usually all follow
   the names so far (the woven shape): such a step appends each operand
   product's tail to each line so far, with no deduplication, no sort per
-  product and no join.  Other AND steps, and OR gates, deduplicate.  The
-  report takes the size groups in ascending order and sorts each once as
-  strings, which is the order of the display tuples because every name
-  character sorts above the blank that starts the separator; a display or
-  identity holding a character at or below U+0020 is rejected.  The report
-  holds only the lines until more is read: :meth:`CutSetReport.lines`
-  builds nothing, :meth:`CutSetReport.rows` splits the display tuples from
-  the lines on its first call, and identity sets are formed on the first
-  read of :attr:`CutSetReport.cutsets`, where products that differ only in
-  which dependent's copy of a cause they hold share one identity-set
-  object.
+  product and no join.  Other AND steps, and OR gates, deduplicate into
+  dicts.  A list of lines is in report order, sorted as strings, which is
+  the order of the display tuples because every name character sorts above
+  the blank that starts the separator; a display or identity holding a
+  character at or below U+0020 is rejected.  An AND gate sorts its first
+  operand's lines, and appending sorted tails to sorted lines keeps them
+  sorted, so such a step sorts only a dict of lines so far and merges two
+  runs of one size.  The report takes the size groups in ascending order
+  and sorts only those that are not lists.  The report holds only the
+  lines until more is read: :meth:`CutSetReport.lines` builds nothing,
+  :meth:`CutSetReport.rows` splits the display tuples from the lines on
+  its first call, and identity sets are formed on the first read of
+  :attr:`CutSetReport.cutsets`, where products that differ only in which
+  dependent's copy of a cause they hold share one identity-set object.
 * ``reduced``: the unique minimal disjunctive normal form of the monotone
   tree function over event identities.  A tree whose gates are all OR (a
   shape weaving often gives, as it ORs each provider failure into its
@@ -270,6 +273,9 @@ def _and_lines(kids):
         _check_budget(_count(acc) * count, GateKind.AND)
         out = _BySize()
         if min(names) > high:
+            for have, prefixes in acc.items():  # a dict from an unordered step
+                if type(prefixes) is not list:
+                    acc[have] = sorted(prefixes)
             for size, lines in parts:
                 ordered = sorted(lines)  # once, not once per product of acc
                 tails = [_SEP + line for line in ordered]
@@ -277,7 +283,10 @@ def _and_lines(kids):
                     made = (prefixes if not size else ordered if not have
                             else [a + tail for a in prefixes for tail in tails])
                     group = out.get(have + size)
-                    out[have + size] = made if group is None else [*group, *made]
+                    if group is not None:  # two sorted runs, merged in linear time
+                        made = [*group, *made]
+                        made.sort()
+                    out[have + size] = made
         else:
             right = _split(parts)
             for a in _split(acc.items()):
@@ -433,17 +442,13 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
                         f"{kind} {name!r} holds a character at or below U+0020")
 
     if stage == "pre":
-        products = _display_products(tree)
-        if type(products) is _BySize:
-            ordered: list[str] = []
-            runs = []
-            for size in sorted(products):
-                ordered += sorted(products[size])
-                runs.append((size, len(products[size])))
-        else:
-            ordered = sorted(products)
-            runs = [(1, len(ordered))]
-        lines = tuple(ordered)
+        # a list is in report order already; a dict or a tuple is sorted here
+        # (the sizes are distinct, so sorting the pairs compares no lines)
+        groups = [(size, lines if type(lines) is list else sorted(lines))
+                  for size, lines in sorted(_parts(_display_products(tree)))]
+        runs = [(size, len(lines)) for size, lines in groups]
+        lines = (tuple(groups[0][1]) if len(groups) == 1
+                 else tuple(chain.from_iterable(lines for _, lines in groups)))
         return CutSetReport("pre", lines, partial(_split_lines, lines, runs, identity_of),
                             partial(_shared_identity_sets, identity_of=identity_of))
 
@@ -482,8 +487,6 @@ def evaluate(tree: FaultTree, assignment) -> bool:
     The assignment must cover every leaf identity, including external ones.
     NOT gates are supported here (unlike in cutset analysis).
     """
-    if tree.root is None:
-        raise AnalysisError("empty tree")
     missing = sorted({leaf.identity for leaf in tree.leaves()} - set(assignment))
     if missing:
         raise AnalysisError("assignment missing identities: " + ", ".join(missing))

@@ -257,6 +257,8 @@ def table_of_network(model: ArchitectureModel | WovenModel,
 
 def table_of_tree(tree: FaultTree, variables=None) -> TruthTable:
     """Truth table of a synthesised fault tree over its leaf identities."""
+    if tree.root is None:
+        raise OracleError("empty tree")
     return _table(tree.nodes(), set(tree.leaf_identities()), variables)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .errors import ModelError, SynthesisError
+from .errors import AnalysisError, ModelError, SynthesisError
 from .model import (
     ArchitectureModel,
     BasicEvent,
@@ -135,9 +135,12 @@ class FaultTree:
         that the first child is a gate folded here for the last time, so
         its value is no longer held anywhere else and *gate* may take it
         over and change it in place.  Gates compare by identity, so they
-        key the dicts themselves.
+        key the dicts themselves.  An empty tree raises
+        :class:`AnalysisError`.
         """
         root = self.root
+        if root is None:
+            raise AnalysisError("empty tree")
         if not isinstance(root, FTGate):
             return leaf(root)
         gates = [node for node in self._nodes if isinstance(node, FTGate)]

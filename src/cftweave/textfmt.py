@@ -54,7 +54,7 @@ import re
 from functools import cache
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import AnalysisError, ParseError
 from .model import (
     AlfredDependency,
     ArchitectureModel,
@@ -653,6 +653,8 @@ def _tree_dot(tree: FaultTree) -> str:
         return n
 
     root = tree.root
+    if root is None:
+        raise AnalysisError("empty tree")
     top = number(root)
     # (name, children left) of each gate whose subtree is being written
     stack = [(top, iter(root.children))] if isinstance(root, FTGate) else []

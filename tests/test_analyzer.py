@@ -432,6 +432,17 @@ class TestPreAgainstReference:
         pytest.param(and_of(REUSED, FTGate(GateKind.OR, ())), id="no-products"),
         pytest.param(and_of(or_of(or_of(), and_of(leaf("a"), leaf("b"))), leaf("c")),
                      id="owned-first-child-without-products"),
+        # the shared "a" makes the second step merge names into dicts out of
+        # order (a ∧ c before a ∧ b); the third step's names follow, so it
+        # appends tails to those dicts' lines, which must be sorted first
+        pytest.param(and_of(or_of(leaf("b"), leaf("a")), or_of(leaf("a"), leaf("c")),
+                            or_of(leaf("x"), leaf("y"))),
+                     id="ordered-step-over-unordered-products"),
+        # an ordered step makes its size-3 lines in two runs, b ∧ d ∧ f from
+        # the one-name prefix, then a ∧ c ∧ e, which must be merged in order
+        pytest.param(and_of(or_of(leaf("b"), and_of(leaf("a"), leaf("c"))),
+                            or_of(and_of(leaf("d"), leaf("f")), leaf("e"))),
+                     id="ordered-step-runs-of-one-size"),
         *(pytest.param(and_of(*pair), id=order) for order, pair in ORDERED_PAIRS.items()),
         *(pytest.param(and_of(*operands), id=f"{order}-{empty}-{where}")
           for order, (x, y) in ORDERED_PAIRS.items()
@@ -569,13 +580,16 @@ class TestClosedFormFamilies:
     def test_wide_and_pre_sorts_once_per_operand(self, monkeypatch):
         # each sensor's names follow the sensors' before it, so every AND step
         # appends tails to the lines so far, sorting each of its operand's
-        # size groups once; the root sorts its sizes, then each size's lines
-        # once.  Sorting each product instead would call sorted 87,381 times.
+        # size groups once, and keeps them in report order; the root sorts
+        # its sizes and none of the lines again.  Sorting each product
+        # instead would call sorted 87,381 times, and sorting at the root
+        # would hand one call all 65,536 lines.
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return sorted(*args, **kwargs)
+        def counting(iterable, **kwargs):
+            items = list(iterable)
+            calls.append(len(items))
+            return sorted(items, **kwargs)
 
         monkeypatch.setattr(analyzer, "sorted", counting, raising=False)
         model, top = genmodels.wide(8, GateKind.AND)
@@ -586,6 +600,7 @@ class TestClosedFormFamilies:
         assert len(report.lines()) == 4 ** 8
         sizes = {len(row) for row in report.rows()}
         assert len(calls) <= operands + len(sizes) + 1
+        assert max(calls) <= 4  # one operand's lines
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_wide_or(self, n):

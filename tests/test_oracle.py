@@ -126,6 +126,11 @@ def test_identity_budget_enforced():
         table_of_tree(wide)
 
 
+def test_empty_tree_table():
+    with pytest.raises(OracleError, match="empty tree"):
+        table_of_tree(FaultTree(root=None, top=TopEventRef("t", "t")))
+
+
 def test_external_policy_pinned_false(fig2):
     # unconnected inputs are always free variables
     free = table_of_network(fig2, "f1.loss-of")

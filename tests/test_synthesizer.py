@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftweave import (
+    AnalysisError,
     ArchitectureModel,
     BasicEvent,
     Component,
@@ -184,6 +185,11 @@ def test_malformed_top_is_a_synthesis_error(vehicle, text):
         synthesize(weave(vehicle), text)
     assert str(caught.value) == (
         f"top event must be '<component>.<failure-mode>', got {text!r}")
+
+
+def test_empty_tree_prefix_text():
+    with pytest.raises(AnalysisError, match="empty tree"):
+        FaultTree(root=None, top=TopEventRef("t", "t")).to_prefix_text()
 
 
 def test_top_accepts_string_or_ref(fig2):

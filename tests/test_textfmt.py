@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cftweave import (
     AlfredDependency,
+    AnalysisError,
     ArchitectureModel,
     BasicEvent,
     Component,
@@ -446,3 +447,7 @@ class TestDot:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             export_dot("not a model")
+
+    def test_empty_tree(self):
+        with pytest.raises(AnalysisError, match="empty tree"):
+            export_dot(FaultTree(root=None, top=TopEventRef("t", "t")))
