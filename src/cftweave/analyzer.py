@@ -442,13 +442,16 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
                         f"{kind} {name!r} holds a character at or below U+0020")
 
     if stage == "pre":
-        # a list is in report order already; a dict or a tuple is sorted here
-        # (the sizes are distinct, so sorting the pairs compares no lines)
-        groups = [(size, lines if type(lines) is list else sorted(lines))
-                  for size, lines in sorted(_parts(_display_products(tree)))]
-        runs = [(size, len(lines)) for size, lines in groups]
-        lines = (tuple(groups[0][1]) if len(groups) == 1
-                 else tuple(chain.from_iterable(lines for _, lines in groups)))
+        products = _display_products(tree)
+        groups = sorted(products.items()) if type(products) is _BySize else ((1, products),)
+        ordered = []  # each size's lines, in report order
+        runs = []
+        for size, lines in groups:
+            if type(lines) is not list:  # a dict or a tuple, not yet in order
+                lines = sorted(lines)
+            ordered.append(lines)
+            runs.append((size, len(lines)))
+        lines = tuple(ordered[0]) if len(ordered) == 1 else tuple(chain.from_iterable(ordered))
         return CutSetReport("pre", lines, partial(_split_lines, lines, runs, identity_of),
                             partial(_shared_identity_sets, identity_of=identity_of))
 
