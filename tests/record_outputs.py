@@ -166,7 +166,6 @@ def records(label: str, model, tops, mutate: int | None = None):
             continue
         yield f"{where} prefix {tree.to_prefix_text()}"
         yield attempt(where, "dot", lambda: export_dot(tree))
-        report = None
         for stage in ("pre", "reduced"):
             try:
                 report = cutsets(tree, stage)
