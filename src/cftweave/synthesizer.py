@@ -26,7 +26,7 @@ follows the model's canonical order, so output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import AnalysisError, ModelError, SynthesisError
@@ -222,8 +222,11 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
     def inject(injection, node):
         """*node* as the injected failure mode *injection* stands for it."""
         key, dependent, source = injection
-        if isinstance(node, FTLeaf):
-            node = replace(node, display=f"{dependent}.{source.name}")
+        if isinstance(node, FTLeaf):  # a copy under the dependent's name
+            display = f"{dependent}.{source.name}"
+            node = (FTBasicEvent(node.identity, display) if type(node) is FTBasicEvent
+                    else FTExternalEvent(node.component, node.port, node.failure_mode,
+                                         node.identity, display))
             wrapped.append((node, _fallback_display(dependent, source)))
         memo[key] = node
         return node

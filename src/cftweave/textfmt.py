@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AnalysisError, ParseError
 from .model import (
@@ -74,8 +74,9 @@ from .model import (
     _NAME_CHARS,
     _check,
 )
-from .synthesizer import FaultTree, FTExternalEvent, FTGate
-from .weaver import WovenModel
+
+if TYPE_CHECKING:  # export_dot imports the tree types only for a tree
+    from .synthesizer import FaultTree
 
 # Only errors read a line word by word, so this pattern is left to the re
 # module's cache.  Group 1: punctuation, group 2: a name (a '-' that starts
@@ -636,9 +637,20 @@ def _model_dot(model: ArchitectureModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _tree_types() -> tuple[type, ...]:
+    """The synthesizer's and weaver's types, imported on the first export
+    of something other than a model, and looked up once."""
+    from .synthesizer import FaultTree, FTExternalEvent, FTGate
+    from .weaver import WovenModel
+
+    return FaultTree, FTExternalEvent, FTGate, WovenModel
+
+
 def _tree_dot(tree: FaultTree) -> str:
     """Nodes numbered in preorder, shared nodes once; each edge is written
     when its child's subtree is finished.  Walks with an explicit stack."""
+    _, FTExternalEvent, FTGate, _ = _tree_types()
     ids: dict[int, str] = {}
     node_lines: list[str] = []
     edge_lines: list[str] = []
@@ -682,11 +694,13 @@ def export_dot(obj) -> str:
     lists the component's nodes and then its edges; port connections join
     the clusters and cross-layer dependency edges are dashed.  In a fault
     tree, external-event leaves are triangles.  Output order is deterministic.
+    A model's export loads neither the synthesizer nor the weaver.
     """
+    if isinstance(obj, ArchitectureModel):
+        return _model_dot(obj)
+    FaultTree, _, _, WovenModel = _tree_types()
     if isinstance(obj, FaultTree):
         return _tree_dot(obj)
     if isinstance(obj, WovenModel):
         return _model_dot(obj.model)
-    if isinstance(obj, ArchitectureModel):
-        return _model_dot(obj)
     raise TypeError(f"cannot export {type(obj).__name__} as DOT")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -265,11 +266,13 @@ def reference_reduced(tree):
 
 
 def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_children=4,
-             displays=None, kinds=(GateKind.AND, GateKind.OR)):
+             displays=None, kinds=(GateKind.AND, GateKind.OR), root=None):
     """The last node of a DAG of gates of the given *kinds* whose children
     are drawn from earlier nodes, so subtrees are shared; display names
     start with *prefix*, or are *displays* when given, and several of them
-    may map to one identity."""
+    may map to one identity.  With a *root* kind, the last node is a gate of
+    that kind over two to *max_children* distinct nodes of the DAG (one if
+    the DAG has only one)."""
     if displays is None:
         displays = [f"{prefix}d{k}" for k in range(draw(st.integers(1, max_leaves)))]
     pool = [leaf(f"i{draw(st.integers(0, n_identities - 1))}", display)
@@ -278,6 +281,10 @@ def draw_dag(draw, n_identities, prefix="", max_leaves=6, max_gates=8, max_child
         kind = draw(st.sampled_from(kinds))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_children))
         pool.append(FTGate(kind, tuple(pool[i] for i in picks)))
+    if root is not None:
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=min(2, len(pool)),
+                              max_size=max_children, unique=True))
+        return FTGate(root, tuple(pool[i] for i in picks))
     return pool[-1]
 
 
@@ -306,11 +313,14 @@ def woven_trees(draw):
     """An AND whose children each have their own display names but draw
     identities from one small shared pool, the shape weaving gives a gate
     over several dependents of one provider.  The children's names need not
-    ascend in child order, as ``S10.f`` falls between ``S1.f`` and ``S2.f``."""
+    ascend in child order, as ``S10.f`` falls between ``S1.f`` and ``S2.f``.
+    Each child is an OR over leaves and AND gates of its own DAG, as a woven
+    output failure mode is an OR of its driver and the injected references,
+    so a child holds several products, often of mixed sizes."""
     n_identities = draw(st.integers(1, 4))
-    children = tuple(draw_dag(draw, n_identities, f"c{c}.", max_leaves=3,
-                              max_gates=4, max_children=3)
-                     for c in draw(st.permutations(range(draw(st.integers(1, 4))))))
+    children = tuple(draw_dag(draw, n_identities, f"c{c}.", max_leaves=3, max_gates=4,
+                              max_children=3, kinds=(GateKind.AND,), root=GateKind.OR)
+                     for c in draw(st.permutations(range(draw(st.integers(1, 5))))))
     return tree_of(FTGate(GateKind.AND, children))
 
 
@@ -383,24 +393,38 @@ class TestPreAgainstReference:
         # operands whose names all precede them ("below"), interleave with
         # them or share one merge each pair of products.  Count the steps of
         # each kind the trees reach, from the products of each AND gate's
-        # operands as the fold hands them over.
-        steps = {"above": 0, "below": 0, "interleaved": 0, "overlapping": 0}
+        # operands as the fold hands them over, and two kinds of "above"
+        # step whose lines come out of order unless sorted: one over lines
+        # that an earlier step merged, with several products of one size,
+        # and one where two pairs of product sizes make one size.
+        steps = {"above": 0, "below": 0, "interleaved": 0, "overlapping": 0,
+                 "above-merged": 0, "above-mixed-sizes": 0}
         fold = FaultTree._fold
 
         def count_steps(kids):
             acc = {frozenset()}
+            merged = False
             for kid in kids:
                 products = products_of(kid)
                 support, names = set().union(*acc), set().union(*products)
                 if support and names:
                     if support & names:
-                        steps["overlapping"] += 1
+                        step = "overlapping"
                     elif min(names) > max(support):
-                        steps["above"] += 1
+                        step = "above"
                     elif max(names) < min(support):
-                        steps["below"] += 1
+                        step = "below"
                     else:
-                        steps["interleaved"] += 1
+                        step = "interleaved"
+                    steps[step] += 1
+                    have, sizes = Counter(map(len, acc)), {len(p) for p in products}
+                    if step != "above":
+                        merged = True
+                    else:
+                        if merged and max(have.values()) > 1:
+                            steps["above-merged"] += 1
+                        if len({h + s for h in have for s in sizes}) < len(have) * len(sizes):
+                            steps["above-mixed-sizes"] += 1
                 acc = {a | b for a in acc for b in products}
 
         def recording(self, leaf, gate):

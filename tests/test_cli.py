@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, streams, determinism."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -7,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from cftweave import (CftweaveError, InputFailureMode, NodeRef, cutsets, parse, serialize,
                       synthesize, validate, weave)
 from cftweave import analyzer
-from cftweave.cli import main
+from cftweave.cli import build_parser, main
 
 import genmodels
 from test_parse_errors import mutated_documents
@@ -314,6 +316,43 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         results = [(*proc.communicate(), proc.returncode) for proc in procs]
         assert results[0] == results[1], argv
         assert results[0][2] == 0, argv
+
+
+# the cftweave modules each command loads: the stages it runs and no others
+VALIDATE_MODULES = ("cftweave", "cftweave.errors", "cftweave.model", "cftweave.textfmt")
+WEAVE_MODULES = (*VALIDATE_MODULES, "cftweave.weaver")
+SYNTHESIZE_MODULES = (*WEAVE_MODULES, "cftweave.synthesizer")
+CUTSETS_MODULES = (*SYNTHESIZE_MODULES, "cftweave.analyzer")
+TOP = "EBC.no-emergency-braking"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(argv, modules, id=" ".join(arg for arg in argv if arg not in (VEHICLE, TOP)))
+    for argv, modules in (
+        (["validate", VEHICLE], VALIDATE_MODULES),
+        (["export-dot", VEHICLE], VALIDATE_MODULES),
+        (["weave", VEHICLE], WEAVE_MODULES),
+        (["synthesize", VEHICLE, "--top", TOP], SYNTHESIZE_MODULES),
+        (["synthesize", VEHICLE, "--top", TOP, "--dot"], SYNTHESIZE_MODULES),
+        (["cutsets", VEHICLE, "--top", TOP, "--stage", "pre"], CUTSETS_MODULES),
+        (["cutsets", VEHICLE, "--top", TOP, "--format", "tsv"], CUTSETS_MODULES))])
+def test_each_command_imports_only_its_stages(argv, modules):
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cftweave.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(REPO_FIXTURES.parent.parent)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # "import time: <self us> | <cumulative us> | <indented module name>"
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert sorted(m for m in imported if m.split(".")[0] == "cftweave") == sorted(modules)
+
+
+def test_stage_choices_are_the_analyzer_stages():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    stage = next(action for action in commands.choices["cutsets"]._actions
+                 if action.dest == "stage")
+    assert stage.choices == analyzer.STAGES
 
 
 def chain_file(tmp_path, n):
