@@ -5,10 +5,10 @@ AND-distributes-over-OR walk), folded bottom-up by the tree's children-first
 fold, each shared gate once, so tree depth is not limited by the
 interpreter's recursion limit.  A gate's products are dropped once its last
 parent is folded, so memory follows the products still needed rather than
-the depth of the tree.  An OR gate keeps its products as the keys of a dict,
+the depth of the tree.  An OR gate keeps its products as the keys of dicts,
 in first-seen order; when its first child is a gate folded there for the
-last time, it extends that child's dict in place instead of copying it, so
-a long OR chain fills one dict and costs time linear in its length.  Two
+last time, it extends that child's value in place instead of copying it, so
+a long OR chain fills one value and costs time linear in its length.  Two
 report stages exist:
 
 * ``pre``: the expanded products over leaf display names, deduplicated but
@@ -16,8 +16,8 @@ report stages exist:
   This is the list a reviewer compares against the woven structure, where
   one physical cause may legitimately appear once per dependent.  Each
   product is built as its report line, its sorted display names joined by
-  `` ∧ ``, and a gate groups its lines by product size unless all are
-  single names.  Copies are named after their dependent
+  `` ∧ ``, and every value of the fold maps product size to that size's
+  lines.  Copies are named after their dependent
   (``S3.Battery-omission``), so an AND operand's names usually all follow
   the names so far (the woven shape): such a step appends each operand
   product's tail to each line so far, with no deduplication, no sort per
@@ -71,7 +71,7 @@ here.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -161,8 +161,8 @@ def _check_budget(count: int, kind: GateKind) -> None:
 
 
 def _union(kids, owned: bool) -> dict:
-    """An OR gate's products: its children's, deduplicated, in first-seen
-    order, as the keys of a dict.
+    """An OR gate's masks in ``reduced``: its children's, deduplicated, in
+    first-seen order, as the keys of a dict.
 
     When the first child's dict is *owned* (no other parent still needs
     it), it is extended in place, so a long OR chain hands one dict up
@@ -175,36 +175,18 @@ def _union(kids, owned: bool) -> dict:
     return dict.fromkeys(chain.from_iterable(kids))
 
 
-class _BySize(dict):
-    """A ``pre`` value whose products are not all of size one: product size
-    to that size's lines.  Any other value is an iterable of names, each a
-    product of size one: a leaf's 1-tuple, or a gate's list or dict."""
-
-    __slots__ = ()
-
-
-def _count(groups: _BySize) -> int:
+def _count(groups: dict) -> int:
     return sum(map(len, groups.values()))
 
 
-def _parts(value):
-    """(size, lines) of each size a ``pre`` value holds."""
-    return value.items() if type(value) is _BySize else ((1, value),) if value else ()
-
-
-def _merge(kids, owned: bool) -> _BySize:
-    """An OR gate's products, its children's merged per size, when some
-    child's products are not all of size one; an *owned* first child's dict
-    is taken over and extended in place."""
-    first = kids[0]
-    if owned and type(first) is _BySize:
-        groups, kids = first, kids[1:]
-    elif owned and type(first) is dict and first:
-        groups, kids = _BySize({1: first}), kids[1:]
-    else:
-        groups = _BySize()
+def _merge(kids, owned: bool) -> dict:
+    """An OR gate's products: its children's, merged per size and
+    deduplicated; an *owned* first child's value is taken over and extended
+    in place, so a long OR chain hands one dict up instead of copying
+    everything below each gate."""
+    groups, kids = (kids[0], kids[1:]) if owned else ({}, kids)
     for kid in kids:
-        for size, lines in _parts(kid):
+        for size, lines in kid.items():
             group = groups.get(size)
             if group is None:
                 groups[size] = dict.fromkeys(lines)
@@ -215,27 +197,17 @@ def _merge(kids, owned: bool) -> _BySize:
     return groups
 
 
-def _names(parts) -> set[str]:
-    """The display names in the lines of each (size, lines)."""
-    names: set[str] = set()
-    for size, lines in parts:
-        if size == 1:
-            names.update(lines)
-        elif size:
-            names.update(_SEP.join(lines).split(_SEP))
-    return names
-
-
 def _split(parts) -> list[list[str]]:
     """Each product's names; the empty product has none."""
     return [line.split(_SEP) if size else [] for size, lines in parts for line in lines]
 
 
-def _and_lines(kids):
+def _and_lines(kids) -> dict:
     """An AND gate's products: its children's, crossed one at a time.
 
-    When the operand's names all follow the names so far (the woven shape),
-    the operand shares no name with the products so far, so distinct pairs
+    Each operand is split into its products' names once.  When the
+    operand's names all follow the names so far (the woven shape), the
+    operand shares no name with the products so far, so distinct pairs
     form distinct products and no name repeats within one (the rule behind
     fault-tree modules; Dutuit & Rauzy, IEEE Trans. Reliability 45(3),
     1996).  Such a step makes each product's line as the line so far plus
@@ -248,35 +220,27 @@ def _and_lines(kids):
     acc = None  # only the empty product, until the first operand
     every: set[str] = set()  # names in every product of acc
     for kid in kids:
-        if type(kid) is _BySize:
-            parts = kid.items()
-            names = _names(parts)
-            if not names:  # only the empty product
-                continue
-            count = _count(kid)
-        elif kid:
-            parts = ((1, kid),)
-            names = set(kid)
-            count = len(kid)
-        else:  # no products
-            return ()
-        if count == 1:  # one product: after this step, in every product
+        right = _split(kid.items())
+        if not right:  # no products
+            return {}
+        names = set(chain.from_iterable(right))
+        if not names:  # only the empty product
+            continue
+        if len(right) == 1:  # one product: after this step, in every product
             if names <= every:
                 continue
             every |= names
         if acc is None:
-            acc = _BySize()
-            for size, lines in parts:
-                acc[size] = sorted(lines)
+            acc = {size: sorted(lines) for size, lines in kid.items()}
             high = max(names)
             continue
-        _check_budget(_count(acc) * count, GateKind.AND)
-        out = _BySize()
+        _check_budget(_count(acc) * len(right), GateKind.AND)
+        out = {}
         if min(names) > high:
             for have, prefixes in acc.items():  # a dict from an unordered step
                 if type(prefixes) is not list:
                     acc[have] = sorted(prefixes)
-            for size, lines in parts:
+            for size, lines in kid.items():
                 ordered = sorted(lines)  # once, not once per product of acc
                 tails = [_SEP + line for line in ordered]
                 for have, prefixes in acc.items():
@@ -288,7 +252,6 @@ def _and_lines(kids):
                         made.sort()
                     out[have + size] = made
         else:
-            right = _split(parts)
             for a in _split(acc.items()):
                 for b in right:
                     merged = sorted({*a, *b})
@@ -298,33 +261,25 @@ def _and_lines(kids):
                     group[_SEP.join(merged)] = None
         acc = out
         high = max(high, max(names))
-    if acc is None:
-        return _BySize({0: [""]})
-    return acc[1] if len(acc) == 1 and 1 in acc else acc
+    return {0: [""]} if acc is None else acc
 
 
-def _display_products(tree: FaultTree) -> Collection[str] | _BySize:
+def _display_products(tree: FaultTree) -> dict:
     """Every product over leaf display names, deduplicated, not absorbed.
 
     A product is its report line, its sorted display names joined by
     `` ∧ ``, so one set of names has one line and the report joins nothing.
-    A gate's lines are grouped by product size, which it knows for the
-    products it forms, unless they are all of size one; a leaf's value is
-    the 1-tuple of its display name.
+    Every value maps product size to that size's lines: a leaf's is
+    ``{1: (display,)}``, and the empty product's ``{0: [""]}``.
     """
     def gate(node, kids, owned):
         if node.kind is GateKind.AND:
             return _and_lines(kids)
-        if _BySize in map(type, kids):
-            products = _merge(kids, owned)
-            count = _count(products)
-        else:
-            products = _union(kids, owned)
-            count = len(products)
-        _check_budget(count, node.kind)
+        products = _merge(kids, owned)
+        _check_budget(_count(products), node.kind)
         return products
 
-    return tree._fold(lambda leaf: (leaf.display,), gate)
+    return tree._fold(lambda leaf: {1: (leaf.display,)}, gate)
 
 
 def _minimise(masks) -> tuple[int, ...]:
@@ -442,11 +397,9 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
                         f"{kind} {name!r} holds a character at or below U+0020")
 
     if stage == "pre":
-        products = _display_products(tree)
-        groups = sorted(products.items()) if type(products) is _BySize else ((1, products),)
         ordered = []  # each size's lines, in report order
         runs = []
-        for size, lines in groups:
+        for size, lines in sorted(_display_products(tree).items()):
             if type(lines) is not list:  # a dict or a tuple, not yet in order
                 lines = sorted(lines)
             ordered.append(lines)

@@ -529,11 +529,10 @@ def _validate_cft(comp: Component, add, check_names: bool, collides: bool) -> No
             add(Severity.ERROR, "unknown-node-ref", _element(owner, ofm.name, ofm.port),
                 f"driver '{ofm.driver.render()}' does not resolve", ofm, ofm.driver.render())
 
-    if gate_edges:  # only a gate that feeds a gate can lie on a cycle
-        cyclic = _leftover_cycle_members(gate_edges)
-        if cyclic:
-            add(Severity.ERROR, "cft-cycle", comp.name,
-                "gates form a cycle: " + ", ".join(cyclic))
+    cyclic = _leftover_cycle_members(gate_edges)
+    if cyclic:
+        add(Severity.ERROR, "cft-cycle", comp.name,
+            "gates form a cycle: " + ", ".join(cyclic))
 
 
 def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
@@ -552,9 +551,9 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
         add(Severity.ERROR, "no-components", "model", "no components declared")
 
     # Canonical order puts repeated layers, and repeated connections and
-    # dependencies, next to each other.  The indexes hold one entry per
-    # component name and per connected in-port, so each namespace as long
-    # as its index has no repeat and needs no bookkeeping.
+    # dependencies, next to each other.  The in-port index holds one entry
+    # per connected in-port, so connections no more than its entries repeat
+    # none and need no bookkeeping.
     layers = model.layers
     for i, layer in enumerate(layers):
         if check_names:
@@ -564,32 +563,28 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
 
     known_layers = set(layers)
     components = model._components
-    seen_comps = None if len(components) == len(model.components) else set()
+    seen_comps: set[str] = set()
     for comp in model.components:
         if check_names:
             _check_name(add, "component", comp.name)
-        if seen_comps is not None:
-            if comp.name in seen_comps:
-                add(Severity.ERROR, "duplicate-component", comp.name,
-                    "component declared twice", comp, comp.name)
-            seen_comps.add(comp.name)
+        if comp.name in seen_comps:
+            add(Severity.ERROR, "duplicate-component", comp.name,
+                "component declared twice", comp, comp.name)
+        seen_comps.add(comp.name)
         if comp.layer not in known_layers:
             add(Severity.ERROR, "unknown-layer", comp.name,
                 f"layer '{comp.layer}' is not declared", comp, comp.layer)
-        count = len(comp.in_ports) + len(comp.out_ports)
-        collides = False
-        if check_names or count > 1:  # a single port cannot collide
-            ports = comp.in_ports + comp.out_ports
-            distinct = set(ports)
-            collides = len(distinct) < count
-            counts = Counter(ports) if collides else None
-            if check_names or counts is not None:
-                for port in sorted(distinct):
-                    if check_names:
-                        _check_name(add, "port", port, comp.name)
-                    if counts is not None and counts[port] > 1:
-                        add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
-                            "port name used more than once", comp, port)
+        ports = comp.in_ports + comp.out_ports
+        distinct = set(ports)
+        collides = len(distinct) < len(ports)
+        counts = Counter(ports) if collides else None
+        if check_names or counts is not None:
+            for port in sorted(distinct):
+                if check_names:
+                    _check_name(add, "port", port, comp.name)
+                if counts is not None and counts[port] > 1:
+                    add(Severity.ERROR, "port-collision", f"{comp.name}.{port}",
+                        "port name used more than once", comp, port)
         if comp.cft is not None:
             _validate_cft(comp, add, check_names, collides)
 

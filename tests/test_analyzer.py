@@ -352,10 +352,8 @@ def pre_pairs(tree):
 
 def products_of(value):
     """The products a ``pre`` value of the fold holds, as sets of names."""
-    if isinstance(value, analyzer._BySize):
-        return {frozenset(line.split(" ∧ ") if size else ())
-                for size, lines in value.items() for line in lines}
-    return {frozenset((name,)) for name in value}
+    return {frozenset(line.split(" ∧ ") if size else ())
+            for size, lines in value.items() for line in lines}
 
 
 REUSED = or_of(leaf("a"), leaf("b"))
@@ -746,9 +744,10 @@ class TestLimits:
         # stage 0 is one OR, every later stage adds two
         assert len(values) == 2 * n - 1
         assert all(value is values[0] for value in values)
-        # n events and two battery failure modes, and the battery's copy
-        # in each stage
-        assert len(values[0]) == len(report.lines()) == 3 * n
+        # one group of single names: n events and two battery failure
+        # modes, and the battery's copy in each stage
+        assert list(values[0]) == [1]
+        assert len(values[0][1]) == len(report.lines()) == 3 * n
 
     def test_deep_chain_without_recursion(self):
         x, y = leaf("x"), leaf("y")
