@@ -39,8 +39,9 @@ report stages exist:
   tree function over event identities.  A tree whose gates are all OR (a
   shape weaving often gives, as it ORs each provider failure into its
   dependents) has its distinct identities as that form, since distinct
-  single atoms never absorb each other: they are read off its leaves,
-  with no fold, no bit table and no minimisation.  In a tree
+  single atoms never absorb each other: they are read off the identity
+  table the tree kept when it was built, with no fold, no bit table and
+  no minimisation.  In a tree
   with an AND gate, the distinct identities are numbered once in sorted
   order and a product is an ``int`` bitmask over them, so common causes
   collapse (and idempotence holds) before any product is built.  Each AND
@@ -78,7 +79,7 @@ from itertools import chain
 
 from .errors import AnalysisError
 from .model import GateKind
-from .synthesizer import FaultTree, FTGate
+from .synthesizer import FaultTree
 
 STAGES = ("pre", "reduced")
 
@@ -368,23 +369,11 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         raise AnalysisError(f"unknown stage '{stage}', expected one of {STAGES}")
     if tree.root is None:
         raise AnalysisError("empty tree")
-    kinds = {node.kind for node in tree.nodes() if isinstance(node, FTGate)}
-    if GateKind.NOT in kinds:
+    if GateKind.NOT in tree._kinds:
         raise AnalysisError("non-coherent tree: cutset semantics undefined")
-
-    identity_of: dict[str, str] = {}
-    # An identity seen under one display keeps it; one seen under several
-    # (a collapsed common cause) falls back to the identity itself.  The
-    # first display is kept, and a second one replaces it by the identity.
-    display_of: dict[str, str] = {}
-    for leaf in tree.leaves():
-        display, identity = leaf.display, leaf.identity
-        known = identity_of.get(display)
-        if known is not None and known != identity:
-            raise AnalysisError(f"display name '{display}' maps to several identities")
-        identity_of[display] = identity
-        if display_of.setdefault(identity, display) != display:
-            display_of[identity] = identity
+    if tree._ambiguous:
+        raise AnalysisError(f"display name '{tree._ambiguous[0]}' maps to several identities")
+    identity_of, display_of = tree._identity_of, tree._display_of
     # Lines sort as their rows do, and split back into them, only because
     # every name's characters sort above the separator's leading blank.  The
     # characters below it are control characters, which are not printable.
@@ -408,7 +397,7 @@ def cutsets(tree: FaultTree, stage: str = "reduced") -> CutSetReport:
         return CutSetReport("pre", lines, partial(_split_lines, lines, runs, identity_of),
                             partial(_shared_identity_sets, identity_of=identity_of))
 
-    if GateKind.AND in kinds:
+    if GateKind.AND in tree._kinds:
         names = sorted(display_of)
         bit_of = {name: 1 << i for i, name in enumerate(names)}
         rows = []  # (size, displays, sorted identities) of each cutset
@@ -443,7 +432,7 @@ def evaluate(tree: FaultTree, assignment) -> bool:
     The assignment must cover every leaf identity, including external ones.
     NOT gates are supported here (unlike in cutset analysis).
     """
-    missing = sorted({leaf.identity for leaf in tree.leaves()} - set(assignment))
+    missing = sorted(tree._display_of.keys() - set(assignment))
     if missing:
         raise AnalysisError("assignment missing identities: " + ", ".join(missing))
 

@@ -259,7 +259,8 @@ def table_of_tree(tree: FaultTree, variables=None) -> TruthTable:
     """Truth table of a synthesised fault tree over its leaf identities."""
     if tree.root is None:
         raise OracleError("empty tree")
-    return _table(tree.nodes(), set(tree.leaf_identities()), variables)
+    identities = {node.identity for node in tree.nodes() if isinstance(node, FTLeaf)}
+    return _table(tree.nodes(), identities, variables)
 
 
 def table_of_cutsets(identity_sets, variables=None) -> TruthTable:

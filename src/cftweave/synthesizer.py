@@ -14,14 +14,16 @@ common causes.
 Resolution is one explicit-stack walk whose frames are gates and output
 failure modes, so propagation depth is not bounded by the interpreter's
 recursion limit.  Repeated references to one output failure mode resolve to
-one shared subgraph, so the result is a DAG.  A :class:`FaultTree` lists its
-unique nodes once, children first, when it is built; the text rendering
-and the cutset folds are one fold over that list, and the oracle's
-evaluator is its own loop over it.  The canonical text rendering still
-writes a shared subtree out at every occurrence, so its length can grow
-exponentially with depth, but it renders each shared gate once, so its
-time is linear in the unique nodes plus the bytes written.  Child order
-follows the model's canonical order, so output is byte-stable.
+one shared subgraph, so the result is a DAG.  A :class:`FaultTree` reads its
+nodes once, when it is built, and keeps every fact the analyses read, so
+changing a node afterwards is not supported; a cyclic tree, or a node that
+is neither a gate nor a leaf, raises :class:`SynthesisError` there.  The text
+rendering and the cutset folds are one fold over its gates, and the
+oracle's evaluator is its own loop over its nodes.  The canonical text
+rendering still writes a shared subtree out at every occurrence, so its
+length can grow exponentially with depth, but it renders each shared gate
+once, so its time is linear in the unique nodes plus the bytes written.
+Child order follows the model's canonical order, so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -90,29 +92,68 @@ FTLeaf = (FTBasicEvent, FTExternalEvent)
 
 @dataclass(frozen=True, eq=False)
 class FaultTree:
-    """Single-rooted DAG of gates over basic-event and external leaves."""
+    """Single-rooted DAG of gates over basic-event and external leaves.
+
+    A tree reads its nodes once, when it is built, so changing a node
+    afterwards is not supported.  That one explicit-stack walk keeps every
+    fact the analyses read.  A node that is neither an :class:`FTGate` nor
+    a leaf, and a gate met below itself, raise :class:`SynthesisError`.
+    """
 
     root: object
     top: TopEventRef
-    _nodes: tuple = field(init=False, repr=False)
+    _nodes: tuple = field(init=False, repr=False)  # children first, the root last
+    _parents: dict = field(init=False, repr=False)  # gate -> parents, in the same order
+    _kinds: set = field(init=False, repr=False)  # the gate kinds present
+    _identity_of: dict = field(init=False, repr=False)  # display -> first identity
+    _display_of: dict = field(init=False, repr=False)  # identity -> display (itself if several)
+    _ambiguous: tuple = field(init=False, repr=False)  # displays of several identities
 
     def __post_init__(self):
-        # one explicit-stack walk lists every node once, children first
         nodes: list = []
-        if self.root is not None:
-            seen = {id(self.root)}
-            stack = [(self.root, iter(getattr(self.root, "children", ())))]
-            while stack:
-                node, children = stack[-1]
-                for child in children:
-                    if id(child) not in seen:
-                        seen.add(id(child))
-                        stack.append((child, iter(getattr(child, "children", ()))))
+        parents: dict[FTGate, int] = {}  # one per child slot; the root has 0
+        kinds: set[GateKind] = set()
+        identity_of: dict[str, str] = {}
+        display_of: dict[str, str] = {}
+        ambiguous: dict[str, None] = {}  # in the order met
+        finished: dict[object, bool] = {}  # False while the gate is on the stack
+        stack = [] if self.root is None else [(None, iter((self.root,)))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if isinstance(child, FTGate):
+                    done = finished.get(child)
+                    if done is None:
+                        finished[child] = False
+                        stack.append((child, iter(child.children)))
                         break
-                else:
-                    stack.pop()
+                    if not done:
+                        raise SynthesisError("fault tree has a cycle")
+                    parents[child] += 1
+                elif not isinstance(child, FTLeaf):
+                    raise SynthesisError(f"fault tree node of type {type(child).__name__}"
+                                         " is neither a gate nor a leaf")
+                elif child not in finished:
+                    finished[child] = True
+                    nodes.append(child)
+                    display, identity = child.display, child.identity
+                    if identity_of.setdefault(display, identity) != identity:
+                        ambiguous[display] = None
+                    if display_of.setdefault(identity, display) != display:
+                        display_of[identity] = identity
+            else:
+                stack.pop()
+                if node is not None:
+                    finished[node] = True
                     nodes.append(node)
+                    parents[node] = 1 if len(stack) > 1 else 0
+                    kinds.add(node.kind)
         object.__setattr__(self, "_nodes", tuple(nodes))
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_kinds", kinds)
+        object.__setattr__(self, "_identity_of", identity_of)
+        object.__setattr__(self, "_display_of", display_of)
+        object.__setattr__(self, "_ambiguous", tuple(ambiguous))
 
     def nodes(self) -> tuple:
         """All nodes, shared ones once, children first: each node follows
@@ -123,34 +164,29 @@ class FaultTree:
         return [n for n in self._nodes if isinstance(n, FTLeaf)]
 
     def leaf_identities(self) -> tuple[str, ...]:
-        return tuple(sorted({leaf.identity for leaf in self.leaves()}))
+        return tuple(sorted(self._display_of))
 
     def _fold(self, leaf, gate):
-        """The root's value, folded children first over :meth:`nodes`.
+        """The root's value, folded children first over the gates.
 
         ``leaf(node)`` gives a leaf's value at each use and ``gate(node,
         values, owned)`` a gate's from its children's values in child order.
-        A gate's value is dropped once its last parent is folded, so memory
-        follows the values still needed, not every node's.  *owned* says
-        that the first child is a gate folded here for the last time, so
-        its value is no longer held anywhere else and *gate* may take it
-        over and change it in place.  Gates compare by identity, so they
-        key the dicts themselves.  An empty tree raises
-        :class:`AnalysisError`.
+        Each fold copies the parent counts kept at construction and drops a
+        gate's value once its last parent is folded, so memory follows the
+        values still needed, not every node's.  *owned* says that the first
+        child is a gate folded here for the last time, so its value is no
+        longer held anywhere else and *gate* may take it over and change it
+        in place.  Gates compare by identity, so they key the dicts
+        themselves.  An empty tree raises :class:`AnalysisError`.
         """
         root = self.root
         if root is None:
             raise AnalysisError("empty tree")
         if not isinstance(root, FTGate):
             return leaf(root)
-        gates = [node for node in self._nodes if isinstance(node, FTGate)]
-        uses: dict[FTGate, int] = {}  # parents not yet folded, per gate
-        for node in gates:
-            for child in node.children:
-                if isinstance(child, FTGate):
-                    uses[child] = uses.get(child, 0) + 1
+        uses = self._parents.copy()  # parents not yet folded, per gate
         values: dict[FTGate, object] = {}
-        for node in gates:
+        for node in self._parents:
             kids = []
             owned = False
             for child in node.children:
@@ -188,17 +224,6 @@ class FaultTree:
         return self._fold(attrgetter("display"), gate)
 
 
-def _fallback_display(dependent: str, source) -> str:
-    """Provider-qualified display used when dependent-qualified ones collide.
-
-    The port suffix keeps same-named failure units of one provider apart.
-    """
-    text = f"{dependent}.{source.provider}.{source.name}"
-    if source.port is not None:
-        text += f"@{source.port}"
-    return text
-
-
 def _expand(model: ArchitectureModel, injections, comp: Component,
             ofm: OutputFailureMode):
     """The tree node of one output failure mode, and the wrapped leaves.
@@ -208,13 +233,13 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
     keys each by the name the cycle check uses.  Each gate, output failure
     mode, event, external input and injection is expanded once and shared.
     A wrapped leaf is an injected reference that came out as a single leaf;
-    it is listed with its provider-qualified fallback display, used if two
-    identities would otherwise share one display name.
+    it is listed with its dependent and injection source, which give its
+    fallback display if two identities would otherwise share one display.
     """
     memo: dict[str | tuple, object] = {}
     # names of the frames being expanded, in stack order
     visiting: dict[str, None] = {}
-    wrapped: list[tuple[object, str]] = []
+    wrapped: list[tuple] = []
     # (name, owner, gate or output failure mode, references left, child
     # nodes so far, injection the result stands for) of each frame
     stack: list[tuple] = []
@@ -227,7 +252,7 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
             node = (FTBasicEvent(node.identity, display) if type(node) is FTBasicEvent
                     else FTExternalEvent(node.component, node.port, node.failure_mode,
                                          node.identity, display))
-            wrapped.append((node, _fallback_display(dependent, source)))
+            wrapped.append((node, dependent, source))
         memo[key] = node
         return node
 
@@ -333,34 +358,6 @@ def _expand(model: ArchitectureModel, injections, comp: Component,
             stack[-1][4].append(node)
 
 
-def _resolve_display_collisions(tree: FaultTree, wrapped) -> None:
-    """Ensure the display-name to identity mapping is injective.
-
-    Two injected leaves may end up with one display name (same dependent,
-    same unit name, different providers); those fall back to a
-    provider-qualified display.  Plain leaves cannot collide: their display
-    is the owner-qualified event name.  A display is ambiguous when a leaf
-    shows it for another identity than the first leaf that showed it, so
-    one string per display is all the check keeps.
-    """
-    def ambiguous() -> set[str]:
-        first: dict[str, str] = {}  # display -> the first identity shown by it
-        return {leaf.display for leaf in tree.leaves()
-                if first.setdefault(leaf.display, leaf.identity) != leaf.identity}
-
-    colliding = ambiguous()
-    if not colliding:
-        return
-    for leaf, fallback in wrapped:
-        if leaf.display in colliding:
-            leaf.display = fallback
-    still = ambiguous()
-    if still:
-        raise SynthesisError(
-            "display names remain ambiguous after qualification: "
-            + ", ".join(sorted(still)))
-
-
 def synthesize(woven: WovenModel | ArchitectureModel,
                top: TopEventRef | str) -> FaultTree:
     """Build the monolithic fault tree for *top* from a woven model.
@@ -391,5 +388,18 @@ def synthesize(woven: WovenModel | ArchitectureModel,
 
     root, wrapped = _expand(model, woven._injections, comp, matches[0])
     tree = FaultTree(root=root, top=top)
-    _resolve_display_collisions(tree, wrapped)
+    if tree._ambiguous:
+        # Only injected leaves can collide (same dependent and unit name, two
+        # providers).  They take a provider-qualified display, where the port
+        # keeps same-named failure units of one provider apart, and a new
+        # tree reads the displays.
+        for leaf, dependent, source in wrapped:
+            if leaf.display in tree._ambiguous:
+                leaf.display = f"{dependent}.{source.provider}.{source.name}"
+                if source.port is not None:
+                    leaf.display += f"@{source.port}"
+        tree = FaultTree(root=root, top=top)
+        if tree._ambiguous:
+            raise SynthesisError("display names remain ambiguous after qualification: "
+                                 + ", ".join(sorted(tree._ambiguous)))
     return tree

@@ -87,11 +87,31 @@ class TestCutsets:
             evaluate(empty, {})
 
     def test_display_with_two_identities_rejected(self):
-        tree = tree_of(or_of(leaf("a", "same"), leaf("b", "same")))
-        for stage in STAGES:
-            with pytest.raises(AnalysisError) as caught:
-                cutsets(tree, stage)
-            assert str(caught.value) == "display name 'same' maps to several identities"
+        # the first display met ambiguous is named: children first, "z" is
+        # met before "m", which sorts first
+        for root, display in ((or_of(leaf("a", "same"), leaf("b", "same")), "same"),
+                              (or_of(leaf("a", "z"), leaf("b", "z"),
+                                     leaf("c", "m"), leaf("d", "m")), "z")):
+            for stage in STAGES:
+                with pytest.raises(AnalysisError) as caught:
+                    cutsets(tree_of(root), stage)
+                assert str(caught.value) == \
+                    f"display name '{display}' maps to several identities"
+
+    def test_a_tree_folds_any_number_of_times(self):
+        # the shared gate has two parents, so a fold that used up the
+        # tree's parent counts would fail the second time
+        shared = or_of(leaf("a"), leaf("b"))
+        tree = tree_of(or_of(and_of(shared, leaf("c")), and_of(shared, leaf("d"))))
+        text = "OR(AND(OR(a,b),c),AND(OR(a,b),d))"
+        assert tree.to_prefix_text() == text
+        assert tree.to_prefix_text() == text
+        lines = ("a ∧ c", "a ∧ d", "b ∧ c", "b ∧ d")
+        assert cutsets(tree, "pre").lines() == lines
+        assert cutsets(tree, "reduced").lines() == lines
+        assert evaluate(tree, {"a": False, "b": True, "c": False, "d": True}) is True
+        assert evaluate(tree, {"a": True, "b": True, "c": False, "d": False}) is False
+        assert tree.to_prefix_text() == text
 
     def test_fig2_reduced(self, fig2):
         tree = synthesize(weave(fig2), "f2.loss-of")

@@ -14,6 +14,7 @@ from cftweave import (
     Component,
     ComponentFaultTree,
     EventRef,
+    FaultTree,
     Gate,
     GateKind,
     InputFailureMode,
@@ -23,11 +24,14 @@ from cftweave import (
     ParseError,
     PortConnection,
     Severity,
+    TopEventRef,
     fixture_names,
     fixture_text,
     parse,
     serialize,
+    synthesize,
     validate,
+    weave,
 )
 
 import genmodels
@@ -452,13 +456,16 @@ class TestIndexes:
 
     def test_repr_shows_no_index(self, fig2):
         indexes = {cls: [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
-                   for cls in (ArchitectureModel, ComponentFaultTree)}
+                   for cls in (ArchitectureModel, ComponentFaultTree, FaultTree)}
         assert indexes[ComponentFaultTree] == ["_nodes"]
-        for obj in (fig2, fig2.component("f1").cft):
+        tree = synthesize(weave(fig2), "f2.loss-of")
+        for obj in (fig2, fig2.component("f1").cft, tree):
             for name in indexes[type(obj)]:
                 assert name not in repr(obj)
         assert repr(ComponentFaultTree()) == \
             "ComponentFaultTree(events=(), gates=(), input_fms=(), output_fms=())"
+        assert repr(FaultTree(root=None, top=TopEventRef("t", "t"))) == \
+            "FaultTree(root=None, top=TopEventRef(component='t', failure_mode='t'))"
 
     def test_equality_and_hash_ignore_the_indexes(self, fig2):
         for obj in (fig2, fig2.component("f1").cft):

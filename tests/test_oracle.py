@@ -1,6 +1,7 @@
 """Truth-table oracle: direct network evaluation and equivalence checks."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,15 @@ def test_oracle_resolves_the_network_on_its_own():
     assert not {p for p in pairs if p[1] == "synthesizer" or p == ("synthesizer", "*")}
     assert {name for module, name in pairs if module == "synthesizer"} <= {
         "FaultTree", "FTBasicEvent", "FTGate", "FTLeaf", "TopEventRef"}
+    # Of a tree it reads only the root and its nodes, through nodes(), and
+    # none of the facts that the tree's construction works out.
+    fields = {f.name for f in dataclasses.fields(FaultTree)}
+    assert {"root", "_nodes", "_parents", "_display_of"} <= fields
+    forbidden = (fields - {"root", "_nodes"}) | {"leaf_identities", "leaves", "_fold"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert "nodes" in read and not read & forbidden
 
 
 def leaf(identity):

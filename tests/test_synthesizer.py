@@ -25,7 +25,9 @@ from cftweave import (
     SynthesisError,
     TopEventRef,
     WovenModel,
+    cutsets,
     equivalent,
+    evaluate,
     parse,
     synthesize,
     table_of_network,
@@ -236,6 +238,10 @@ def test_display_collision_falls_back_to_provider_qualification():
     tree = synthesize(weave(model), "D.out")
     displays = {leaf.display: leaf.identity for leaf in tree.leaves()}
     assert displays == {"D.own": "D.own", "D.P1.fail": "P1.e", "D.P2.fail": "P2.e"}
+    # the analyses read the fallback displays, not the ones they replaced
+    for stage in ("pre", "reduced"):
+        assert cutsets(tree, stage).lines() == ("D.P1.fail", "D.P2.fail", "D.own")
+    assert evaluate(tree, {"D.own": False, "P1.e": False, "P2.e": True}) is True
 
 
 def test_display_names_ambiguous_after_qualification():
@@ -256,6 +262,22 @@ def test_display_names_ambiguous_after_qualification():
         synthesize(woven, "D.f")
     assert str(caught.value) == \
         "display names remain ambiguous after qualification: D.P.x"
+
+
+def test_cyclic_tree_rejected():
+    loop = FTGate(GateKind.AND, ())
+    inner = FTGate(GateKind.OR, (FTBasicEvent("a", "a"), loop))
+    loop.children = (FTBasicEvent("b", "b"), inner)
+    with pytest.raises(SynthesisError) as caught:
+        FaultTree(root=FTGate(GateKind.OR, (loop,)), top=TopEventRef("t", "t"))
+    assert str(caught.value) == "fault tree has a cycle"
+
+
+def test_child_that_is_not_a_tree_node_rejected():
+    with pytest.raises(SynthesisError) as caught:
+        FaultTree(root=FTGate(GateKind.OR, (FTBasicEvent("a", "a"), "b")),
+                  top=TopEventRef("t", "t"))
+    assert str(caught.value) == "fault tree node of type str is neither a gate nor a leaf"
 
 
 def test_deterministic(fig2):
