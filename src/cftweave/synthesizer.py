@@ -16,8 +16,9 @@ failure modes, so propagation depth is not bounded by the interpreter's
 recursion limit.  Repeated references to one output failure mode resolve to
 one shared subgraph, so the result is a DAG.  A :class:`FaultTree` reads its
 nodes once, when it is built, and keeps every fact the analyses read, so
-changing a node afterwards is not supported; a cyclic tree, or a node that
-is neither a gate nor a leaf, raises :class:`SynthesisError` there.  The text
+changing a node afterwards is not supported; a cyclic tree, a node that is
+neither a gate nor a leaf, or a gate whose kind is not a :class:`GateKind`
+or whose children are not a tuple, raises :class:`SynthesisError` there.  The text
 rendering and the cutset folds are one fold over its gates, and the
 oracle's evaluator is its own loop over its nodes.  The canonical text
 rendering still writes a shared subtree out at every occurrence, so its
@@ -97,7 +98,9 @@ class FaultTree:
     A tree reads its nodes once, when it is built, so changing a node
     afterwards is not supported.  That one explicit-stack walk keeps every
     fact the analyses read.  A node that is neither an :class:`FTGate` nor
-    a leaf, and a gate met below itself, raise :class:`SynthesisError`.
+    a leaf, a gate met below itself, and a gate whose kind is not a
+    :class:`GateKind` or whose children are not a tuple raise
+    :class:`SynthesisError`.
     """
 
     root: object
@@ -124,6 +127,12 @@ class FaultTree:
                 if isinstance(child, FTGate):
                     done = finished.get(child)
                     if done is None:
+                        if not isinstance(child.kind, GateKind):
+                            raise SynthesisError(
+                                f"fault tree gate kind {child.kind!r} is not a GateKind")
+                        if not isinstance(child.children, tuple):
+                            raise SynthesisError("fault tree gate children of type "
+                                                 f"{type(child.children).__name__} are not a tuple")
                         finished[child] = False
                         stack.append((child, iter(child.children)))
                         break

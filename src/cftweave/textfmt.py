@@ -30,12 +30,14 @@ document.  Parsing is one regular-expression match per line against a
 pattern built from its context's table, which also accepts blank and
 comment-only lines.  The line loop builds each declaration straight from
 the match's groups, with one node reference and one gate input tuple per
-distinct text, and a declaration keeps only its line number; a
-declaration error matches that line again, and the group spans give the
-name it points at its column.  A line that does not match goes to a word
-cursor, which reads the same table to find the first word that breaks the
-grammar and raises the located :class:`~cftweave.errors.ParseError`; valid
-documents never reach it.
+distinct text, and a declaration keeps only its line number.  Lines are
+read word by word only for an error, by one reader.  A line that does not
+match goes to a word cursor, which reads the same table to find the first
+word that breaks the grammar and raises the located
+:class:`~cftweave.errors.ParseError`.  A declaration error points at the
+word at a fixed index of its declaration's line: the keyword, the first
+name, or a component header's layer.  Valid documents never reach the
+reader.
 
 Serialisation is canonical: layers sorted by name, components by (layer,
 name), declarations in fixed kind order (in, out, event, gate, infm, outfm)
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, ParseError
 from .model import (
@@ -189,18 +191,6 @@ _REJECTED = {
 }
 
 
-# tuple.__new__ skips the named tuple's Python-level __new__
-_new_tuple = tuple.__new__
-
-
-class _Token(NamedTuple):
-    """A word an error may point at, with its line and column."""
-
-    value: str
-    line: int
-    column: int
-
-
 def _words(text: str, line: int) -> tuple[list, list[int]]:
     """The words of a line, up to a comment, and the column of each.
 
@@ -299,16 +289,17 @@ def _check_line(raw: str, line: int, in_block: bool) -> None:
 
 
 class _Block:
-    """A component block: its name and layer tokens and its declarations.
+    """A component block: its name, layer and header line, and its declarations.
 
     A plain class: a dataclass here would cost about 1 ms of every import."""
 
-    __slots__ = ("name", "layer", "in_ports", "out_ports", "events", "gates", "infms",
-                 "outfms")
+    __slots__ = ("name", "layer", "line", "in_ports", "out_ports", "events", "gates",
+                 "infms", "outfms")
 
-    def __init__(self, name: _Token, layer: _Token):
+    def __init__(self, name: str, layer: str, line: int):
         self.name = name
         self.layer = layer
+        self.line = line
         self.in_ports: list[str] = []
         self.out_ports: list[str] = []
         self.events: list[BasicEvent] = []
@@ -321,11 +312,11 @@ class _Parser:
     def __init__(self, text: str):
         # tabs are read as spaces once per document; no column moves
         self.lines = text.replace("\t", " ").split("\n")
-        self.layers: list[_Token] = []
+        self.layers: list[tuple[str, int]] = []  # each name and its line
         self.components: list[Component] = []
         self.connections: list[PortConnection] = []
         self.dependencies: list[AlfredDependency] = []
-        self.aliases: list[tuple[EventRef, EventRef, _Token]] = []
+        self.aliases: list[tuple[EventRef, EventRef, int]] = []  # both ends and the line
         # each object an error may be about, and the number of its line:
         # a component's is its header line
         self.declared: list[object] = []
@@ -361,16 +352,14 @@ class _Parser:
                     decl = AlfredDependency(m[g], m[g + 1])
                     self.dependencies.append(decl)
                 elif keyword == "component":
-                    block = _Block(_new_tuple(_Token, (m[g], lineno, m.start(g) + 1)),
-                                   _new_tuple(_Token, (m[g + 1], lineno, m.start(g + 1) + 1)))
+                    block = _Block(m[g], m[g + 1], lineno)
                     continue
                 elif keyword == "layer":
-                    self.layers.append(_new_tuple(_Token, (m[g], lineno, m.start(g) + 1)))
+                    self.layers.append((m[g], lineno))
                     continue
-                else:  # common-cause, whose keyword is the line's first word
-                    tok = _new_tuple(_Token, (keyword, lineno, len(raw) - len(raw.lstrip()) + 1))
+                else:  # common-cause
                     self.aliases.append((EventRef(m[g], m[g + 1]),
-                                         EventRef(m[g + 2], m[g + 3]), tok))
+                                         EventRef(m[g + 2], m[g + 3]), lineno))
                     continue
                 declared.append(decl)
                 declared_at.append(lineno)
@@ -414,12 +403,12 @@ class _Parser:
             declared_at.append(lineno)
         if block is not None:
             raise ParseError(
-                f"unexpected end of file inside component '{block.name.value}'",
+                f"unexpected end of file inside component '{block.name}'",
                 len(self.lines), 1, expected=("}",))
         if not self.layers:
             raise ParseError("no layer declared", 1, 1, expected=("layer",))
         model = ArchitectureModel(
-            layers=[tok.value for tok in self.layers],
+            layers=[layer for layer, _ in self.layers],
             components=tuple(self.components),
             connections=tuple(self.connections),
             dependencies=tuple(self.dependencies),
@@ -429,85 +418,75 @@ class _Parser:
         # Canonical construction erases self-aliases and repeated pairs, so
         # these two are checked here, on the declarations.
         seen: set[frozenset[EventRef]] = set()
-        for a, b, tok in self.aliases:
+        for a, b, line in self.aliases:
             if a == b:
                 raise ParseError("common-cause aliases an event to itself",
-                                 tok.line, tok.column, token=a.render())
+                                 line, self._word(line, 0)[1], token=a.render())
             if frozenset((a, b)) in seen:
+                word, column = self._word(line, 0)
                 raise ParseError(
                     f"duplicate declaration of common-cause {a.render()} = {b.render()}",
-                    tok.line, tok.column, token=tok.value)
+                    line, column, token=word)
             seen.add(frozenset((a, b)))
         # No finding was rejected, so these are all of validate's findings.
         object.__setattr__(model, "_report", ValidationReport(tuple(self.findings)))
         return model
 
-    def _token(self, line: int, in_block: bool, offset: int = 0) -> _Token:
-        """The token of the declaration on *line*, matched again with its
-        context's pattern: its first name (*offset* names further on), or
-        the keyword of a ``connect`` or ``alfred`` line."""
-        s = self.lines[line - 1]
-        m = (_BODY_LINE if in_block else _TOP_LINE).fullmatch(s)
-        keyword, g = (_BODY_GROUPS if in_block else _TOP_GROUPS)[m.lastindex]
-        if keyword in ("connect", "alfred"):  # the keyword is the line's first word
-            return _Token(keyword, line, len(s) - len(s.lstrip()) + 1)
-        return _Token(m[g + offset], line, m.start(g + offset) + 1)
+    def _word(self, line: int, index: int) -> tuple[str, int]:
+        """Word *index* of *line* and its column, read as the cursor reads
+        them: 0 is a keyword, 1 a declaration's first name, 3 a component
+        header's layer."""
+        words, columns = _words(self.lines[line - 1].rstrip("\r"), line)
+        return words[index], columns[index]
 
-    def _ports(self, header: int) -> list[_Token]:
-        """The port tokens of the block whose header is on line *header*,
-        in-ports first, each kind in declaration order."""
-        ports: dict[str, list[_Token]] = {"in": [], "out": []}
+    def _ports(self, header: int, name: str) -> list[int]:
+        """The lines that declare port *name* in the block whose header is
+        on line *header*: its in-ports first, then its out-ports, each kind
+        in declaration order."""
+        lines: dict[str, list[int]] = {"in": [], "out": []}
         line = header
         while True:
             line += 1
-            m = _BODY_LINE.fullmatch(self.lines[line - 1])
-            if m.lastindex is None:
-                continue
-            keyword, g = _BODY_GROUPS[m.lastindex]
-            if keyword == "}":
-                return ports["in"] + ports["out"]
-            if keyword in ports:
-                ports[keyword].append(_Token(m[g], line, m.start(g) + 1))
+            words = _words(self.lines[line - 1].rstrip("\r"), line)[0]
+            if words == ["}"]:
+                return lines["in"] + lines["out"]
+            if words[1:] == [name] and words[0] in lines:
+                lines[words[0]].append(line)
 
     def _reject(self, severity, code, element, message, about=None, name=None) -> None:
         """The sink given to the shared checks: keeps each finding whose code
         is not in ``_REJECTED`` and raises at the first one whose code is,
         located at the declaration it is about (the second one with the
         name, for layers, components and ports; the layer name, for a
-        component on an undeclared layer).  The declaration's line is
-        matched again to find the token."""
+        component on an undeclared layer).  Each rejected finding's element
+        starts with its component's name, where it has one."""
         template = _REJECTED.get(code)
         if template is None:
             self.findings.append(Finding(severity, code, element, message))
             return
-        owner = None
+        declared = zip(self.declared, self.declared_at)
+        index = 1  # a declaration's first name
         if code == "duplicate-layer":
-            tok = [t for t in self.layers if t.value == name][1]
+            line = [at for layer, at in self.layers if layer == name][1]
+        elif code == "duplicate-component":
+            line = [at for obj, at in declared
+                    if isinstance(obj, Component) and obj.name == name][1]
         elif code == "unknown-event":
-            tok = next(t for a, b, t in self.aliases if name in (a.render(), b.render()))
+            line = next(at for a, b, at in self.aliases if name in (a.render(), b.render()))
+            index = 0
         else:
-            declared = list(zip(self.declared, self.declared_at))
             line = next(at for obj, at in declared if obj is about)
-            if isinstance(about, Component):
-                owner = about.name
-                if code == "duplicate-component":
-                    line = [at for obj, at in declared
-                            if isinstance(obj, Component) and obj.name == name][1]
-                    tok = self._token(line, False)
-                elif code == "port-collision":
-                    tok = [t for t in self._ports(line) if t.value == name][1]
-                else:  # unknown-layer
-                    tok = self._token(line, False, 1)
+            if code == "port-collision":
+                line = self._ports(line, name)[1]
+            elif code == "unknown-layer":
+                index = 3
             elif isinstance(about, (PortConnection, AlfredDependency)):
-                tok = self._token(line, False)
-            else:  # a node of the last component declared above it
-                owner = max((at, obj.name) for obj, at in declared
-                            if isinstance(obj, Component) and at < line)[1]
-                tok = self._token(line, True)
+                index = 0
+        word, column = self._word(line, index)
         message = template.format(
-            name=name, owner=owner,
+            name=name, owner=element.partition(".")[0],
             kind="input" if isinstance(about, InputFailureMode) else "output")
-        raise ParseError(message, tok.line, tok.column, token=tok.value)
+        raise ParseError(message, line, column, token=word)
 
     def _close(self, block: _Block) -> None:
         cft = None
@@ -516,15 +495,15 @@ class _Parser:
                                      input_fms=tuple(block.infms),
                                      output_fms=tuple(block.outfms))
         comp = Component(
-            name=block.name.value,
-            layer=block.layer.value,
+            name=block.name,
+            layer=block.layer,
             in_ports=tuple(block.in_ports),
             out_ports=tuple(block.out_ports),
             cft=cft,
         )
         self.components.append(comp)
         self.declared.append(comp)
-        self.declared_at.append(block.name.line)
+        self.declared_at.append(block.line)
 
 def parse(text: str) -> ArchitectureModel:
     """Parse a model document.

@@ -7,15 +7,18 @@ point from later to earlier components, and providers always expose failure
 behaviour.  The identity budget (basic events plus external inputs) is
 capped so exhaustive oracle sweeps stay cheap.
 
-:func:`wide`, :func:`chain` and :func:`lattice` build scalable families
-deterministically, for tests whose expected trees and cutsets follow in
-closed form from the family's structure; :func:`alfred_chain` builds a
-dependency chain of any depth.
+:func:`wide`, :func:`chain` and :func:`lattice` are the scalable families
+the benchmark times, parsed from the text that ``perfbench/families.py``
+writes for them at a fixed seed, for tests whose expected trees and
+cutsets follow in closed form from the family's structure;
+:func:`alfred_chain` builds a dependency chain of any depth.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 from cftweave import (
     AlfredDependency,
@@ -32,10 +35,16 @@ from cftweave import (
     OutputFailureMode,
     PortConnection,
     TopEventRef,
+    parse,
 )
 
+# appended, not prepended: perfbench/ also holds modules named run,
+# pipeline and record, which must not shadow any other
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402
+
 FM_NAMES = ("loss-of", "stuck", "late-output")
-BATTERY = ("Battery-omission", "Battery-too-low")
+BATTERY = families.BATTERY
 
 
 def random_model(seed: int, max_components: int = 6, max_identities: int = 12,
@@ -168,69 +177,21 @@ def random_model(seed: int, max_components: int = 6, max_identities: int = 12,
     return model, tops
 
 
-def _battery() -> Component:
-    return Component(
-        name="B", layer="hw", in_ports=(), out_ports=(),
-        cft=ComponentFaultTree(
-            events=tuple(BasicEvent(e) for e in BATTERY), gates=(), input_fms=(),
-            output_fms=tuple(OutputFailureMode(e, None, NodeRef(e)) for e in BATTERY)))
+def _family(case: families.Case) -> tuple[ArchitectureModel, TopEventRef]:
+    return parse(case.text), TopEventRef.parse(case.tops[0])
 
 
 def wide(n: int, kind: GateKind) -> tuple[ArchitectureModel, TopEventRef]:
     """n sensors ``S{k}`` (events ``f``, ``g`` under an OR) feed one *kind*
     gate in ``T``; every sensor ``alfred``-depends on battery ``B``."""
-    battery = _battery()
-    sensors = tuple(Component(
-        name=f"S{k}", layer="sw", in_ports=(), out_ports=("o",),
-        cft=ComponentFaultTree(
-            events=(BasicEvent("f"), BasicEvent("g")),
-            gates=(Gate("any", GateKind.OR, (NodeRef("f"), NodeRef("g"))),),
-            input_fms=(),
-            output_fms=(OutputFailureMode("fail", "o", NodeRef("any")),)))
-        for k in range(n))
-    top = Component(
-        name="T", layer="sw", in_ports=tuple(f"i{k}" for k in range(n)), out_ports=("o",),
-        cft=ComponentFaultTree(
-            events=(),
-            gates=(Gate("top", kind, tuple(NodeRef("fail", f"i{k}") for k in range(n))),),
-            input_fms=tuple(InputFailureMode("fail", f"i{k}") for k in range(n)),
-            output_fms=(OutputFailureMode("loss", "o", NodeRef("top")),)))
-    model = ArchitectureModel(
-        layers=("hw", "sw"),
-        components=(battery, *sensors, top),
-        connections=tuple(PortConnection(f"S{k}", "o", "T", f"i{k}") for k in range(n)),
-        dependencies=tuple(AlfredDependency(f"S{k}", "B") for k in range(n)),
-        common_causes=(),
-    )
-    return model, TopEventRef("T", "loss")
+    return _family(families.wide(n, kind.value, random.Random(0)))
 
 
 def chain(n: int) -> tuple[ArchitectureModel, TopEventRef]:
     """``C0 -> C1 -> ... -> C{n-1}`` by ports: each stage ORs its input
     failure with its own event ``e``; every stage ``alfred``-depends on
     battery ``B``.  Propagation depth grows with n."""
-    stages = []
-    for k in range(n):
-        if k == 0:
-            cft = ComponentFaultTree(
-                events=(BasicEvent("e"),),
-                output_fms=(OutputFailureMode("fail", "o", NodeRef("e")),))
-            stages.append(Component(f"C{k}", "sw", out_ports=("o",), cft=cft))
-            continue
-        cft = ComponentFaultTree(
-            events=(BasicEvent("e"),),
-            gates=(Gate("g", GateKind.OR, (NodeRef("fail", "i"), NodeRef("e"))),),
-            input_fms=(InputFailureMode("fail", "i"),),
-            output_fms=(OutputFailureMode("fail", "o", NodeRef("g")),))
-        stages.append(Component(f"C{k}", "sw", in_ports=("i",), out_ports=("o",), cft=cft))
-    model = ArchitectureModel(
-        layers=("hw", "sw"),
-        components=(_battery(), *stages),
-        connections=tuple(PortConnection(f"C{k - 1}", "o", f"C{k}", "i")
-                          for k in range(1, n)),
-        dependencies=tuple(AlfredDependency(f"C{k}", "B") for k in range(n)),
-    )
-    return model, TopEventRef(f"C{n - 1}", "fail")
+    return _family(families.chain(n, random.Random(0)))
 
 
 def lattice(n: int) -> tuple[ArchitectureModel, TopEventRef]:
@@ -238,26 +199,7 @@ def lattice(n: int) -> tuple[ArchitectureModel, TopEventRef]:
     ORs both inputs with the stage's event ``e``.  The fault tree has n
     gates and n leaves, but each stage's subtree occurs twice in the next,
     so its prefix text doubles per stage."""
-    stages = []
-    for k in range(n):
-        ports = ("o",) if k == n - 1 else ("oa", "ob")
-        driver = NodeRef("e") if k == 0 else NodeRef("g")
-        gates = () if k == 0 else (
-            Gate("g", GateKind.OR, (NodeRef("fail", "ia"), NodeRef("fail", "ib"), NodeRef("e"))),)
-        in_ports = () if k == 0 else ("ia", "ib")
-        cft = ComponentFaultTree(
-            events=(BasicEvent("e"),),
-            gates=gates,
-            input_fms=tuple(InputFailureMode("fail", p) for p in in_ports),
-            output_fms=tuple(OutputFailureMode("fail", p, driver) for p in ports))
-        stages.append(Component(f"L{k}", "sw", in_ports=in_ports, out_ports=ports, cft=cft))
-    model = ArchitectureModel(
-        layers=("sw",),
-        components=tuple(stages),
-        connections=tuple(PortConnection(f"L{k - 1}", f"o{side}", f"L{k}", f"i{side}")
-                          for k in range(1, n) for side in "ab"),
-    )
-    return model, TopEventRef(f"L{n - 1}", "fail")
+    return _family(families.lattice(n, random.Random(0)))
 
 
 def alfred_chain(n: int) -> ArchitectureModel:

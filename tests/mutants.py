@@ -58,6 +58,23 @@ MUTANTS = (
            "                    if not done:\n",
            "                    if False:\n",
            ("tests/test_synthesizer.py::test_cyclic_tree_rejected",)),
+    Mutant("no-gate-kind-check", "synthesizer.py",
+           "if not isinstance(child.kind, GateKind):", "if False:",
+           ("tests/test_synthesizer.py::test_ill_typed_gate_field_rejected[kind]",)),
+    Mutant("no-gate-children-check", "synthesizer.py",
+           "if not isinstance(child.children, tuple):", "if False:",
+           ("tests/test_synthesizer.py::test_ill_typed_gate_field_rejected[children]",)),
+    # A declaration error points at a fixed word of the declaration's line.
+    Mutant("layer-read-at-the-headers-third-word", "textfmt.py",
+           "index = 3", "index = 2",
+           ("tests/test_parse_errors.py::test_declaration_error[undeclared layer]",)),
+    Mutant("duplicate-layer-at-the-first-occurrence", "textfmt.py",
+           "line = [at for layer, at in self.layers if layer == name][1]",
+           "line = [at for layer, at in self.layers if layer == name][0]",
+           ("tests/test_parse_errors.py::test_declaration_error[layer]",)),
+    Mutant("out-ports-before-in-ports", "textfmt.py",
+           'return lines["in"] + lines["out"]', 'return lines["out"] + lines["in"]',
+           ("tests/test_parse_errors.py::test_declaration_error[port in and out]",)),
     # pre keeps a list of lines in report order.
     Mutant("pre-crosses-unordered-lines", "analyzer.py",
            "acc[have] = sorted(prefixes)", "acc[have] = list(prefixes)",

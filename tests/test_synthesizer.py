@@ -280,6 +280,16 @@ def test_child_that_is_not_a_tree_node_rejected():
     assert str(caught.value) == "fault tree node of type str is neither a gate nor a leaf"
 
 
+@pytest.mark.parametrize("gate, message", [
+    (FTGate("OR", (FTBasicEvent("a", "a"),)), "fault tree gate kind 'OR' is not a GateKind"),
+    (FTGate(GateKind.OR, None), "fault tree gate children of type NoneType are not a tuple"),
+], ids=["kind", "children"])
+def test_ill_typed_gate_field_rejected(gate, message):
+    with pytest.raises(SynthesisError) as caught:
+        FaultTree(root=FTGate(GateKind.AND, (gate,)), top=TopEventRef("t", "t"))
+    assert str(caught.value) == message
+
+
 def test_deterministic(fig2):
     woven = weave(fig2)
     assert synthesize(woven, "f2.loss-of").to_prefix_text() == \

@@ -159,28 +159,27 @@ class TestParse:
         assert model.component("c").cft.event("e") is not None
 
     @pytest.mark.parametrize("name", ["vehicle", "wide"])
-    def test_only_layer_component_and_common_cause_lines_make_tokens(self, name,
-                                                                     monkeypatch):
-        # a valid declaration keeps no token: errors find theirs by matching
-        # the declaration's line again
+    def test_a_valid_document_is_never_read_word_by_word(self, name, monkeypatch):
+        # declarations keep only their line numbers, and no line is read a
+        # second time: the word reader runs only for an error
         if name == "wide":
             text = serialize(weave(genmodels.wide(50, GateKind.OR)[0]).model)
             text += "common-cause S0.f = S1.f\ncommon-cause S1.g = S2.g\n"
         else:
             text = fixture_text(name)
-        made = []
-        new_tuple = textfmt._new_tuple
+        read = []
+        words = textfmt._words
 
-        def recording(cls, values):
-            made.append(values[1])
-            return new_tuple(cls, values)
+        def recording(text, line):
+            read.append(line)
+            return words(text, line)
 
-        monkeypatch.setattr(textfmt, "_new_tuple", recording)
+        monkeypatch.setattr(textfmt, "_words", recording)
         parse(text)
-        tokens = {"layer": 1, "component": 2, "common-cause": 1}  # per line
-        expected = [number for number, line in enumerate(text.split("\n"), start=1)
-                    for _ in range(tokens.get(line.split(" ")[0], 0))]
-        assert sorted(made) == expected
+        assert read == []
+        with pytest.raises(ParseError):  # the patched reader is the one errors use
+            parse(text + "layer $\n")
+        assert read
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
