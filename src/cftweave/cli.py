@@ -47,12 +47,18 @@ def _load_valid_model(path: str) -> ArchitectureModel:
     return model
 
 
-def _parse_top(text: str):
-    from .synthesizer import TopEventRef
+def _load_tree(args):
+    """The tree of ``--top`` in the woven model of *args*' file.  A model that
+    does not load or validate fails before the weave, and the weave before
+    ``--top`` is read."""
+    from .synthesizer import TopEventRef, synthesize
+    from .weaver import weave
+    woven = weave(_load_valid_model(args.file))
     try:
-        return TopEventRef.parse(text)
+        top = TopEventRef.parse(args.top)
     except SynthesisError as exc:
         raise _fail(2, str(exc)) from None
+    return synthesize(woven, top)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -84,10 +90,7 @@ def _cmd_weave(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    from .synthesizer import synthesize
-    from .weaver import weave
-    model = _load_valid_model(args.file)
-    tree = synthesize(weave(model), _parse_top(args.top))
+    tree = _load_tree(args)
     if args.dot:
         _emit(export_dot(tree), args.output)
     else:
@@ -97,11 +100,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_cutsets(args) -> int:
     from .analyzer import cutsets
-    from .synthesizer import synthesize
-    from .weaver import weave
-    model = _load_valid_model(args.file)
-    tree = synthesize(weave(model), _parse_top(args.top))
-    report = cutsets(tree, args.stage)
+    report = cutsets(_load_tree(args), args.stage)
     if args.format == "tsv":
         lines = list(map("\t".join, report.rows()))
     else:

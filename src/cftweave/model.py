@@ -139,11 +139,10 @@ class ComponentFaultTree:
     _nodes: dict[str | tuple[str, str, str | None], object] = _index()
 
     def __post_init__(self):
-        set_field = object.__setattr__
         for name, key in _CFT_ORDER:
             members = getattr(self, name)
             if type(members) is not tuple or len(members) > 1:  # else already in order
-                set_field(self, name, tuple(sorted(members, key=key)))
+                object.__setattr__(self, name, tuple(sorted(members, key=key)))
 
         # Filled from the back, so the first match in canonical order wins;
         # gates then events overwrite the bare names, as resolve prefers them.
@@ -159,7 +158,7 @@ class ComponentFaultTree:
             nodes[g.name] = g
         for e in reversed(self.events):
             nodes[e.name] = e
-        set_field(self, "_nodes", nodes)
+        object.__setattr__(self, "_nodes", nodes)
 
     def event(self, name: str) -> BasicEvent | None:
         node = self._nodes.get(name)
@@ -193,12 +192,10 @@ class Component:
     cft: ComponentFaultTree | None = None
 
     def __post_init__(self):
-        ports = self.in_ports
-        if type(ports) is not tuple or len(ports) > 1:  # else already in order
-            object.__setattr__(self, "in_ports", tuple(sorted(ports)))
-        ports = self.out_ports
-        if type(ports) is not tuple or len(ports) > 1:
-            object.__setattr__(self, "out_ports", tuple(sorted(ports)))
+        for name in ("in_ports", "out_ports"):
+            ports = getattr(self, name)
+            if type(ports) is not tuple or len(ports) > 1:  # else already in order
+                object.__setattr__(self, name, tuple(sorted(ports)))
 
 
 @dataclass(frozen=True)
@@ -276,10 +273,12 @@ def _alias_groups(pairs) -> dict[str, list[EventRef]]:
     return groups
 
 
-# The canonical sort keys, read in C rather than by a Python call per element.
-_BY_LAYER_NAME = attrgetter("layer", "name")
-_BY_ENDS = attrgetter("from_component", "from_port", "to_component", "to_port")
-_BY_DEPENDENT_PROVIDER = attrgetter("dependent", "provider")
+# Each member tuple of a model that is sorted as given, and its canonical sort
+# key; the keys are read in C rather than by a Python call per element.
+_MODEL_ORDER = (("layers", None), ("components", attrgetter("layer", "name")),
+                ("connections",
+                 attrgetter("from_component", "from_port", "to_component", "to_port")),
+                ("dependencies", attrgetter("dependent", "provider")))
 _BY_EVENTS = attrgetter("a.component", "a.event", "b.component", "b.event")
 
 
@@ -303,13 +302,8 @@ class ArchitectureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_report", None)
-        object.__setattr__(self, "layers", tuple(sorted(self.layers)))
-        object.__setattr__(self, "components",
-                           tuple(sorted(self.components, key=_BY_LAYER_NAME)))
-        object.__setattr__(self, "connections",
-                           tuple(sorted(self.connections, key=_BY_ENDS)))
-        object.__setattr__(self, "dependencies",
-                           tuple(sorted(self.dependencies, key=_BY_DEPENDENT_PROVIDER)))
+        for name, key in _MODEL_ORDER:
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=key)))
         # Alias pairs are stored in star form (smallest member first), so any
         # pair set describing the same groups compares and serialises equal.
         groups = _alias_groups(self.common_causes)
@@ -435,79 +429,62 @@ def _check_name(add, kind: str, name: str, owner: str | None = None,
             f"{kind} name {name!r} is not a legal identifier")
 
 
+def _claim(add, bare: dict[str, str], owner: str, node, what: str) -> None:
+    """Record *node*'s bare name as a *what*; report it if already taken."""
+    if node.name in bare:
+        add(Severity.ERROR, "duplicate-node", _element(owner, node.name),
+            f"name already used by a {bare[node.name]}", node, node.name)
+    bare[node.name] = what
+
+
 def _validate_cft(comp: Component, add, check_names: bool, collides: bool) -> None:
     """Check *comp*'s fault tree; *collides* says that some port name of
     *comp* may be declared twice, perhaps once in each direction."""
     cft = comp.cft
     owner = comp.name
-    # The constructor's index holds one entry per distinct key, so a tree
-    # with as many entries as declarations repeats none and needs no
-    # bookkeeping; unless names are checked, its events and gates then need
-    # no pass here.  Otherwise these say what each bare name is and which
-    # failure modes came before.
+    # A tree repeats a key only if its index is shorter than its members;
+    # only then are *bare* names and *seen* failure modes recorded.  Events
+    # and gates of a tree that repeats none need a pass only to check names.
     repeats = len(cft._nodes) < (len(cft.events) + len(cft.gates)
                                  + len(cft.input_fms) + len(cft.output_fms))
+    bare: dict[str, str] = {}
+    seen: set[tuple[str, str, str | None]] = set()
     if check_names or repeats:
-        bare: dict[str, str] = {}
-        seen_in: set[tuple[str, str | None]] = set()
-        seen_out: set[tuple[str, str | None]] = set()
+        for kind, what, nodes in (("event", "basic event", cft.events),
+                                  ("gate", "gate", cft.gates)):
+            for node in nodes:
+                if check_names:
+                    _check_name(add, kind, node.name, owner)
+                if repeats:
+                    _claim(add, bare, owner, node, what)
 
-        def claim(node, what: str) -> None:
-            if node.name in bare:
-                add(Severity.ERROR, "duplicate-node", _element(owner, node.name),
-                    f"name already used by a {bare[node.name]}", node, node.name)
-            bare[node.name] = what
-
-        for event in cft.events:
+    # Each direction: its kind, failure modes, own and other port tuples, the
+    # other's port word, and what a port-less one is among the bare names.
+    for kind, fms, own, other, wrong, what in (
+            ("input failure mode", cft.input_fms, comp.in_ports, comp.out_ports, "out-port",
+             "port-less input failure mode"),
+            ("output failure mode", cft.output_fms, comp.out_ports, comp.in_ports, "in-port",
+             None)):
+        for fm in fms:
+            name, port = fm.name, fm.port
             if check_names:
-                _check_name(add, "event", event.name, owner)
+                _check_name(add, kind, name, owner, port)
             if repeats:
-                claim(event, "basic event")
-        for gate in cft.gates:
-            if check_names:
-                _check_name(add, "gate", gate.name, owner)
-            if repeats:
-                claim(gate, "gate")
-
-    for ifm in cft.input_fms:
-        if check_names:
-            _check_name(add, "input failure mode", ifm.name, owner, ifm.port)
-        if repeats:
-            if (ifm.name, ifm.port) in seen_in:
-                add(Severity.ERROR, "duplicate-failure-mode",
-                    _element(owner, ifm.name, ifm.port),
-                    "input failure mode declared twice", ifm, ifm.name)
-            seen_in.add((ifm.name, ifm.port))
-        if ifm.port is None:
-            if repeats:
-                claim(ifm, "port-less input failure mode")
-        # one probe settles a port found in its own direction, unless the
-        # name may be declared both ways
-        elif collides or not _has(comp.in_ports, ifm.port):
-            if _has(comp.out_ports, ifm.port):
-                add(Severity.ERROR, "wrong-port-direction", _element(owner, ifm.name, ifm.port),
-                    f"input failure mode bound to out-port '{ifm.port}'")
-            elif not _has(comp.in_ports, ifm.port):
-                add(Severity.ERROR, "unknown-port", _element(owner, ifm.name, ifm.port),
-                    f"port '{ifm.port}' is not declared", ifm, f"{owner}.{ifm.port}")
-
-    for ofm in cft.output_fms:
-        if check_names:
-            _check_name(add, "output failure mode", ofm.name, owner, ofm.port)
-        if repeats:
-            if (ofm.name, ofm.port) in seen_out:
-                add(Severity.ERROR, "duplicate-failure-mode",
-                    _element(owner, ofm.name, ofm.port),
-                    "output failure mode declared twice", ofm, ofm.name)
-            seen_out.add((ofm.name, ofm.port))
-        if ofm.port is not None and (collides or not _has(comp.out_ports, ofm.port)):
-            if _has(comp.in_ports, ofm.port):
-                add(Severity.ERROR, "wrong-port-direction",
-                    _element(owner, ofm.name, ofm.port),
-                    f"output failure mode bound to in-port '{ofm.port}'")
-            elif not _has(comp.out_ports, ofm.port):
-                add(Severity.ERROR, "unknown-port", _element(owner, ofm.name, ofm.port),
-                    f"port '{ofm.port}' is not declared", ofm, f"{owner}.{ofm.port}")
+                if (kind, name, port) in seen:
+                    add(Severity.ERROR, "duplicate-failure-mode", _element(owner, name, port),
+                        f"{kind} declared twice", fm, name)
+                seen.add((kind, name, port))
+                if port is None and what:
+                    _claim(add, bare, owner, fm, what)
+            # one probe settles a port found in its own direction, unless the
+            # name may be declared both ways
+            if port is not None and (collides or not _has(own, port)):
+                if _has(other, port):
+                    add(Severity.ERROR, "wrong-port-direction", _element(owner, name, port),
+                        f"{kind} bound to {wrong} '{port}'")
+                elif not _has(own, port):
+                    add(Severity.ERROR, "unknown-port", _element(owner, name, port),
+                        f"port '{port}' is not declared", fm, f"{owner}.{port}")
 
     gate_edges = []
     for gate in cft.gates:
@@ -550,10 +527,9 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
     if not model.components:
         add(Severity.ERROR, "no-components", "model", "no components declared")
 
-    # Canonical order puts repeated layers, and repeated connections and
-    # dependencies, next to each other.  The in-port index holds one entry
-    # per connected in-port, so connections no more than its entries repeat
-    # none and need no bookkeeping.
+    # Canonical order puts repeated layers, connections and dependencies
+    # next to each other.  A repeated connection shares its in-port's index
+    # entry, so only an index shorter than the connections needs bookkeeping.
     layers = model.layers
     for i, layer in enumerate(layers):
         if check_names:
@@ -588,26 +564,18 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
         if comp.cft is not None:
             _validate_cft(comp, add, check_names, collides)
 
-    # A repeated connection shares its in-port's index entry.
-    repeats = len(model._connections_into) < len(model.connections)
+    connected = model._connections_into
+    repeats = len(connected) < len(model.connections)
     previous = None
     for conn in model.connections:
-        # two probes settle a connection whose two ports exist
-        source = components.get(conn.from_component)
-        target = components.get(conn.to_component)
-        if (source is None or target is None or not _has(source.out_ports, conn.from_port)
-                or not _has(target.in_ports, conn.to_port)):
-            for end, port, ports_ok, ports_wrong, side in (
-                    (conn.from_component, conn.from_port, "out_ports", "in_ports", "source"),
-                    (conn.to_component, conn.to_port, "in_ports", "out_ports", "target")):
-                if not model.has_component(end):
-                    add(Severity.ERROR, "unknown-component", conn.render(),
-                        f"{side} component '{end}' is not declared", conn, end)
-                    continue
-                comp = model.component(end)
-                if _has(getattr(comp, ports_ok), port):
-                    continue
-                if _has(getattr(comp, ports_wrong), port):
+        for side, end, port, outward in (("source", conn.from_component, conn.from_port, True),
+                                         ("target", conn.to_component, conn.to_port, False)):
+            comp = components.get(end)
+            if comp is None:
+                add(Severity.ERROR, "unknown-component", conn.render(),
+                    f"{side} component '{end}' is not declared", conn, end)
+            elif not _has(comp.out_ports if outward else comp.in_ports, port):
+                if _has(comp.in_ports if outward else comp.out_ports, port):
                     add(Severity.ERROR, "wrong-port-direction", conn.render(),
                         f"{side} port '{end}.{port}' has the wrong direction")
                 else:
@@ -630,9 +598,10 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
     previous = None
     dep_edges = []
     for dep in model.dependencies:
+        ends = (dep.dependent, dep.provider)
         known = True
-        for end in (dep.dependent, dep.provider):
-            if not model.has_component(end):
+        for end in ends:
+            if end not in components:
                 known = False
                 add(Severity.ERROR, "unknown-component", dep.render(),
                     f"component '{end}' is not declared", dep, end)
@@ -640,11 +609,11 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
             add(Severity.ERROR, "self-dependency", dep.render(),
                 "component depends on itself")
         elif known:
-            dep_edges.append((dep.dependent, dep.provider))
-        if dep == previous:
+            dep_edges.append(ends)
+        if ends == previous:
             add(Severity.ERROR, "duplicate-dependency", dep.render(),
                 "dependency declared twice", dep, dep.render())
-        previous = dep
+        previous = ends
     cyclic = _leftover_cycle_members(dep_edges)
     if cyclic:
         add(Severity.ERROR, "dependency-cycle", "model",
@@ -652,22 +621,22 @@ def _check(model: ArchitectureModel, add, *, check_names: bool = True) -> None:
 
     for cc in model.common_causes:
         for ref in (cc.a, cc.b):
-            if not model.has_component(ref.component):
+            comp = components.get(ref.component)
+            if comp is None:
                 add(Severity.ERROR, "unknown-event", ref.render(),
                     f"component '{ref.component}' is not declared", cc, ref.render())
-                continue
-            cft = model.component(ref.component).cft
-            if cft is None or cft.event(ref.event) is None:
+            elif comp.cft is None or comp.cft.event(ref.event) is None:
                 add(Severity.ERROR, "unknown-event", ref.render(),
                     "event is not declared", cc, ref.render())
 
     for comp in model.components:
         for port in comp.in_ports:
-            if (comp.name, port) not in model._connections_into:
+            if (comp.name, port) not in connected:
                 add(Severity.WARNING, "unconnected-in-port", f"{comp.name}.{port}",
                     "in-port has no incoming connection")
     for provider in sorted({d.provider for d in model.dependencies}):
-        if model.has_component(provider) and model.component(provider).cft is None:
+        comp = components.get(provider)
+        if comp is not None and comp.cft is None:
             add(Severity.WARNING, "provider-no-cft", provider,
                 "dependency provider has no fault tree")
 

@@ -98,9 +98,9 @@ class FaultTree:
     A tree reads its nodes once, when it is built, so changing a node
     afterwards is not supported.  That one explicit-stack walk keeps every
     fact the analyses read.  A node that is neither an :class:`FTGate` nor
-    a leaf, a gate met below itself, and a gate whose kind is not a
-    :class:`GateKind` or whose children are not a tuple raise
-    :class:`SynthesisError`.
+    a leaf, a gate met below itself, a gate whose kind is not a
+    :class:`GateKind` or whose children are not a tuple, and a leaf whose
+    identity or display is not a ``str`` raise :class:`SynthesisError`.
     """
 
     root: object
@@ -143,9 +143,13 @@ class FaultTree:
                     raise SynthesisError(f"fault tree node of type {type(child).__name__}"
                                          " is neither a gate nor a leaf")
                 elif child not in finished:
+                    display, identity = child.display, child.identity
+                    if not isinstance(identity, str):
+                        raise SynthesisError(f"fault tree leaf identity {identity!r} is not a str")
+                    if not isinstance(display, str):
+                        raise SynthesisError(f"fault tree leaf display {display!r} is not a str")
                     finished[child] = True
                     nodes.append(child)
-                    display, identity = child.display, child.identity
                     if identity_of.setdefault(display, identity) != identity:
                         ambiguous[display] = None
                     if display_of.setdefault(identity, display) != display:

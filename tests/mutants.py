@@ -64,6 +64,24 @@ MUTANTS = (
     Mutant("no-gate-children-check", "synthesizer.py",
            "if not isinstance(child.children, tuple):", "if False:",
            ("tests/test_synthesizer.py::test_ill_typed_gate_field_rejected[children]",)),
+    Mutant("no-leaf-identity-check", "synthesizer.py",
+           "if not isinstance(identity, str):", "if False:",
+           ("tests/test_synthesizer.py::test_ill_typed_leaf_field_rejected[identity]",)),
+    Mutant("no-leaf-display-check", "synthesizer.py",
+           "if not isinstance(display, str):", "if False:",
+           ("tests/test_synthesizer.py::test_ill_typed_leaf_field_rejected[display]",)),
+    # The checker reports input before output failure modes, a connection's
+    # source end before its target end, and probes a port once only when no
+    # port name of the component may be declared both ways.
+    Mutant("output-failure-modes-first", "model.py",
+           "             None)):\n", "             None))[::-1]:\n",
+           ("tests/test_model.py::TestValidate::test_failure_mode_port_direction",)),
+    Mutant("connection-target-end-first", "model.py",
+           "conn.to_port, False)):", "conn.to_port, False))[::-1]:",
+           ("tests/test_model.py::TestValidate::test_connection_endpoint_checks",)),
+    Mutant("one-probe-ignores-collides", "model.py",
+           "(collides or not _has(own, port))", "(not _has(own, port))",
+           ("tests/test_model.py::TestValidate::test_failure_modes_on_a_port_declared_both_ways",)),
     # A declaration error points at a fixed word of the declaration's line.
     Mutant("layer-read-at-the-headers-third-word", "textfmt.py",
            "index = 3", "index = 2",

@@ -142,16 +142,22 @@ class TestValidate:
         assert "port-collision" in codes(validate(model))
 
     def test_failure_mode_port_direction(self):
+        # input failure modes come before output ones, each in canonical order
         cft = ComponentFaultTree(
             events=(BasicEvent("e"),),
-            input_fms=(InputFailureMode("fm", "o"),),
-            output_fms=(OutputFailureMode("fm", "i", NodeRef("e")),),
+            input_fms=(InputFailureMode("late", "x"), InputFailureMode("fm", "o")),
+            output_fms=(OutputFailureMode("late", "y", NodeRef("e")),
+                        OutputFailureMode("fm", "i", NodeRef("e"))),
         )
         model = ArchitectureModel(
             layers=("l",),
             components=(Component("c", "l", in_ports=("i",), out_ports=("o",), cft=cft),))
-        report = validate(model)
-        assert codes(report).count("wrong-port-direction") == 2
+        assert validate(model).render_lines() == (
+            "error[wrong-port-direction] c.fm@o: input failure mode bound to out-port 'o'",
+            "error[unknown-port] c.late@x: port 'x' is not declared",
+            "error[wrong-port-direction] c.fm@i: output failure mode bound to in-port 'i'",
+            "error[unknown-port] c.late@y: port 'y' is not declared",
+            "warning[unconnected-in-port] c.i: in-port has no incoming connection")
 
     def test_failure_modes_on_a_port_declared_both_ways(self):
         # a port in both directions is found in each failure mode's own
@@ -185,13 +191,24 @@ class TestValidate:
             connections=(PortConnection("a", "o", "b", "i"),
                          PortConnection("a", "o", "ghost", "i"),
                          PortConnection("a", "x", "b", "i"),
-                         PortConnection("b", "i", "a", "o")),
+                         PortConnection("b", "i", "a", "o"),
+                         # a wrong-direction end on each side, the other end undeclared
+                         PortConnection("b", "i", "ghost", "i"),
+                         PortConnection("ghost", "o", "a", "o")),
         )
-        report = validate(model)
-        assert "unknown-component" in codes(report)
-        assert "unknown-port" in codes(report)
-        assert codes(report).count("wrong-port-direction") == 2
-        assert "inport-multiple-connections" in codes(report)
+        # each connection reports its source end, then its target end
+        assert validate(model).render_lines() == (
+            "error[unknown-component] a.o -> ghost.i: target component 'ghost' is not declared",
+            "error[unknown-port] a.x -> b.i: source port 'a.x' is not declared",
+            "error[wrong-port-direction] b.i -> a.o: source port 'b.i' has the wrong direction",
+            "error[wrong-port-direction] b.i -> a.o: target port 'a.o' has the wrong direction",
+            "error[wrong-port-direction] b.i -> ghost.i: source port 'b.i' has the wrong direction",
+            "error[unknown-component] b.i -> ghost.i: target component 'ghost' is not declared",
+            "error[unknown-component] ghost.o -> a.o: source component 'ghost' is not declared",
+            "error[wrong-port-direction] ghost.o -> a.o: target port 'a.o' has the wrong direction",
+            "error[inport-multiple-connections] a.o: in-port has 2 incoming connections",
+            "error[inport-multiple-connections] b.i: in-port has 2 incoming connections",
+            "error[inport-multiple-connections] ghost.i: in-port has 2 incoming connections")
 
     def test_inport_multiple_connections(self):
         model = ArchitectureModel(

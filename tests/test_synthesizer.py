@@ -290,6 +290,26 @@ def test_ill_typed_gate_field_rejected(gate, message):
     assert str(caught.value) == message
 
 
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("leaf, message", [
+    (FTBasicEvent(3, None), "fault tree leaf identity 3 is not a str"),
+    (FTBasicEvent("a", None), "fault tree leaf display None is not a str"),
+], ids=["identity", "display"])
+def test_ill_typed_leaf_field_rejected(leaf, message):
+    # a leaf met twice is rejected at its first use, and a leaf root alike
+    shared = FTGate(GateKind.OR, (leaf, FTBasicEvent("b", "b")))
+    for root in (FTGate(GateKind.AND, (shared, leaf)), leaf):
+        with pytest.raises(SynthesisError) as caught:
+            FaultTree(root=root, top=TopEventRef("t", "t"))
+        assert str(caught.value) == message
+    # a str subclass is a str
+    tree = FaultTree(root=FTBasicEvent(_Name("a"), _Name("a")), top=TopEventRef("t", "t"))
+    assert tree.leaf_identities() == ("a",)
+
+
 def test_deterministic(fig2):
     woven = weave(fig2)
     assert synthesize(woven, "f2.loss-of").to_prefix_text() == \
